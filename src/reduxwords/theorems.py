@@ -409,6 +409,30 @@ def check_reduced_bridge(
     )
 
 
+def check_tm_reduced(
+    n_max: int = 512,
+    policy: WindowPolicy | None = None,
+) -> VerificationReport:
+    """Check one reduced factor profile of tm against the recursion and the extremes bridge.
+
+    Counterexamples of both parts are merged; ``details`` carries each
+    part's status.
+    """
+    profile = reduced_factor_complexity(thue_morse(), n_max, policy)
+    recursion = check_tm_reduced_recursion(n_max, policy, profile)
+    bridge = check_reduced_bridge(n_max, policy, profile=profile)
+    return _report(
+        "tm_red", 1, n_max, recursion.counterexamples + bridge.counterexamples,
+        recursion.declared_exceptions,
+        details={
+            **recursion.details,
+            "recursion_status": recursion.status,
+            "bridge_status": bridge.status,
+            "extremes_certified_window": bridge.details["certified_window"],
+        },
+    )
+
+
 def check_alternating_skeleton_runs(
     n_max: int = 129,
     policy: WindowPolicy | None = None,
@@ -641,8 +665,8 @@ CLAIMS: dict[str, Claim] = {
     for c in (
         Claim(
             "tm_red", "theorem",
-            "reduced factor count of tm satisfies its halving recursion",
-            512, check_tm_reduced_recursion,
+            "reduced factor count of tm satisfies its halving recursion and the extremes bridge",
+            512, check_tm_reduced,
         ),
         Claim(
             "pf_red", "theorem",

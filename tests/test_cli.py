@@ -9,6 +9,7 @@ from reduxwords.cli import main
 from reduxwords.theorems import CLAIMS, Claim, VerificationReport
 
 from conftest import PF_PREFIX_55, RHO_ABRED_F_22, RHO_RED_T_23, TM_PREFIX_54
+from window_oracle import oracle_counts, oracle_extremes
 
 
 def run(capsys, *argv):
@@ -223,6 +224,35 @@ class TestSpecFileIntegration:
         assert code == 0
         values = [int(line.split(",")[1]) for line in out.strip().split("\n")[1:]]
         assert values == [2, 4, 8, 12, 18]
+
+    def test_alphabet_past_256(self, capsys, tmp_path):
+        # 0 -> 0,1,...,299 and i -> i,i: the doubling scans reach symbols
+        # 256..299, which do not fit in one byte
+        path = tmp_path / "wide.conf"
+        lines = ["kind = morphic", "alphabet_size = 300", "seed = 0"]
+        lines.append("image.0 = " + ",".join(str(i) for i in range(300)))
+        lines += [f"image.{i} = {i},{i}" for i in range(1, 300)]
+        path.write_text("\n".join(lines) + "\n")
+        handle = rw.load_sequence_spec(str(path))
+        ns = range(1, 7)
+        for kind, oracle_kind in (
+            ("factor", "factor"),
+            ("abelian", "abelian"),
+            ("red", "reduced_factor"),
+            ("abred", "reduced_abelian"),
+        ):
+            code, out, err = run(capsys, "complexity", str(path), kind, "--n-max", "6", "--format", "json")
+            assert code == 0, err
+            records = json.loads(out)
+            symbols = handle.prefix_symbols(records[0]["certified_window"])
+            assert max(symbols) >= 256
+            expected = oracle_counts(symbols, oracle_kind, ns)
+            assert [r["value"] for r in records] == [expected[n] for n in ns]
+        code, out, err = run(capsys, "extremes", str(path), "--n-max", "6", "--format", "json")
+        assert code == 0, err
+        records = json.loads(out)
+        minima, maxima = oracle_extremes(handle.prefix_symbols(records[0]["certified_window"]), ns)
+        assert [(r["min"], r["max"]) for r in records] == [(minima[n], maxima[n]) for n in ns]
 
     def test_bad_spec_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.conf"

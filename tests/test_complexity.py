@@ -5,19 +5,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reduxwords as rw
 from reduxwords.complexity import (
     AlternationPrefix,
     WindowPolicy,
-    _abelian_counts_binary,
-    _reduced_abelian_counts_binary,
-    _reduced_factor_counts_binary,
-    abelian_counts_by_sliding,
+    abelian_counts,
+    extremes_counts,
     factor_counts,
-    factor_counts_by_windows,
-    reduced_abelian_counts_by_keys,
-    reduced_factor_counts_by_keys,
+    reduced_abelian_counts,
+    reduced_factor_counts,
 )
 from reduxwords.errors import ConfigurationError, StabilizationError
 from reduxwords.words import Word
@@ -33,6 +32,7 @@ from conftest import (
     RHO_T_15,
     profile_values,
 )
+from window_oracle import oracle_counts, oracle_extremes, windows
 
 
 class TestGoldenProfiles:
@@ -98,8 +98,21 @@ class TestAlternationPrefix:
             AlternationPrefix([], 2)
 
 
+INDEX_ENGINES = {
+    "factor": factor_counts,
+    "abelian": abelian_counts,
+    "reduced_factor": reduced_factor_counts,
+    "reduced_abelian": reduced_abelian_counts,
+}
+
+
+def engine_counts(symbols, sigma, kind, n_max):
+    """One kind's counts for n = 1..n_max, read off the representative index."""
+    return INDEX_ENGINES[kind](AlternationPrefix(symbols, sigma, n_max))
+
+
 class TestEnginePathEquivalence:
-    """Binary numpy paths, general key paths, and direct window sets must agree."""
+    """The representative-index engines and the window-set oracle must agree."""
 
     N_VALUES = list(range(1, 33))
 
@@ -111,22 +124,21 @@ class TestEnginePathEquivalence:
         yield [rng.randrange(3) for _ in range(1024)], 3
 
     def test_factor_paths(self):
-        for symbols, _ in self.cases():
-            assert factor_counts(symbols, self.N_VALUES) == factor_counts_by_windows(
-                symbols, self.N_VALUES
+        for symbols, sigma in self.cases():
+            assert engine_counts(symbols, sigma, "factor", 32) == oracle_counts(
+                symbols, "factor", self.N_VALUES
             )
 
     def test_abelian_paths(self):
         for symbols, sigma in self.cases():
-            sliding = abelian_counts_by_sliding(symbols, self.N_VALUES, sigma)
-            if sigma == 2:
-                fast = _abelian_counts_binary(AlternationPrefix(symbols, 2), self.N_VALUES)
-                assert fast == sliding
+            assert engine_counts(symbols, sigma, "abelian", 32) == oracle_counts(
+                symbols, "abelian", self.N_VALUES
+            )
 
     def test_reduced_factor_paths(self):
         for symbols, sigma in self.cases():
-            keys = reduced_factor_counts_by_keys(symbols, self.N_VALUES)
-            # direct oracle: count distinct reductions via Word operations
+            engine = engine_counts(symbols, sigma, "reduced_factor", 32)
+            # direct count: distinct reductions via Word operations
             direct = {}
             for n in self.N_VALUES:
                 seen = {
@@ -134,14 +146,12 @@ class TestEnginePathEquivalence:
                     for s in range(len(symbols) - n + 1)
                 }
                 direct[n] = len(seen)
-            assert keys == direct
-            if sigma == 2:
-                fast = _reduced_factor_counts_binary(AlternationPrefix(symbols, 2), self.N_VALUES)
-                assert fast == keys
+            assert engine == direct
+            assert engine == oracle_counts(symbols, "reduced_factor", self.N_VALUES)
 
     def test_reduced_abelian_paths(self):
         for symbols, sigma in self.cases():
-            keys = reduced_abelian_counts_by_keys(symbols, self.N_VALUES, sigma)
+            engine = engine_counts(symbols, sigma, "reduced_abelian", 32)
             direct = {}
             for n in self.N_VALUES:
                 seen = {
@@ -149,10 +159,70 @@ class TestEnginePathEquivalence:
                     for s in range(len(symbols) - n + 1)
                 }
                 direct[n] = len(seen)
-            assert keys == direct
-            if sigma == 2:
-                fast = _reduced_abelian_counts_binary(AlternationPrefix(symbols, 2), self.N_VALUES)
-                assert fast == keys
+            assert engine == direct
+            assert engine == oracle_counts(symbols, "reduced_abelian", self.N_VALUES)
+
+    def test_extremes_paths(self):
+        for symbols, sigma in self.cases():
+            engine = extremes_counts(AlternationPrefix(symbols, sigma, 32))
+            assert engine == oracle_extremes(symbols, self.N_VALUES)
+
+
+@st.composite
+def indexed_words(draw):
+    """(symbols, alphabet size, n_max): a random word, or a random block repeated."""
+    sigma = draw(st.integers(2, 4))
+    block = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=400))
+    length = draw(st.integers(1, 400))
+    symbols = (block * (length // len(block) + 1))[:length]
+    n_max = draw(st.integers(1, min(40, length)))
+    return symbols, sigma, n_max
+
+
+class TestRepresentativeIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(indexed_words())
+    def test_counts_and_extremes_match_oracle(self, case):
+        symbols, sigma, n_max = case
+        index = AlternationPrefix(symbols, sigma, n_max)
+        ns = range(1, n_max + 1)
+        for kind, engine in INDEX_ENGINES.items():
+            assert engine(index) == oracle_counts(symbols, kind, ns), kind
+        assert extremes_counts(index) == oracle_extremes(symbols, ns)
+        # one first-occurrence start per distinct length-n_max window, then the tail
+        first = {}
+        for s in range(len(symbols) - n_max + 1):
+            first.setdefault(tuple(symbols[s : s + n_max]), s)
+        assert len(first) == len(windows(symbols, n_max))
+        assert index.representatives.tolist() == sorted(first.values()) + list(
+            range(len(symbols) - n_max + 1, len(symbols))
+        )
+
+    def test_tm_needs_few_representatives(self, tm_handle):
+        index = AlternationPrefix(tm_handle.prefix_symbols(32 * 256), 2, 256)
+        assert len(index.representatives) == rw.tm_factor_count(256) + 255
+
+    def test_wide_names_are_compressed_exactly(self):
+        # 2**17 random bits have more than 2**16 distinct windows of length 32,
+        # so doubling past 32 bits must rank names before packing them
+        rng = np.random.default_rng(7)
+        symbols = rng.integers(0, 2, 1 << 17).tolist()
+        index = AlternationPrefix(symbols, 2, 48)
+        assert len(index.representatives) == len(windows(symbols, 48)) + 47
+        counts = factor_counts(index)
+        assert [counts[n] for n in (20, 48)] == [len(windows(symbols, n)) for n in (20, 48)]
+
+    def test_symbols_must_fit_the_alphabet(self):
+        with pytest.raises(ConfigurationError):
+            AlternationPrefix([0, 1, 3], 3, 2)
+        with pytest.raises(ConfigurationError):
+            AlternationPrefix([0, 300], 3, 1)
+
+    def test_starts_needs_n_max(self):
+        with pytest.raises(ConfigurationError):
+            AlternationPrefix([0, 1, 0], 2).starts(1)
+        with pytest.raises(ConfigurationError):
+            AlternationPrefix([0, 1, 0], 2, 4)
 
 
 class TestProfileInvariants:
@@ -229,8 +299,8 @@ class TestWindowPolicy:
         profile = rw.reduced_factor_complexity(tm_handle, 32)
         w = profile.certified_window
         ns = range(1, 33)
-        at_w = reduced_factor_counts_by_keys(tm_handle.prefix_symbols(w), ns)
-        at_2w = reduced_factor_counts_by_keys(tm_handle.prefix_symbols(2 * w), ns)
+        at_w = oracle_counts(tm_handle.prefix_symbols(w), "reduced_factor", ns)
+        at_2w = oracle_counts(tm_handle.prefix_symbols(2 * w), "reduced_factor", ns)
         assert at_w == profile.values
         assert at_2w == profile.values
 
@@ -261,13 +331,21 @@ class TestWindowPolicy:
 
 class TestNonBinaryEndToEnd:
     def test_ternary_morphic_profiles(self):
-        # engines must work off the binary fast paths too
+        # engines must work off the binary keys too
         m = rw.Morphism({0: (0, 1), 1: (2, 0), 2: (1, 2)}, 3)
         handle = rw.morphic_fixed_point(m, 0, name="ternary")
         profile = rw.reduced_factor_complexity(handle, 12)
         symbols = handle.prefix_symbols(profile.certified_window)
-        assert profile.values == reduced_factor_counts_by_keys(symbols, range(1, 13))
+        assert profile.values == oracle_counts(symbols, "reduced_factor", range(1, 13))
         ab = rw.abelian_complexity(handle, 12)
-        assert ab.values == abelian_counts_by_sliding(
-            handle.prefix_symbols(ab.certified_window), range(1, 13), 3
+        assert ab.values == oracle_counts(
+            handle.prefix_symbols(ab.certified_window), "abelian", range(1, 13)
+        )
+        abred = rw.reduced_abelian_complexity(handle, 12)
+        assert abred.values == oracle_counts(
+            handle.prefix_symbols(abred.certified_window), "reduced_abelian", range(1, 13)
+        )
+        table = rw.alternation_extremes(handle, 12)
+        assert (table.minima, table.maxima) == oracle_extremes(
+            handle.prefix_symbols(table.certified_window), range(1, 13)
         )

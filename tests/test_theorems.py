@@ -151,6 +151,13 @@ class TestStructuralLemmas:
         assert report.status == "pass"
         assert report.details["mode"] == "extremes-bridge"
 
+    def test_tm_red_runs_recursion_and_bridge(self):
+        report = rw.verify("tm_red", 64)
+        assert report.status == "pass"
+        assert report.details["recursion_status"] == "pass"
+        assert report.details["bridge_status"] == "pass"
+        assert report.details["checked"] == 64
+
     def test_skeleton_runs(self):
         report = rw.check_alternating_skeleton_runs(65)
         assert report.status == "pass"
