@@ -5,13 +5,10 @@ rule, how many distinct length-n windows it has up to four equivalences:
 equality, anagram equivalence, equal run-length reductions, and anagram
 equivalence of the reductions. Exact brute-force engines certify counts by
 window doubling; closed forms for the Thue-Morse and paperfolding sequences
-are checked against those engines through a claim registry.
+are checked against those engines through a table of claims.
 """
 
 from .complexity import (
-    AlternationPrefix,
-    ComplexityProfile,
-    ExtremesTable,
     WindowPolicy,
     abelian_complexity,
     alternation_extremes,
@@ -32,7 +29,6 @@ from .errors import (
 from .sequences import (
     Morphism,
     SequenceHandle,
-    ToeplitzSpec,
     from_pointwise,
     load_sequence_spec,
     morphic_fixed_point,
@@ -44,29 +40,13 @@ from .sequences import (
     thue_morse_at,
     thue_morse_morphic,
     thue_morse_morphism,
-    toeplitz,
 )
 from .theorems import (
     CLAIMS,
-    Claim,
-    KernelEstimate,
-    VerificationReport,
     check_alternating_skeleton_runs,
     check_extremes_halving,
     check_extremes_mod4,
-    check_extremes_recursions,
     check_mu_alternation,
-    check_pf_factor_linear,
-    check_pf_reduced_1mod8,
-    check_pf_reduced_3mod8,
-    check_pf_reduced_5mod8,
-    check_pf_reduced_7mod8,
-    check_pf_reduced_abelian_closed_form,
-    check_pf_reduced_closed_form,
-    check_pf_reduced_even,
-    check_reduced_bridge,
-    check_tm_factor_recursion,
-    check_tm_reduced_recursion,
     kernel_rank,
     pf_factor_count,
     pf_reduced_abelian_count,
@@ -79,10 +59,6 @@ from .theorems import (
     verify,
 )
 from .words import (
-    AbelianReducedKey,
-    ParikhVector,
-    ReducedKey,
-    RunDecomposition,
     Word,
     abelian_reduced_key,
     alternations,
@@ -97,29 +73,18 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianReducedKey",
-    "AlternationPrefix",
     "CapacityError",
     "CLAIMS",
-    "Claim",
-    "ComplexityProfile",
     "ConfigurationError",
-    "ExtremesTable",
-    "KernelEstimate",
     "Morphism",
-    "ParikhVector",
-    "ReducedKey",
     "ReduxwordsError",
-    "RunDecomposition",
     "SequenceHandle",
     "SmallCaseException",
     "SpecFileError",
     "StabilizationError",
-    "ToeplitzSpec",
-    "VerificationReport",
+    "WindowPolicy",
     "Word",
     "WordDomainError",
-    "WindowPolicy",
     "abelian_complexity",
     "abelian_reduced_key",
     "alternation_extremes",
@@ -127,19 +92,7 @@ __all__ = [
     "check_alternating_skeleton_runs",
     "check_extremes_halving",
     "check_extremes_mod4",
-    "check_extremes_recursions",
     "check_mu_alternation",
-    "check_pf_factor_linear",
-    "check_pf_reduced_1mod8",
-    "check_pf_reduced_3mod8",
-    "check_pf_reduced_5mod8",
-    "check_pf_reduced_7mod8",
-    "check_pf_reduced_abelian_closed_form",
-    "check_pf_reduced_closed_form",
-    "check_pf_reduced_even",
-    "check_reduced_bridge",
-    "check_tm_factor_recursion",
-    "check_tm_reduced_recursion",
     "factor_complexity",
     "from_pointwise",
     "kernel_rank",
@@ -168,7 +121,6 @@ __all__ = [
     "thue_morse_morphism",
     "tm_factor_count",
     "tm_reduced_factor_count",
-    "toeplitz",
     "trim_first",
     "trim_last",
     "verify",

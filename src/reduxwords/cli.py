@@ -201,7 +201,8 @@ def _summarize(report) -> str:
 
 
 def _run_claims(claim_ids, n_max, policy, as_json: bool) -> int:
-    reports = [verify(cid, n_max, policy) for cid in claim_ids]
+    profiles: dict = {}
+    reports = [verify(cid, n_max, policy, profiles) for cid in claim_ids]
     if as_json:
         payload = [_report_to_json(r) for r in reports]
         sys.stdout.write(json.dumps(payload if len(payload) > 1 else payload[0], indent=2) + "\n")

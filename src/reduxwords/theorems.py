@@ -1,13 +1,18 @@
-"""Closed-form evaluators, verification harnesses, and conjecture scanners.
+"""Closed-form evaluators, the claim table, and conjecture scanners.
 
-Each statement the library can check has a stable claim id. Theorems and
-lemmas are verified by comparing a closed form (or a structural property)
-against the brute-force engines in :mod:`reduxwords.complexity`; conjectures
-are only ever scanned, and their reports are evidence, never assertions.
+Each statement the library can check is one row of ``CLAIMS``, under a
+stable claim id. A closed-form row names its sequence, profile kind, closed
+form and residue filter, and one runner compares it with the brute-force
+engines in :mod:`reduxwords.complexity`; lemmas with a structural check
+carry their own runner. :func:`verify` runs one row. Its ``profiles`` dict
+is a store for one run: every engine call a claim makes goes through it,
+keyed by (sequence, kind, n, policy), so claims that read the same profile
+share one computation. Conjectures are only ever scanned, and their
+reports are evidence, never assertions.
 
 Closed forms are memoized pure functions with explicit base-case tables.
 Declared small-case exceptions are raised as :class:`SmallCaseException`
-carrying the true value, and the harness records them instead of failing,
+carrying the true value, and the runner records them instead of failing,
 provided the engine agrees with the carried value.
 """
 
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +37,13 @@ from .complexity import (
     reduced_factor_complexity,
 )
 from .errors import ConfigurationError, SmallCaseException
-from .sequences import paperfolding, thue_morse, thue_morse_at, thue_morse_morphism
+from .sequences import (
+    BUILTIN_SEQUENCES,
+    paperfolding,
+    thue_morse,
+    thue_morse_at,
+    thue_morse_morphism,
+)
 from .words import Word, alternations
 
 
@@ -60,19 +71,19 @@ class VerificationReport:
         return self.status != "fail"
 
 
+def _status(counterexamples, declared_exceptions=None) -> str:
+    if counterexamples:
+        return "fail"
+    return "exception-at-small-n" if declared_exceptions else "pass"
+
+
 def _report(claim_id, n_lo, n_hi, counterexamples, declared_exceptions=None, details=None):
     declared_exceptions = declared_exceptions or {}
-    if counterexamples:
-        status = "fail"
-    elif declared_exceptions:
-        status = "exception-at-small-n"
-    else:
-        status = "pass"
     return VerificationReport(
         claim_id=claim_id,
         n_lo=n_lo,
         n_hi=n_hi,
-        status=status,
+        status=_status(counterexamples, declared_exceptions),
         counterexamples=tuple(counterexamples),
         declared_exceptions=declared_exceptions,
         details=details or {},
@@ -154,24 +165,45 @@ def pf_reduced_abelian_count(n: int) -> int:
     return 4 if n % 4 == 1 else 5
 
 
-# -- closed form vs engine harnesses ---------------------------------------------
+# -- profile store and the closed-form runner -------------------------------------
 
-def _compare_closed_form(
-    claim_id: str,
-    closed_form: Callable[[int], int],
-    profile: ComplexityProfile,
-    n_lo: int,
-    n_hi: int,
-    keep: Callable[[int], bool] = lambda n: True,
-) -> VerificationReport:
+def _stored(
+    profiles: dict | None, sequence: str, kind: str, n: int, policy: WindowPolicy | None
+):
+    """The ``kind`` profile (or extremes table) of a builtin sequence at exactly ``n``.
+
+    ``profiles`` is a store that lasts one run, keyed by (sequence, kind, n,
+    policy) with ``policy=None`` read as ``WindowPolicy()``; each key is
+    computed once. A longer profile is never served for a shorter n: it was
+    certified at a different window.
+    """
+    if profiles is None:
+        profiles = {}
+    policy = policy or WindowPolicy()
+    key = (sequence, kind, n, policy)
+    if key not in profiles:
+        # looked up per call, so a replaced engine name in this module is the one that runs
+        engine = {
+            "factor": factor_complexity,
+            "red": reduced_factor_complexity,
+            "abred": reduced_abelian_complexity,
+            "extremes": alternation_extremes,
+        }[kind]
+        profiles[key] = engine(BUILTIN_SEQUENCES[sequence](), n, policy)
+    return profiles[key]
+
+
+def _check_closed_form(claim: Claim, n_max: int, policy, profiles) -> VerificationReport:
+    """Compare a closed-form row with its stored profile at the lengths its residues keep."""
+    profile = _stored(profiles, claim.sequence, claim.profile_kind, n_max, policy)
     counterexamples = []
     exceptions: dict[int, int] = {}
     checked = 0
-    for n in range(n_lo, n_hi + 1):
-        if not keep(n):
+    for n in range(1, n_max + 1):
+        if claim.residues_mod8 is not None and n % 8 not in claim.residues_mod8:
             continue
         try:
-            expected = closed_form(n)
+            expected = claim.closed_form(n)
         except SmallCaseException as exc:
             exceptions[exc.n] = exc.known_value
             expected = exc.known_value
@@ -179,92 +211,21 @@ def _compare_closed_form(
         if actual != expected:
             counterexamples.append((n, expected, actual))
         checked += 1
-    return _report(
-        claim_id,
-        n_lo,
-        n_hi,
-        counterexamples,
-        exceptions,
-        {"checked": checked, "certified_window": profile.certified_window},
-    )
-
-
-def check_tm_factor_recursion(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    profile: ComplexityProfile | None = None,
-) -> VerificationReport:
-    if profile is None:
-        profile = factor_complexity(thue_morse(), n_max, policy)
-    return _compare_closed_form("rho_t_A005942", tm_factor_count, profile, 1, n_max)
-
-
-def check_tm_reduced_recursion(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    profile: ComplexityProfile | None = None,
-) -> VerificationReport:
-    if profile is None:
-        profile = reduced_factor_complexity(thue_morse(), n_max, policy)
-    return _compare_closed_form("tm_red", tm_reduced_factor_count, profile, 1, n_max)
-
-
-def check_pf_factor_linear(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    profile: ComplexityProfile | None = None,
-) -> VerificationReport:
-    if profile is None:
-        profile = factor_complexity(paperfolding(), n_max, policy)
-    return _compare_closed_form("rho_f_4n", pf_factor_count, profile, 1, n_max)
-
-
-def check_pf_reduced_closed_form(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    profile: ComplexityProfile | None = None,
-) -> VerificationReport:
-    if profile is None:
-        profile = reduced_factor_complexity(paperfolding(), n_max, policy)
-    return _compare_closed_form("pf_red", pf_reduced_factor_count, profile, 1, n_max)
-
-
-def check_pf_reduced_abelian_closed_form(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    profile: ComplexityProfile | None = None,
-) -> VerificationReport:
-    if profile is None:
-        profile = reduced_abelian_complexity(paperfolding(), n_max, policy)
-    return _compare_closed_form("abred_f", pf_reduced_abelian_count, profile, 1, n_max)
-
-
-def _check_pf_residue(claim_id, residues, n_max, policy, profile) -> VerificationReport:
-    if profile is None:
-        profile = reduced_factor_complexity(paperfolding(), n_max, policy)
-    return _compare_closed_form(
-        claim_id, pf_reduced_factor_count, profile, 1, n_max, keep=lambda n: n % 8 in residues
-    )
-
-
-def check_pf_reduced_even(n_max=512, policy=None, profile=None) -> VerificationReport:
-    return _check_pf_residue("f_2n", (0, 2, 4, 6), n_max, policy, profile)
-
-
-def check_pf_reduced_1mod8(n_max=512, policy=None, profile=None) -> VerificationReport:
-    return _check_pf_residue("f_1mod8", (1,), n_max, policy, profile)
-
-
-def check_pf_reduced_3mod8(n_max=512, policy=None, profile=None) -> VerificationReport:
-    return _check_pf_residue("f_3mod8", (3,), n_max, policy, profile)
-
-
-def check_pf_reduced_5mod8(n_max=512, policy=None, profile=None) -> VerificationReport:
-    return _check_pf_residue("f_5mod8", (5,), n_max, policy, profile)
-
-
-def check_pf_reduced_7mod8(n_max=512, policy=None, profile=None) -> VerificationReport:
-    return _check_pf_residue("f_7mod8", (7,), n_max, policy, profile)
+    details = {"checked": checked, "certified_window": profile.certified_window}
+    if claim.bridge:
+        table = _stored(profiles, claim.sequence, "extremes", n_max, policy)
+        bridged = []
+        for n in range(1, n_max + 1):
+            predicted = reduced_complexity_from_extremes(table, n)
+            if predicted != profile.values[n]:
+                bridged.append((n, predicted, profile.values[n]))
+        details.update(
+            recursion_status=_status(counterexamples, exceptions),
+            bridge_status=_status(bridged),
+            extremes_certified_window=table.certified_window,
+        )
+        counterexamples += bridged
+    return _report(claim.claim_id, 1, n_max, counterexamples, exceptions, details)
 
 
 # -- structural lemma checks ------------------------------------------------------
@@ -361,78 +322,6 @@ def check_extremes_mod4(
     )
 
 
-def check_extremes_recursions(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    table: ExtremesTable | None = None,
-) -> VerificationReport:
-    """Run both extremes identity families against one shared table."""
-    table = _tm_extremes_table(n_max, policy, table, 4 * n_max + 2)
-    halving = check_extremes_halving(n_max, policy, table)
-    mod4 = check_extremes_mod4(n_max, policy, table)
-    counterexamples = halving.counterexamples + mod4.counterexamples
-    return _report(
-        "tm_max_min+tm_mod4", 1, n_max, counterexamples,
-        details={
-            "halving_status": halving.status,
-            "mod4_status": mod4.status,
-            "certified_window": table.certified_window,
-        },
-    )
-
-
-def check_reduced_bridge(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    table: ExtremesTable | None = None,
-    profile: ComplexityProfile | None = None,
-) -> VerificationReport:
-    """Confirm the reduced count of tm equals twice its extremes gap plus one.
-
-    The reduced count route through the extremes table, 2(max - min + 1),
-    must reproduce the direct distinct-reduction engine at every length.
-    """
-    if n_max < 1:
-        raise ConfigurationError("n_max must be >= 1")
-    table = _tm_extremes_table(n_max, policy, table, n_max)
-    if profile is None:
-        profile = reduced_factor_complexity(thue_morse(), n_max, policy)
-    counterexamples = []
-    for n in range(1, n_max + 1):
-        predicted = reduced_complexity_from_extremes(table, n)
-        actual = profile.values[n]
-        if predicted != actual:
-            counterexamples.append((n, predicted, actual))
-    return _report(
-        "tm_red", 1, n_max, counterexamples,
-        details={"mode": "extremes-bridge", "certified_window": table.certified_window},
-    )
-
-
-def check_tm_reduced(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-) -> VerificationReport:
-    """Check one reduced factor profile of tm against the recursion and the extremes bridge.
-
-    Counterexamples of both parts are merged; ``details`` carries each
-    part's status.
-    """
-    profile = reduced_factor_complexity(thue_morse(), n_max, policy)
-    recursion = check_tm_reduced_recursion(n_max, policy, profile)
-    bridge = check_reduced_bridge(n_max, policy, profile=profile)
-    return _report(
-        "tm_red", 1, n_max, recursion.counterexamples + bridge.counterexamples,
-        recursion.declared_exceptions,
-        details={
-            **recursion.details,
-            "recursion_status": recursion.status,
-            "bridge_status": bridge.status,
-            "extremes_certified_window": bridge.details["certified_window"],
-        },
-    )
-
-
 def check_alternating_skeleton_runs(
     n_max: int = 129,
     policy: WindowPolicy | None = None,
@@ -497,7 +386,7 @@ def check_alternating_skeleton_runs(
 def scan_odd_halving(
     n_max: int = 256,
     policy: WindowPolicy | None = None,
-    profile: ComplexityProfile | None = None,
+    profiles: dict | None = None,
 ) -> VerificationReport:
     """Scan the observed halving of the reduced abelian count of tm at odd lengths.
 
@@ -506,8 +395,7 @@ def scan_odd_halving(
     """
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
-    if profile is None:
-        profile = reduced_abelian_complexity(thue_morse(), 2 * n_max + 1, policy)
+    profile = _stored(profiles, "tm", "abred", 2 * n_max + 1, policy)
     counterexamples = []
     for n in range(0, n_max + 1):
         lhs = profile.values[2 * n + 1]
@@ -523,7 +411,7 @@ def scan_odd_halving(
 def scan_mod4_gap(
     n_max: int = 256,
     policy: WindowPolicy | None = None,
-    profile: ComplexityProfile | None = None,
+    profiles: dict | None = None,
 ) -> VerificationReport:
     """Scan the mod-4 gap law for the reduced abelian count of tm.
 
@@ -534,8 +422,7 @@ def scan_mod4_gap(
     """
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
-    if profile is None:
-        profile = reduced_abelian_complexity(thue_morse(), 4 * n_max + 2, policy)
+    profile = _stored(profiles, "tm", "abred", 4 * n_max + 2, policy)
     counterexamples = []
     signs = []
     for n in range(1, n_max + 1):
@@ -646,19 +533,48 @@ def profile_kernel_rank(
     return kernel_rank(values, base=base, depth=depth, terms=terms)
 
 
-# -- claim registry ------------------------------------------------------------------
+# -- claim table -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Claim:
+    """One row of the claim table.
+
+    A closed-form row names a builtin ``sequence``, the ``profile_kind`` it
+    reads (``factor``, ``red`` or ``abred``), the ``closed_form`` predicting
+    each value, and optionally the residues mod 8 it is checked at; with
+    ``bridge`` set, each value is also predicted from the sequence's
+    alternation extremes. One runner serves all of these rows. Any other
+    row carries its own ``runner(n_max, policy, profiles)``.
+    """
+
     claim_id: str
     kind: str
     summary: str
     default_n_max: int
-    runner: Callable[..., VerificationReport]
+    runner: Callable[..., VerificationReport] | None = None
+    sequence: str | None = None
+    profile_kind: str | None = None
+    closed_form: Callable[[int], int] | None = None
+    residues_mod8: tuple[int, ...] | None = None
+    bridge: bool = False
     # exhaustive checks clamp the requested range instead of erroring; the
     # report's n_hi always shows the range actually checked
     n_max_cap: int | None = None
 
+
+def _on_tm_extremes(check, length: Callable[[int], int]):
+    """A row runner handing ``check`` the stored tm extremes table up to ``length(n_max)``."""
+
+    def run(n_max, policy, profiles):
+        needed = length(n_max)
+        # no table for an impossible length: the check rejects n_max with its own bound
+        table = _stored(profiles, "tm", "extremes", needed, policy) if needed >= 1 else None
+        return check(n_max, policy, table)
+
+    return run
+
+
+_PF_RED = {"sequence": "pf", "profile_kind": "red", "closed_form": pf_reduced_factor_count}
 
 CLAIMS: dict[str, Claim] = {
     c.claim_id: c
@@ -666,73 +582,74 @@ CLAIMS: dict[str, Claim] = {
         Claim(
             "tm_red", "theorem",
             "reduced factor count of tm satisfies its halving recursion and the extremes bridge",
-            512, check_tm_reduced,
+            512, sequence="tm", profile_kind="red", closed_form=tm_reduced_factor_count,
+            bridge=True,
         ),
         Claim(
             "pf_red", "theorem",
             "reduced factor count of pf is 6 at residues 3,5,7 mod 8, else 4 (n=1 excepted)",
-            512, check_pf_reduced_closed_form,
+            512, **_PF_RED,
         ),
         Claim(
             "abred_f", "theorem",
             "reduced abelian count of pf is 3/4/5 by residue mod 4 (n=1 excepted)",
-            512, check_pf_reduced_abelian_closed_form,
+            512, sequence="pf", profile_kind="abred", closed_form=pf_reduced_abelian_count,
         ),
         Claim(
             "rho_t_A005942", "theorem",
             "factor count of tm satisfies the A005942 recursion",
-            512, check_tm_factor_recursion,
+            512, sequence="tm", profile_kind="factor", closed_form=tm_factor_count,
         ),
         Claim(
             "rho_f_4n", "theorem",
             "factor count of pf is 4n for n >= 7",
-            512, check_pf_factor_linear,
+            512, sequence="pf", profile_kind="factor", closed_form=pf_factor_count,
         ),
         Claim(
             "mu_alternation", "lemma",
             "the tm morphism maps alternation count a to 2|w|-1-a",
-            12, lambda n_max=12, policy=None: check_mu_alternation(n_max),
+            12, lambda n_max, policy, profiles: check_mu_alternation(n_max),
             n_max_cap=14,
         ),
         Claim(
             "tm_max_min", "lemma",
             "alternation extremes of tm at 2n and 2n+1 reduce to n and n+1",
-            512, check_extremes_halving,
+            512, _on_tm_extremes(check_extremes_halving, lambda n: 2 * n + 1),
         ),
         Claim(
             "tm_mod4", "lemma",
             "alternation extremes of tm at 4n and 4n+2 reduce to n+1",
-            512, check_extremes_mod4,
+            512, _on_tm_extremes(check_extremes_mod4, lambda n: 4 * n + 2),
         ),
         Claim(
             "odd_len", "lemma",
             "odd pf windows with alternating stride-2 skeleton have (len+1)/2 runs",
-            129, check_alternating_skeleton_runs,
+            129, lambda n_max, policy, profiles: check_alternating_skeleton_runs(n_max, policy),
         ),
         Claim(
             "f_2n", "lemma",
             "reduced factor count of pf is 4 at every even length",
-            512, check_pf_reduced_even,
+            512, **_PF_RED, residues_mod8=(0, 2, 4, 6),
         ),
         Claim(
             "f_1mod8", "lemma",
             "reduced factor count of pf is 4 at lengths 1 mod 8 (n=1 excepted)",
-            512, check_pf_reduced_1mod8,
+            512, **_PF_RED, residues_mod8=(1,),
         ),
         Claim(
             "f_3mod8", "lemma",
             "reduced factor count of pf is 6 at lengths 3 mod 8",
-            512, check_pf_reduced_3mod8,
+            512, **_PF_RED, residues_mod8=(3,),
         ),
         Claim(
             "f_5mod8", "lemma",
             "reduced factor count of pf is 6 at lengths 5 mod 8",
-            512, check_pf_reduced_5mod8,
+            512, **_PF_RED, residues_mod8=(5,),
         ),
         Claim(
             "f_7mod8", "lemma",
             "reduced factor count of pf is 6 at lengths 7 mod 8",
-            512, check_pf_reduced_7mod8,
+            512, **_PF_RED, residues_mod8=(7,),
         ),
         Claim(
             "conj_odd_halving", "conjecture",
@@ -752,8 +669,14 @@ def verify(
     claim_id: str,
     n_max: int | None = None,
     policy: WindowPolicy | None = None,
+    profiles: dict | None = None,
 ) -> VerificationReport:
-    """Run the registered check for one claim id."""
+    """Run one row of the claim table.
+
+    Pass the same ``profiles`` dict to every call of a run and each
+    (sequence, kind, n, policy) profile the claims need is computed once.
+    A configuration error raised by the claim carries its id.
+    """
     claim = CLAIMS.get(claim_id)
     if claim is None:
         raise ConfigurationError(
@@ -762,4 +685,9 @@ def verify(
     bound = n_max if n_max is not None else claim.default_n_max
     if claim.n_max_cap is not None:
         bound = min(bound, claim.n_max_cap)
-    return claim.runner(bound, policy)
+    try:
+        if claim.runner is None:
+            return _check_closed_form(claim, bound, policy, profiles)
+        return claim.runner(bound, policy, profiles)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{claim_id}: {exc}") from exc

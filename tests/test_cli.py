@@ -5,6 +5,7 @@ import json
 import pytest
 
 import reduxwords as rw
+from reduxwords import theorems
 from reduxwords.cli import main
 from reduxwords.theorems import CLAIMS, Claim, VerificationReport
 
@@ -149,13 +150,32 @@ class TestVerify:
         assert len(lines) == 14  # 16 ids minus the two conjectures
         assert not any(line.startswith("conj_") for line in lines)
 
+    def test_all_computes_each_profile_once(self, capsys, monkeypatch):
+        calls = []
+        engine = theorems.reduced_factor_complexity
+
+        def counting(handle, n_max, policy=None):
+            calls.append((handle.name, n_max))
+            return engine(handle, n_max, policy)
+
+        monkeypatch.setattr(theorems, "reduced_factor_complexity", counting)
+        code, _, _ = run(capsys, "verify", "all", "--n-max", "48")
+        assert code == 0
+        # pf_red, f_2n and the four f_*mod8 claims read one pf red profile
+        assert calls.count(("pf", 48)) == 1
+
+    def test_configuration_error_names_the_claim(self, capsys):
+        code, _, err = run(capsys, "verify", "all", "--n-max", "2")
+        assert code == 2
+        assert err == "error: odd_len: n_max must be >= 3\n"
+
     def test_unknown_claim_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "bogus_claim")
         assert code == 2
         assert "unknown claim" in err
 
     def test_counterexamples_exit_1(self, capsys, monkeypatch):
-        def failing_runner(n_max=8, policy=None):
+        def failing_runner(n_max, policy, profiles):
             return VerificationReport(
                 claim_id="rigged", n_lo=1, n_hi=8, status="fail",
                 counterexamples=((3, 6, 7),),
@@ -163,7 +183,7 @@ class TestVerify:
 
         monkeypatch.setitem(
             CLAIMS, "rigged",
-            Claim("rigged", "theorem", "injected failing claim", 8, failing_runner),
+            Claim("rigged", "theorem", "injected failing claim", 8, runner=failing_runner),
         )
         code, out, _ = run(capsys, "verify", "rigged")
         assert code == 1

@@ -1,6 +1,8 @@
 """Closed forms against frozen golden data, harness behavior on injected
 failures, scanners, and the exact kernel-rank estimator."""
 
+import dataclasses
+
 import pytest
 
 import reduxwords as rw
@@ -98,24 +100,64 @@ def fake_profile(kind, values):
     return ComplexityProfile(kind=kind, sequence="fake", values=values, certified_window=0)
 
 
+def store_with(sequence, kind, n, profile):
+    """A profile store prefilled with one entry under the default policy."""
+    return {(sequence, kind, n, rw.WindowPolicy()): profile}
+
+
 class TestHarnessFailurePaths:
     def test_wrong_engine_values_fail(self):
-        values = {n: rw.tm_reduced_factor_count(n) for n in range(1, 33)}
+        values = {n: rw.tm_factor_count(n) for n in range(1, 33)}
         values[20] += 2
-        report = rw.check_tm_reduced_recursion(32, profile=fake_profile("reduced_factor", values))
+        profiles = store_with("tm", "factor", 32, fake_profile("factor", values))
+        report = rw.verify("rho_t_A005942", 32, profiles=profiles)
         assert report.status == "fail"
         assert not report.ok
-        assert report.counterexamples == ((20, rw.tm_reduced_factor_count(20), values[20]),)
+        assert report.counterexamples == ((20, rw.tm_factor_count(20), values[20]),)
 
     def test_exception_value_is_still_checked(self):
         # the declared n=1 value must match the engine or the claim fails
         values = {n: (2 if n == 1 else rw.pf_reduced_factor_count(n)) for n in range(1, 33)}
-        good = rw.check_pf_reduced_closed_form(32, profile=fake_profile("reduced_factor", values))
+        profile = fake_profile("reduced_factor", values)
+        good = rw.verify("pf_red", 32, profiles=store_with("pf", "red", 32, profile))
         assert good.status == "exception-at-small-n"
         values[1] = 4
-        bad = rw.check_pf_reduced_closed_form(32, profile=fake_profile("reduced_factor", values))
+        bad = rw.verify("pf_red", 32, profiles=store_with("pf", "red", 32, profile))
         assert bad.status == "fail"
         assert bad.counterexamples[0] == (1, 2, 4)
+
+
+class TestProfileStore:
+    def test_shared_store_gives_the_same_reports(self):
+        ids = [cid for cid, claim in rw.CLAIMS.items() if claim.kind != "conjecture"]
+        assert len(ids) == 14
+        profiles = {}
+        shared = [rw.verify(cid, 48, profiles=profiles) for cid in ids]
+        assert shared == [rw.verify(cid, 48) for cid in ids]
+        # pf red is read by six claims and stored once
+        assert sum(1 for key in profiles if key[:2] == ("pf", "red")) == 1
+
+    def test_policies_are_kept_apart(self):
+        fixed = rw.WindowPolicy(mode="fixed", fixed_length=4096)
+        profiles = {}
+        default_report = rw.verify("pf_red", 48, profiles=profiles)
+        fixed_report = rw.verify("pf_red", 48, fixed, profiles)
+        assert set(profiles) == {("pf", "red", 48, rw.WindowPolicy()), ("pf", "red", 48, fixed)}
+        assert fixed_report.details["certified_window"] == 4096
+        assert default_report.details["certified_window"] != 4096
+        assert default_report == rw.verify("pf_red", 48)
+        assert fixed_report == rw.verify("pf_red", 48, fixed)
+
+    def test_exact_n_keys(self):
+        # a longer stored profile is not served for a shorter n
+        profiles = {}
+        rw.verify("pf_red", 64, profiles=profiles)
+        assert rw.verify("pf_red", 48, profiles=profiles) == rw.verify("pf_red", 48)
+        assert {key[2] for key in profiles} == {48, 64}
+
+    def test_configuration_error_names_the_claim(self):
+        with pytest.raises(ConfigurationError, match="^odd_len: n_max must be >= 3$"):
+            rw.verify("odd_len", 2)
 
 
 class TestStructuralLemmas:
@@ -131,10 +173,6 @@ class TestStructuralLemmas:
     def test_extremes_identities(self):
         assert rw.check_extremes_halving(64).status == "pass"
         assert rw.check_extremes_mod4(64).status == "pass"
-        combined = rw.check_extremes_recursions(64)
-        assert combined.status == "pass"
-        assert combined.details["halving_status"] == "pass"
-        assert combined.details["mod4_status"] == "pass"
 
     def test_extremes_identities_shared_table(self, tm_handle):
         table = rw.alternation_extremes(tm_handle, 4 * 64 + 2)
@@ -146,10 +184,19 @@ class TestStructuralLemmas:
         with pytest.raises(ConfigurationError):
             rw.check_extremes_halving(64, table=table)
 
-    def test_bridge(self):
-        report = rw.check_reduced_bridge(64)
-        assert report.status == "pass"
-        assert report.details["mode"] == "extremes-bridge"
+    def test_bridge(self, tm_handle):
+        assert rw.verify("tm_red", 64).details["bridge_status"] == "pass"
+        # a wrong extremes table fails the bridge and leaves the recursion passing
+        table = rw.alternation_extremes(tm_handle, 64)
+        maxima = dict(table.maxima)
+        maxima[20] += 1
+        wrong = dataclasses.replace(table, maxima=maxima)
+        report = rw.verify("tm_red", 64, profiles=store_with("tm", "extremes", 64, wrong))
+        assert report.status == "fail"
+        assert report.details["recursion_status"] == "pass"
+        assert report.details["bridge_status"] == "fail"
+        actual = rw.tm_reduced_factor_count(20)
+        assert report.counterexamples == ((20, actual + 2, actual),)
 
     def test_tm_red_runs_recursion_and_bridge(self):
         report = rw.verify("tm_red", 64)
@@ -190,7 +237,8 @@ class TestConjectureScanners:
     def test_scanner_reports_fabricated_counterexample(self):
         values = {n: rw.reduced_abelian_complexity(rw.thue_morse(), 21).values[n] for n in range(1, 22)}
         values[21] += 1  # 21 = 2*10+1 now disagrees with values[11]
-        report = rw.scan_odd_halving(10, profile=fake_profile("reduced_abelian", values))
+        profiles = store_with("tm", "abred", 21, fake_profile("reduced_abelian", values))
+        report = rw.verify("conj_odd_halving", 10, profiles=profiles)
         assert report.status == "fail"
         assert report.counterexamples[-1][0] == 10
 
