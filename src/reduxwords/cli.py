@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice, starmap
 from typing import Sequence
 
 from .complexity import (
@@ -109,20 +110,22 @@ def _jsonable(value):
 
 
 def _emit_rows(rows, header: str, fmt: str, metadata: dict) -> None:
-    out = sys.stdout
-    if fmt == "csv":
-        out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(str(v) for v in row) + "\n")
-    elif fmt == "bfile":
-        for row in rows:
-            out.write(" ".join(str(v) for v in row) + "\n")
-    elif fmt == "json":
-        fields = header.split(",")
+    """Write ``rows`` in ``fmt`` to stdout as one string, in one write."""
+    fields = header.split(",")
+    if fmt == "json":
         records = [dict(zip(fields, row), **metadata) for row in rows]
-        out.write(json.dumps(records, indent=2) + "\n")
+        text = json.dumps(records, indent=2) + "\n"
+    elif fmt in ("csv", "bfile"):
+        line = ("," if fmt == "csv" else " ").join("{}" for _ in fields) + "\n"
+        # joined in slices of rows, so at most one slice of row strings is alive
+        rows = iter(rows)
+        slices = iter(lambda: "".join(starmap(line.format, islice(rows, 1 << 16))), "")
+        text = "".join(slices)
+        if fmt == "csv":
+            text = header + "\n" + text
     else:
         raise ConfigurationError(f"unknown format {fmt!r}")
+    sys.stdout.write(text)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -139,11 +142,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     symbols = handle.prefix_symbols(upto)[args.start - 1 :]
     if args.format == "raw":
         if handle.alphabet_size <= 10:
-            sys.stdout.write("".join(str(s) for s in symbols) + "\n")
+            text = (symbols + ord("0")).tobytes().decode("ascii")
         else:
-            sys.stdout.write(" ".join(str(s) for s in symbols) + "\n")
+            text = " ".join(map(str, symbols.tolist()))
+        sys.stdout.write(text + "\n")
         return EXIT_OK
-    rows = [(n, s) for n, s in zip(range(args.start, upto + 1), symbols)]
+    rows = zip(range(args.start, upto + 1), symbols.tolist())
     _emit_rows(rows, "n,value", args.format, {"sequence": handle.name, "kind": "symbols"})
     return EXIT_OK
 

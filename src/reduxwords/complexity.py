@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, StabilizationError
-from .sequences import SequenceHandle
+from .sequences import SequenceHandle, _uint_dtype
 
 Counts = dict[int, int]
 
@@ -119,14 +119,6 @@ def reduced_complexity_from_extremes(table: ExtremesTable, n: int) -> int:
     count between the minimum and the maximum, with both starting symbols.
     """
     return 2 * (table.maxima[n] - table.minima[n] + 1)
-
-
-def _uint_dtype(bits: int):
-    """The narrowest unsigned dtype holding ``bits`` bits."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if bits <= np.iinfo(dtype).bits:
-            return dtype
-    return np.uint64
 
 
 def _doubling_names(arr: np.ndarray, alphabet_size: int, n_max: int):

@@ -5,10 +5,17 @@ growable cached prefix and a hard materialization cap. Indexing is 1-based
 throughout the public API; internal buffers are 0-based and the boundary is
 fixed here.
 
+The cached prefix is one numpy array in the narrowest unsigned dtype for
+the alphabet (one byte per symbol up to 256 letters). It grows by doubling:
+each growth asks the handle's extender for the block of new symbols, checks
+the block against the alphabet, and replaces the buffer with a fresh
+read-only array, so the views that :meth:`SequenceHandle.prefix_symbols`
+hands out are never copied and never change.
+
 Three constructions are provided:
 
 * direct arithmetic rules (the production generators for the two builtin
-  sequences ``tm`` and ``pf``),
+  sequences ``tm`` and ``pf``, evaluated on whole blocks of indices),
 * fixed points of prolongable morphisms,
 * iterated gap-filling with an eventually periodic filler (the Toeplitz
   construction; each pass writes the filler, restarted from its beginning,
@@ -24,14 +31,18 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, ConfigurationError, SpecFileError, WordDomainError
 from .words import Symbol, Word
 
 DEFAULT_MAX_PREFIX = 1 << 26
 MAX_PREFIX_ENV_VAR = "REDUXWORDS_MAX_PREFIX"
+# Indices per call of a block rule, so its int64 temporaries stay small.
+_BLOCK_CHUNK = 1 << 16
 
 
 def _default_cap() -> int:
@@ -47,6 +58,14 @@ def _default_cap() -> int:
     return cap
 
 
+def _uint_dtype(bits: int):
+    """The narrowest unsigned dtype holding ``bits`` bits."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bits <= np.iinfo(dtype).bits:
+            return dtype
+    return np.uint64
+
+
 class SequenceHandle:
     """Lazily materialized, 1-indexed infinite sequence.
 
@@ -54,13 +73,16 @@ class SequenceHandle:
     position's value never changes once computed. Cache growth is
     synchronized, so concurrent reads at arbitrary indices are safe and
     deterministic.
+
+    ``extender(buf, target)`` gets the current read-only prefix and returns
+    the symbols at 1-based indices ``len(buf)+1 .. target`` as one block.
     """
 
     def __init__(
         self,
         name: str,
         alphabet_size: int,
-        extender: Callable[[list[int], int], None],
+        extender: Callable[[np.ndarray, int], Sequence[int]],
         max_prefix: int | None = None,
     ):
         if alphabet_size < 1:
@@ -69,7 +91,8 @@ class SequenceHandle:
         self.alphabet_size = alphabet_size
         self._extend = extender
         self._cap = max_prefix if max_prefix is not None else _default_cap()
-        self._buf: list[int] = []
+        self._buf = np.empty(0, dtype=_uint_dtype(max(1, (alphabet_size - 1).bit_length())))
+        self._buf.flags.writeable = False
         self._lock = threading.Lock()
 
     def _ensure(self, length: int) -> None:
@@ -81,31 +104,47 @@ class SequenceHandle:
                 f"cap of {self._cap} (raise {MAX_PREFIX_ENV_VAR} or max_prefix)"
             )
         with self._lock:
-            if len(self._buf) >= length:
+            old = len(self._buf)
+            if old >= length:
                 return
-            target = max(64, len(self._buf))
+            target = max(64, old)
             while target < length:
                 target *= 2
             target = min(target, self._cap)
-            self._extend(self._buf, target)
-            assert len(self._buf) >= length
+            block = np.asarray(self._extend(self._buf, target))
+            if block.shape != (target - old,) or block.dtype.kind not in "biuO":
+                raise ConfigurationError(
+                    f"sequence {self.name!r}: extender must return {target - old} integer "
+                    f"symbols, got shape {block.shape} of {block.dtype}"
+                )
+            # checked before the cast, which would wrap or raise on a symbol
+            # outside the dtype's range
+            bad = np.flatnonzero((block < 0) | (block >= self.alphabet_size))
+            if len(bad):
+                raise ConfigurationError(
+                    f"sequence {self.name!r}: symbol {block[bad[0]]} at n={old + bad[0] + 1} "
+                    f"is outside the alphabet 0..{self.alphabet_size - 1}"
+                )
+            buf = np.concatenate((self._buf, block), dtype=self._buf.dtype, casting="unsafe")
+            buf.flags.writeable = False
+            self._buf = buf
 
     def at(self, n: int) -> Symbol:
         """Symbol at 1-based index ``n``."""
         if n < 1:
             raise ValueError(f"sequence indices are 1-based, got n={n}")
         self._ensure(n)
-        return self._buf[n - 1]
+        return int(self._buf[n - 1])
 
     def prefix(self, length: int) -> Word:
         """The word formed by indices 1..length."""
         if length < 1:
             raise WordDomainError("prefix length must be >= 1")
         self._ensure(length)
-        return Word(tuple(self._buf[:length]), self.alphabet_size)
+        return Word(tuple(self._buf[:length].tolist()), self.alphabet_size)
 
-    def prefix_symbols(self, length: int) -> list[int]:
-        """Prefix as a plain list; cheaper than :meth:`prefix` for engines."""
+    def prefix_symbols(self, length: int) -> np.ndarray:
+        """Read-only view of indices 1..length; no copy, cheaper than :meth:`prefix`."""
         if length < 1:
             raise WordDomainError("prefix length must be >= 1")
         self._ensure(length)
@@ -123,9 +162,25 @@ def from_pointwise(
 ) -> SequenceHandle:
     """Handle for a sequence given by a direct rule ``n -> symbol`` (n >= 1)."""
 
-    def extend(buf: list[int], target: int) -> None:
-        for n in range(len(buf) + 1, target + 1):
-            buf.append(rule(n))
+    def extend(buf: np.ndarray, target: int) -> list[int]:
+        return [rule(n) for n in range(len(buf) + 1, target + 1)]
+
+    return SequenceHandle(name, alphabet_size, extend, max_prefix=max_prefix)
+
+
+def _from_block_rule(
+    rule: Callable[[np.ndarray], np.ndarray],
+    alphabet_size: int,
+    name: str,
+    max_prefix: int | None = None,
+) -> SequenceHandle:
+    """Handle for a rule evaluated on an int64 array of 1-based indices."""
+
+    def extend(buf: np.ndarray, target: int) -> np.ndarray:
+        starts = range(len(buf) + 1, target + 1, _BLOCK_CHUNK)
+        return np.concatenate([
+            rule(np.arange(lo, min(lo + _BLOCK_CHUNK, target + 1), dtype=np.int64)) for lo in starts
+        ])
 
     return SequenceHandle(name, alphabet_size, extend, max_prefix=max_prefix)
 
@@ -147,12 +202,28 @@ def paperfolding_at(n: int) -> Symbol:
     return (odd >> 1) & 1
 
 
+def thue_morse_block(n: np.ndarray) -> np.ndarray:
+    """:func:`thue_morse_at` on an int64 array of indices in 1..2**63-1."""
+    x = n - 1
+    for shift in (32, 16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return (x & 1).astype(np.uint8)
+
+
+def paperfolding_block(n: np.ndarray) -> np.ndarray:
+    """:func:`paperfolding_at` on an int64 array of positive indices.
+
+    Bit 1 of the odd part of n is the bit of n just above its lowest set bit.
+    """
+    return ((n & ((n & -n) << 1)) != 0).astype(np.uint8)
+
+
 def thue_morse(max_prefix: int | None = None) -> SequenceHandle:
-    return from_pointwise(thue_morse_at, 2, "tm", max_prefix=max_prefix)
+    return _from_block_rule(thue_morse_block, 2, "tm", max_prefix=max_prefix)
 
 
 def paperfolding(max_prefix: int | None = None) -> SequenceHandle:
-    return from_pointwise(paperfolding_at, 2, "pf", max_prefix=max_prefix)
+    return _from_block_rule(paperfolding_block, 2, "pf", max_prefix=max_prefix)
 
 
 # -- morphic fixed points -----------------------------------------------------
@@ -220,17 +291,19 @@ def morphic_fixed_point(
                 reachable.add(s)
                 frontier.append(s)
 
-    state = {"consumed": 0}
+    state = {"consumed": 1, "overshoot": list(m.images[seed])}
 
-    def extend(buf: list[int], target: int) -> None:
-        # buf is always a prefix of the fixed point: it starts as the seed's
-        # image and grows by appending the image of the next unconsumed symbol.
-        if not buf:
-            buf.extend(m.images[seed])
-            state["consumed"] = 1
-        while len(buf) < target:
-            buf.extend(m.images[buf[state["consumed"]]])
-            state["consumed"] += 1
+    def extend(buf: np.ndarray, target: int) -> list[int]:
+        # buf + overshoot is the image of the first ``consumed`` symbols of
+        # the fixed point; ``work`` holds its positions from ``base`` on.
+        consumed = state["consumed"]
+        base = min(consumed, len(buf))
+        work = buf[base:].tolist() + state["overshoot"]
+        while base + len(work) < target:
+            work.extend(m.images[work[consumed - base]])
+            consumed += 1
+        state["consumed"], state["overshoot"] = consumed, work[target - base :]
+        return work[len(buf) - base : target - base]
 
     if name is None:
         name = f"morphic(seed={seed})"
@@ -290,8 +363,8 @@ def toeplitz(
 ) -> SequenceHandle:
     """Handle for the limit of the iterated gap-filling passes."""
 
-    def extend(buf: list[int], target: int) -> None:
-        buf[:] = _toeplitz_fill(spec, target)
+    def extend(buf: np.ndarray, target: int) -> list[int]:
+        return _toeplitz_fill(spec, target)[len(buf):]
 
     return SequenceHandle(name, spec.alphabet_size, extend, max_prefix=max_prefix)
 

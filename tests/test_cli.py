@@ -61,6 +61,56 @@ class TestGen:
         assert "start" in err
 
 
+    @pytest.mark.parametrize("seq, rule", [("tm", rw.thue_morse_at), ("pf", rw.paperfolding_at)])
+    def test_byte_identical_formats_past_the_start(self, capsys, seq, rule):
+        start, count = 1000, 300
+        ns = range(start, start + count)
+        expected = {
+            "raw": "".join(str(rule(n)) for n in ns) + "\n",
+            "bfile": "".join(f"{n} {rule(n)}\n" for n in ns),
+            "csv": "n,value\n" + "".join(f"{n},{rule(n)}\n" for n in ns),
+            "json": json.dumps(
+                [{"n": n, "value": rule(n), "sequence": seq, "kind": "symbols"} for n in ns],
+                indent=2,
+            ) + "\n",
+        }
+        for fmt, text in expected.items():
+            code, out, _ = run(capsys, "gen", seq, "--start", str(start), "--count", str(count),
+                               "--format", fmt)
+            assert code == 0
+            assert out == text
+
+    def test_eleven_letters_raw_is_space_separated(self, capsys, tmp_path):
+        path = tmp_path / "eleven.conf"
+        path.write_text("kind = morphic\nalphabet_size = 11\nseed = 0\n"
+                        "image.0 = 0,10\nimage.10 = 10,3,0\nimage.3 = 3,10\n")
+        images = {0: (0, 10), 10: (10, 3, 0), 3: (3, 10)}
+        word = [0]
+        while len(word) < 200:
+            word = [s for sym in word for s in images[sym]]
+        code, out, _ = run(capsys, "gen", str(path), "--start", "5", "--count", "150")
+        assert code == 0
+        assert out == " ".join(str(s) for s in word[4:154]) + "\n"
+        code, out, _ = run(capsys, "gen", str(path), "--start", "5", "--count", "3",
+                           "--format", "bfile")
+        assert out == "".join(f"{n} {word[n - 1]}\n" for n in range(5, 8))
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "bad", "--count", "100"),
+        ("complexity", "bad", "red", "--n-max", "4"),
+    ])
+    @pytest.mark.parametrize("bad", [300, -1, 2])
+    def test_rule_leaving_the_alphabet_exit_2(self, capsys, monkeypatch, argv, bad):
+        def handle(max_prefix=None):
+            return rw.from_pointwise(lambda n: bad if n == 70 else n % 2, 2, "bad", max_prefix)
+
+        monkeypatch.setitem(rw.sequences.BUILTIN_SEQUENCES, "bad", handle)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"symbol {bad} at n=70 is outside the alphabet 0..1" in err
+
+
 class TestComplexity:
     def test_bfile_byte_exact(self, capsys):
         code, out, _ = run(capsys, "complexity", "tm", "factor", "--n-max", "5", "--format", "bfile")

@@ -1,11 +1,21 @@
 """Sequence generators: golden prefixes, cross-construction agreement,
 structural identities, caps, and the spec-file loader."""
 
+import random
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 import reduxwords as rw
 from reduxwords.errors import CapacityError, ConfigurationError, SpecFileError
-from reduxwords.sequences import ToeplitzSpec, _toeplitz_fill
+from reduxwords.sequences import (
+    ToeplitzSpec,
+    _toeplitz_fill,
+    paperfolding_block,
+    thue_morse_block,
+)
 
 from conftest import PF_PREFIX_55, TM_PREFIX_54
 
@@ -36,12 +46,12 @@ class TestCrossConstruction:
     def test_tm_morphic_agrees_with_rule(self):
         a = rw.thue_morse().prefix_symbols(1 << 14)
         b = rw.thue_morse_morphic().prefix_symbols(1 << 14)
-        assert a == b
+        assert a.tolist() == b.tolist()
 
     def test_pf_toeplitz_agrees_with_rule(self):
         a = rw.paperfolding().prefix_symbols(1 << 14)
         b = rw.paperfolding_toeplitz().prefix_symbols(1 << 14)
-        assert a == b
+        assert a.tolist() == b.tolist()
 
 
 class TestMorphic:
@@ -55,7 +65,7 @@ class TestMorphic:
         # symbols 1 and 2 with images of lengths 3 and 5
         m = rw.Morphism({1: (1, 2, 1), 2: (1, 2, 2, 2, 1)}, alphabet_size=3)
         h = rw.morphic_fixed_point(m, 1)
-        assert h.prefix_symbols(8) == [1, 2, 1, 1, 2, 2, 2, 1]
+        assert h.prefix_symbols(8).tolist() == [1, 2, 1, 1, 2, 2, 2, 1]
 
     def test_requires_prolongable_seed(self):
         m = rw.Morphism({0: (1, 0), 1: (0, 1)}, 2)
@@ -110,14 +120,14 @@ class TestToeplitz:
 class TestSequenceHandle:
     def test_prefix_stability_under_growth(self):
         h = rw.thue_morse()
-        small = h.prefix_symbols(10)
+        small = h.prefix_symbols(10).tolist()
         h.prefix_symbols(5000)
-        assert h.prefix_symbols(10) == small
-        assert h.prefix_symbols(5000)[:10] == small
+        assert h.prefix_symbols(10).tolist() == small
+        assert h.prefix_symbols(5000)[:10].tolist() == small
 
     def test_prefix_of_prefix(self, pf_handle):
         long = pf_handle.prefix_symbols(2048)
-        assert pf_handle.prefix_symbols(100) == long[:100]
+        assert pf_handle.prefix_symbols(100).tolist() == long[:100].tolist()
 
     def test_capacity_error(self):
         h = rw.from_pointwise(rw.thue_morse_at, 2, "capped", max_prefix=100)
@@ -142,6 +152,105 @@ class TestSequenceHandle:
     def test_prefix_requires_positive_length(self, tm_handle):
         with pytest.raises(rw.WordDomainError):
             tm_handle.prefix(0)
+
+
+class TestSymbolBuffer:
+    def test_prefix_symbols_is_a_view_of_the_cache(self):
+        h = rw.thue_morse()
+        view = h.prefix_symbols(100)
+        assert np.shares_memory(view, h._buf)
+        assert view.dtype == np.uint8
+
+    def test_prefix_symbols_is_read_only(self):
+        view = rw.paperfolding().prefix_symbols(100)
+        with pytest.raises(ValueError):
+            view[0] = 1
+
+    def test_view_keeps_its_values_after_growth(self):
+        h = rw.paperfolding()
+        view = h.prefix_symbols(64)
+        before = view.tolist()
+        h.prefix_symbols(1 << 15)
+        assert view.tolist() == before == h.prefix_symbols(64).tolist()
+
+    def test_at_returns_python_int(self):
+        handles = [rw.thue_morse(), rw.paperfolding(), rw.thue_morse_morphic(), rw.paperfolding_toeplitz()]
+        for h in handles:
+            assert type(h.at(5)) is int
+
+    def test_dtype_follows_alphabet(self):
+        m = rw.Morphism({0: (0, 299), 299: (299, 0)}, 300)
+        view = rw.morphic_fixed_point(m, 0).prefix_symbols(8)
+        assert view.dtype == np.uint16
+        assert view.tolist() == [0, 299, 299, 0, 299, 0, 0, 299]
+
+    @pytest.mark.parametrize("bad", [300, -1, 2, 2**70])
+    def test_rule_leaving_the_alphabet_is_rejected(self, bad):
+        h = rw.from_pointwise(lambda n: bad if n == 70 else 0, 2, "bad")
+        assert h.prefix_symbols(64).tolist() == [0] * 64
+        with pytest.raises(ConfigurationError, match="n=70"):
+            h.prefix_symbols(65)
+        assert len(h.prefix_symbols(64)) == 64
+
+    def test_non_integer_rule_is_rejected(self):
+        h = rw.from_pointwise(lambda n: 0.5, 2, "float")
+        with pytest.raises(ConfigurationError):
+            h.at(1)
+
+    def test_concurrent_reads_while_growing(self):
+        h = rw.thue_morse_morphic()
+        length = 1 << 14
+        expected = [rw.thue_morse_at(n) for n in range(1, length + 1)]
+        wrong = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            for _ in range(40):
+                n = rng.randrange(1, length + 1)
+                try:
+                    if h.prefix_symbols(n).tolist() != expected[:n] or h.at(n) != expected[n - 1]:
+                        wrong.append(n)
+                except Exception as exc:  # a failed read in a thread must fail the test
+                    wrong.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_morphic_growth_matches_iteration(self):
+        # images of unequal lengths, so growth stops mid-image and the rest
+        # of that image must carry over to the next growth
+        m = rw.Morphism({0: (0, 1, 2, 1), 1: (2,), 2: (1, 0, 0)}, 3)
+        word = [0]
+        while len(word) < 5000:
+            word = [s for sym in word for s in m.images[sym]]
+        h = rw.morphic_fixed_point(m, 0)
+        for length in (1, 63, 64, 65, 200, 129, 1000, 5000):
+            assert h.prefix_symbols(length).tolist() == word[:length]
+
+
+class TestBlockRules:
+    def test_handles_match_pointwise_rules_across_doublings(self):
+        length = (1 << 17) + 5  # past several doublings and a block chunk
+        tm = rw.thue_morse().prefix_symbols(length).tolist()
+        pf = rw.paperfolding().prefix_symbols(length).tolist()
+        assert tm == [rw.thue_morse_at(n) for n in range(1, length + 1)]
+        assert pf == [rw.paperfolding_at(n) for n in range(1, length + 1)]
+
+    @pytest.mark.parametrize("centre", [1 << 10, 1 << 26, 1 << 40, 1 << 62, (1 << 63) - 300])
+    def test_block_rules_far_out(self, centre):
+        n = np.arange(centre - 256, centre + 256, dtype=np.int64)
+        assert thue_morse_block(n).tolist() == [rw.thue_morse_at(int(k)) for k in n]
+        assert paperfolding_block(n).tolist() == [rw.paperfolding_at(int(k)) for k in n]
 
 
 class TestFactorClosureProperties:
@@ -171,20 +280,20 @@ class TestSpecFiles:
             "image.1 = 10\n"
         )
         h = rw.load_sequence_spec(str(path))
-        assert h.prefix_symbols(512) == rw.thue_morse().prefix_symbols(512)
+        assert h.prefix_symbols(512).tolist() == rw.thue_morse().prefix_symbols(512).tolist()
 
     def test_toeplitz_matches_builtin(self, tmp_path):
         path = tmp_path / "pflike.conf"
         path.write_text("kind = toeplitz\nalphabet_size = 2\nperiod = 01\n")
         h = rw.load_sequence_spec(str(path))
-        assert h.prefix_symbols(512) == rw.paperfolding().prefix_symbols(512)
+        assert h.prefix_symbols(512).tolist() == rw.paperfolding().prefix_symbols(512).tolist()
 
     def test_comma_separated_symbols(self):
         h = rw.parse_sequence_spec(
             "kind = morphic\nalphabet_size = 12\nseed = 0\n"
             "image.0 = 0,11\nimage.11 = 11,0\n"
         )
-        assert h.prefix_symbols(4) == [0, 11, 11, 0]
+        assert h.prefix_symbols(4).tolist() == [0, 11, 11, 0]
 
     def test_missing_kind(self):
         with pytest.raises(SpecFileError):
