@@ -8,7 +8,8 @@ registered claim check), ``conjecture`` (run a scanner), and ``kernel``
 All emitted indices are 1-based, matching the library convention and the
 "n a(n)" b-file format. Exit codes: 0 success / clean report, 1 a check
 found counterexamples, 2 usage or configuration error, 3 window
-certification failure (partial results go to stderr as JSON).
+certification failure (the partial results and the least window length
+that differed go to stderr as JSON).
 
 Sequences are named ``tm`` or ``pf``, or given as a path to a spec file of
 ``key = value`` lines (``#`` comments allowed)::
@@ -342,6 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "error": "stabilization-failure",
             "message": str(exc),
             "window": exc.window,
+            "first_unstable_n": exc.first_unstable_n,
             "partial_values": _jsonable(exc.partial_values),
         }
         sys.stderr.write(json.dumps(payload, indent=2) + "\n")

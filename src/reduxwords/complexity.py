@@ -21,20 +21,33 @@ The representatives are found exactly, without hashing, by prefix doubling
 (Karp, Miller and Rosenberg): windows of length 2k get names from the pair
 of names of their two halves. Names are packed integers (literal windows at
 first) while they fit in 32 bits, and are compressed to ranks by a sort
-only when they no longer do; either way they sort as the windows do.
-``factor`` sorts the representatives' windows by name and finds each one's
-common prefix with its predecessor from the same names; the other kinds
-evaluate a key per representative and length. With D distinct length-N
-windows, the index takes log N packing passes over the L starts (plus the
-sorts), and the counts evaluate N(D + N) keys: O(L log N + N D) when
-D >= N, as for tm and pf (D is about 4N), instead of O(N L) for every start
-at every length.
+only when they no longer do; either way they sort as the windows do. The
+index sorts the representatives by name, takes each one's common prefix
+with its sorted neighbour one packed literal chunk at a time, and from
+these its longest previous factor (Crochemore and Ilie): the longest
+prefix of its window that also starts earlier. The length-n window at a
+representative is a first occurrence exactly for lpf < n <= its length, so
+ordered by lpf, the first occurrences of the distinct length-n windows
+are a prefix of the representatives. ``factor`` counts those intervals;
+the other kinds and the extremes evaluate one key per distinct window, at
+those first occurrences only. With D distinct length-N windows, the index
+takes log N packing passes over the L starts plus sorts, and the counts
+evaluate sum_n rho(n) keys (rho the factor complexity, about 1.5 N^2 for
+tm and pf) instead of N(L - N) for every start at every length.
 
 A finite scan can only undercount the infinite sequence, so counts are
-certified empirically: the scan is repeated at twice the window and must
-agree on every value. ``certified_window`` records the smaller of the two
-agreeing windows. This is evidence, not proof; proofs live in
-:mod:`reduxwords.theorems`.
+certified empirically: the window W doubles until the counts on the first
+W symbols equal those on the first 2W, and ``certified_window`` records
+W. One index at 2W decides this. The classes of the first W symbols are
+those of the length-n windows whose first occurrence s has s <= W - n; if
+for every n the last first occurrence ends within W, the counts agree for
+every kind. For tm and pf at the default W = 32n every first occurrence
+ends within the first 13% (tm) or 22% (pf) of W. Otherwise the kind counts
+again, on the first occurrences that end within W, at the n where some
+do not. Each further doubling compares its counts with those of the step
+before. This is the verdict that scanning W and 2W separately gives, at
+the cost of one index per step; it is evidence, not proof, and proofs
+live in :mod:`reduxwords.theorems`.
 
 Window starts are 0-based internally; the public profile maps window length
 ``n`` (>= 1) to its count.
@@ -121,8 +134,8 @@ def reduced_complexity_from_extremes(table: ExtremesTable, n: int) -> int:
     return 2 * (table.maxima[n] - table.minima[n] + 1)
 
 
-def _doubling_names(arr: np.ndarray, alphabet_size: int, n_max: int):
-    """Yield ``(span, names)`` for span = 1, 2, 4, ... and finally ``n_max``.
+def _doubling_names(arr, alphabet_size: int, n_max: int):
+    """Yield ``(span, names, literal)`` for span = 1, 2, 4, ... and finally ``n_max``.
 
     ``names[s]`` names the length-``span`` window at ``s``, padded past the
     prefix end with a symbol below every other: equal names, equal windows,
@@ -130,18 +143,21 @@ def _doubling_names(arr: np.ndarray, alphabet_size: int, n_max: int):
     window at s by the pair of names at s and at s + new - span, whose
     windows cover it. Pairs pack into one integer; once a pair would need
     more than 32 bits, the names are first replaced by their ranks. Name 0
-    is the empty window past the end.
+    is the empty window past the end. ``literal`` says the names still pack
+    the window itself, symbol + 1 in ``alphabet_size.bit_length()`` bits
+    each, first symbol highest.
     """
     width = alphabet_size.bit_length()
     names = arr.astype(_uint_dtype(width)) + 1
-    span = 1
-    yield span, names
+    span, literal = 1, True
+    yield span, names, literal
     while span < n_max:
         if 2 * width > 32:
             ordered = np.sort(names)
             distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
             width = len(distinct).bit_length()
             names = (np.searchsorted(distinct, names) + 1).astype(_uint_dtype(width))
+            literal = False
         new = min(2 * span, n_max)
         shift = new - span
         halves = names
@@ -149,8 +165,69 @@ def _doubling_names(arr: np.ndarray, alphabet_size: int, n_max: int):
         names <<= width
         names[: len(names) - shift] |= halves[shift:]
         width *= 2
+        literal = literal and shift == span
         span = new
-        yield span, names
+        yield span, names, literal
+
+
+def _neighbour_lcp(ordered, room, literal, span: int, bits: int) -> np.ndarray:
+    """Common prefix of each window in sorted order with the one before it.
+
+    ``ordered`` holds the starts in window order and ``room`` their window
+    lengths; ``literal[s]`` packs the ``span`` symbols at s, ``bits`` bits
+    each. Each step compares one packed chunk of every pair still equal so
+    far; in the first unequal chunk, the bit length of the XOR gives the
+    number of leading equal symbols. Entry 0 has no predecessor and gets 0.
+    """
+    cap = np.minimum(room[1:], room[:-1])
+    lcp = np.zeros(len(ordered), dtype=np.int64)
+    lcp[1:] = cap
+    pairs = np.flatnonzero(cap > 0)
+    depth = 0
+    while len(pairs):
+        x = literal[ordered[pairs + 1] + depth] ^ literal[ordered[pairs] + depth]
+        differ = x != 0
+        ended = pairs[differ]
+        equal = (span * bits - np.frexp(x[differ].astype(np.float64))[1]) // bits
+        lcp[ended + 1] = np.minimum(depth + equal, cap[ended])
+        depth += span
+        pairs = pairs[~differ]
+        pairs = pairs[cap[pairs] > depth]
+    return lcp
+
+
+def _longest_previous_factor(ordered, lcp) -> list[int]:
+    """Longest previous factor of each entry in sorted order (Crochemore & Ilie 2008).
+
+    An entry's longest common prefix with any earlier start is the larger of
+    those with its previous and its next smaller start in sorted order; one
+    stack pass finds both, taking minima of the neighbour common prefixes.
+    """
+    lpf = [0] * len(ordered)
+    above = len(ordered)  # above every common prefix, which is at most n_max
+    # the previous-smaller chain: (start, sorted position, common prefix with
+    # the entry below it), over a sentinel
+    stack = [(-1, -1, 0)]
+    top = 0  # common prefix of the stack top and the current entry
+    for i, (start, h) in enumerate(zip(ordered.tolist(), lcp.tolist())):
+        if h < top:
+            top = h
+        while stack[-1][0] > start:
+            _, j, below = stack.pop()
+            lpf[j] = below if below > top else top
+            if below < top:
+                top = below
+        stack.append((start, i, top))
+        top = above
+    for _, j, below in stack[1:]:
+        lpf[j] = below
+    return lpf
+
+
+def _interval_counts(lo: np.ndarray, hi: np.ndarray, n_max: int) -> np.ndarray:
+    """For n = 0..n_max+1, how many of the intervals lo < n <= hi hold n (lo <= hi <= n_max)."""
+    size = n_max + 2
+    return np.cumsum(np.bincount(lo + 1, minlength=size) - np.bincount(hi + 1, minlength=size))
 
 
 class AlternationPrefix:
@@ -161,13 +238,21 @@ class AlternationPrefix:
     alternations, and ``alt[s]`` is the index of the run containing position
     ``s``. ``run_symbols`` lists one symbol per run (as bytes of the symbol
     dtype); the reduction of the window is ``run_symbols`` from run
-    ``alt[s]`` through run ``alt[s+n-1]``.
+    ``alt[s]`` through run ``alt[s+n-1]``. ``alt`` is int32 while twice the
+    prefix length fits, so keys built from it stay in range.
 
     With ``n_max`` the index also holds ``representatives``: the sorted
     first-occurrence starts of the distinct length-``n_max`` windows, then
-    the ``n_max - 1`` tail starts. :meth:`starts` gives those with room for a
-    length-n window; together they hold every distinct length-n window.
-    Symbols are stored in the narrowest unsigned dtype for the alphabet.
+    the ``n_max - 1`` tail starts, with each one's ``room`` (window length,
+    ``min(n_max, length - r)``) and longest previous factor ``lpf`` (the
+    longest prefix of its window that also starts earlier). The length-n
+    window at representative r is a first occurrence exactly for
+    ``lpf[r] < n <= room[r]``. ``order_starts`` lists the representatives
+    that are one for some n, by lpf (``order_rows`` their rows), so the
+    first occurrences at n are a prefix of it, less the starts whose room
+    ends before n; :meth:`new_start_blocks` gives them, one per distinct
+    length-n window. Symbols are stored in the narrowest unsigned dtype for
+    the alphabet.
     """
 
     def __init__(self, symbols: Sequence[int], alphabet_size: int, n_max: int | None = None):
@@ -188,32 +273,119 @@ class AlternationPrefix:
         if n_max is not None:
             if not (1 <= n_max <= self.length):
                 raise ConfigurationError(f"window length {n_max} outside prefix of {self.length}")
-            for _, names in _doubling_names(self.arr, alphabet_size, n_max):
-                pass
-            _, first = np.unique(names[: self.length - n_max + 1], return_index=True)
-            first.sort()
-            tail = np.arange(self.length - n_max + 1, self.length)
-            self.representatives = np.concatenate((first, tail))
+            self._index_windows(n_max)
         boundary = self.arr[1:] != self.arr[:-1]
-        self.alt = np.zeros(self.length, dtype=np.int64)
-        np.cumsum(boundary, out=self.alt[1:])
+        # past the end, alt repeats its last value, so that keys of windows
+        # that would run past the end can be computed and then discarded
+        dtype = np.int32 if 2 * self.length < 2**31 else np.int64
+        padded = np.empty(self.length + (n_max or 1), dtype=dtype)
+        padded[0] = 0
+        np.cumsum(boundary, dtype=padded.dtype, out=padded[1 : self.length])
+        padded[self.length :] = padded[self.length - 1]
+        self.alt = padded[: self.length]
+        self._padded_alt = padded
+        if n_max is not None:
+            self._order_alt = self.alt[self.order_starts]
         keep = np.empty(self.length, dtype=bool)
         keep[0] = True
         keep[1:] = boundary
         self.run_symbols = self.arr[keep].tobytes()
-        if n_max is not None:
-            self._rep_alt = self.alt[self.representatives]
+
+    def _index_windows(self, n_max: int) -> None:
+        length = self.length
+        for span, names, literal in _doubling_names(self.arr, self.alphabet_size, n_max):
+            if literal:
+                chunk = span
+        _, first = np.unique(names[: length - n_max + 1], return_index=True)
+        first.sort()
+        reps = np.concatenate((first, np.arange(length - n_max + 1, length)))
+        self.representatives = reps
+        self.room = np.minimum(n_max, length - reps)
+        by_name = np.argsort(names[reps], kind="stable")
+        ordered = reps[by_name]
+        if chunk < span:
+            # the widest literal names, made again rather than kept beside the
+            # final names through the sort above
+            del names
+            for span, names, _ in _doubling_names(self.arr, self.alphabet_size, chunk):
+                pass
+        lcp = _neighbour_lcp(
+            ordered, self.room[by_name], names, chunk, self.alphabet_size.bit_length()
+        )
+        del names
+        self.lpf = np.empty(len(reps), dtype=np.int64)
+        self.lpf[by_name] = _longest_previous_factor(ordered, lcp)
+        # the rows that hold a first occurrence for some n, by lpf: those new
+        # at n are the first cut[n] of this order, less any whose room ends
+        # before n
+        order = np.flatnonzero(self.lpf < self.room)
+        order = order[np.argsort(self.lpf[order], kind="stable")]
+        self.order_rows = order
+        self.order_starts = reps[order]
+        self._order_lpf = self.lpf[order]
+        self._order_room = self.room[order]
+        self._cut = np.searchsorted(self._order_lpf, np.arange(n_max + 1))
+        self._least_room = np.minimum.accumulate(self._order_room)
+
+    def _require_n(self, n: int) -> None:
+        if self.n_max is None or not (1 <= n <= self.n_max):
+            raise ConfigurationError(f"window length {n} outside the index's n_max={self.n_max}")
 
     def starts(self, n: int) -> np.ndarray:
         """Representative starts with room for a length-n window, ascending."""
-        if self.n_max is None or not (1 <= n <= self.n_max):
-            raise ConfigurationError(f"window length {n} outside the index's n_max={self.n_max}")
+        self._require_n(n)
         return self.representatives[: len(self.representatives) - n + 1]
 
-    def alternations_at_starts(self, n: int) -> np.ndarray:
-        """Alternation counts of the length-n windows at :meth:`starts`."""
-        starts = self.starts(n)
-        return self.alt[n - 1 :][starts] - self._rep_alt[: len(starts)]
+    def new_start_blocks(self, budget: int):
+        """Yield ``(ns, cut, fresh)`` for consecutive blocks of n = 1..n_max.
+
+        The first ``cut`` starts of ``order_starts`` hold the first
+        occurrences for every n in the block; the first of them is start 0,
+        which is one at every n. ``fresh[i, j]`` says whether the j-th is one
+        at ``ns[i]``: it is not when its window there is an earlier one, or
+        would run past the prefix end. ``fresh`` is None when every start is
+        one at every n of the block. A block has about ``budget`` entries, or
+        one n when ``budget`` is 0.
+        """
+        self._require_n(1)
+        n = 1
+        while n <= self.n_max:
+            size = max(1, budget // self._cut[n])
+            while size > 1 and size * self._cut[min(self.n_max, n + size - 1)] > budget:
+                size //= 2
+            last = min(self.n_max, n + size - 1)
+            ns = np.arange(n, last + 1)[:, None]
+            cut = self._cut[last]
+            fresh = None
+            if cut > self._cut[n]:
+                fresh = self._order_lpf[:cut] < ns
+            if self._least_room[cut - 1] < last:
+                fits = self._order_room[:cut] >= ns
+                fresh = fits if fresh is None else fresh & fits
+            yield ns[:, 0], cut, fresh
+            n = last + 1
+
+    def within(self, n: int, window: int):
+        """The block ``(ns, cut, fresh)`` of the first occurrences at n that end within ``window``."""
+        cut = self._cut[n]
+        fresh = (self.order_starts[:cut] <= window - n) & (self._order_room[:cut] >= n)
+        return np.array([n]), cut, fresh[None, :]
+
+    def late_lengths(self, window: int) -> np.ndarray:
+        """``late[n]``: some first occurrence of a length-n window ends past ``window`` symbols."""
+        inside = np.minimum(np.maximum(self.lpf, window - self.representatives), self.room)
+        return _interval_counts(inside, self.room, self.n_max) > 0
+
+    def block_alternations(self, ns: np.ndarray, cut: int) -> np.ndarray:
+        """Alternation counts at the first ``cut`` starts of ``order_starts``, a row per n in ``ns``.
+
+        A window that would run past the prefix end gets a count too, which
+        the block's ``fresh`` marks to be discarded.
+        """
+        starts = self.order_starts[:cut]
+        if len(ns) == 1:
+            return (self._padded_alt[ns[0] - 1 :][starts] - self._order_alt[:cut])[None, :]
+        return self._padded_alt[starts + (ns[:, None] - 1)] - self._order_alt[:cut]
 
     def window_alternations(self, n: int) -> np.ndarray:
         """Alternation counts of every length-n window, by start position."""
@@ -225,8 +397,8 @@ class AlternationPrefix:
     def reductions(self, starts: np.ndarray, n: int) -> list[bytes]:
         """Reductions of the length-n windows at ``starts``, as run-symbol bytes."""
         size = self.arr.itemsize
-        lo = self.alt[starts] * size
-        hi = (self.alt[starts + (n - 1)] + 1) * size
+        lo = self.alt[starts].astype(np.int64) * size
+        hi = (self.alt[starts + (n - 1)].astype(np.int64) + 1) * size
         runs = self.run_symbols
         return [runs[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
 
@@ -235,160 +407,261 @@ class AlternationPrefix:
 
 
 # -- distinct-window counting --------------------------------------------------
+#
+# Every count reads the first occurrences of the distinct length-n windows,
+# so each kind evaluates one key per distinct window. A table function
+# returns the values on the whole indexed prefix and, given ``window``, on
+# its first ``window`` symbols: the windows there are those whose first
+# occurrence ends within it.
 
-def factor_counts(index: AlternationPrefix) -> Counts:
-    """Distinct windows of each length 1..n_max.
+def factor_counts(index: AlternationPrefix, window: int | None = None) -> Counts:
+    """Distinct windows of each length 1..n_max, within the first ``window`` symbols if given.
 
-    The representatives' windows, cut at the prefix end, are distinct. In
-    sorted order the i-th shares a prefix of ``lcp[i]`` symbols with the one
-    before it, so its length-n prefix is new exactly for lcp[i] < n <= its
-    length. The common prefixes come from the doubling names, longest
-    power of two first.
+    Representative r adds a new length-n window exactly for
+    lpf[r] < n <= its room, so the counts are the cumulative count of those
+    intervals, each cut where its windows would end past ``window``.
     """
-    n_max, length = index.n_max, index.length
-    levels = dict(_doubling_names(index.arr, index.alphabet_size, n_max))
-    reps = index.representatives
-    ordered = reps[np.argsort(levels[n_max][reps], kind="stable")]
-    lengths = np.minimum(n_max, length - ordered)
-    room = np.minimum(lengths[1:], lengths[:-1])
-    lcp = np.zeros(len(ordered), dtype=np.int64)
-    span = 1 << (n_max.bit_length() - 1)
-    while span:
-        names = levels[span]
-        fits = lcp[1:] + span <= room
-        here = np.where(fits, ordered[1:] + lcp[1:], 0)
-        before = np.where(fits, ordered[:-1] + lcp[1:], 0)
-        lcp[1:] += span * (fits & (names[here] == names[before]))
-        span >>= 1
-    size = n_max + 2
-    counts = np.cumsum(np.bincount(lcp + 1, minlength=size) - np.bincount(lengths + 1, minlength=size))
-    return {n: int(counts[n]) for n in range(1, n_max + 1)}
+    last = index.room if window is None else np.minimum(index.room, window - index.representatives)
+    counts = _interval_counts(index.lpf, np.maximum(last, index.lpf), index.n_max)
+    return {n: int(counts[n]) for n in range(1, index.n_max + 1)}
+
+
+def _factor_table(index: AlternationPrefix, window: int | None):
+    return factor_counts(index), None if window is None else factor_counts(index, window)
+
+
+_BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
+
+
+def _keyed_table(measure_for: Callable):
+    """A table function that measures the first occurrences for each n.
+
+    ``measure_for(index)`` returns ``(measure, budget)``; ``measure(ns, cut,
+    fresh)`` gives one value per n of a block from
+    :meth:`AlternationPrefix.new_start_blocks`. Within ``window``, a value
+    is measured again only at the n where some first occurrence ends past
+    it, right after its block.
+    """
+
+    def table(index: AlternationPrefix, window: int | None):
+        measure, budget = measure_for(index)
+        late = None if window is None else index.late_lengths(window)
+        values: dict = {}
+        again: dict = {}
+        for ns, cut, fresh in index.new_start_blocks(budget):
+            values.update(zip(ns.tolist(), measure(ns, cut, fresh)))
+            if late is not None:
+                for n in ns[late[ns]].tolist():
+                    again[n] = measure(*index.within(n, window))[0]
+        return values, None if window is None else {**values, **again}
+
+    return table
+
+
+def _rows(ns, entries: np.ndarray, fresh):
+    """(n, the entries that are first occurrences at n) for each n of a block."""
+    for i, n in enumerate(ns.tolist()):
+        yield n, entries if fresh is None else entries[fresh[i]]
+
+
+def _keep_fresh(matrix: np.ndarray, fresh) -> np.ndarray:
+    """A block's key matrix with every entry that is not a first occurrence
+    replaced by the row's first key, which is one, so it adds no class."""
+    return matrix if fresh is None else np.where(fresh, matrix, matrix[:, :1])
 
 
 def _distinct(keys) -> int:
-    """Distinct items of a list, rows of a 2-D array, or small nonnegative integers of a 1-D one."""
+    """Distinct items of a list, or rows of a 2-D array of nonnegative integers."""
     if isinstance(keys, list):
         return len(set(keys))
-    if keys.ndim == 2 and keys.shape[1] == 1:
-        keys = keys[:, 0]
-    if keys.ndim == 1:
-        return int(np.count_nonzero(np.bincount(keys)))
-    return len({row.tobytes() for row in keys})
+    if keys.shape[1] == 1:
+        return int(np.count_nonzero(np.bincount(keys[:, 0])))
+    bits = int(keys.max(initial=0)).bit_length()
+    if bits * keys.shape[1] > 63:
+        return len({row.tobytes() for row in keys})
+    # rows pack into one integer each
+    packed = np.zeros(len(keys), dtype=np.int64)
+    for column in keys.T:
+        packed <<= bits
+        packed |= column
+    return len(np.unique(packed))
 
 
-def _parikh_counts(index: AlternationPrefix, reduced: bool) -> Counts:
-    """Distinct symbol-count vectors of the windows, or of their reductions, per length.
+def _distinct_per_row(keys: np.ndarray) -> list[int]:
+    """Distinct small nonnegative integers in each row."""
+    size = int(keys.max()) + 1
+    if len(keys) > 1:
+        keys = keys + size * np.arange(len(keys))[:, None]
+    seen = np.bincount(keys.ravel(), minlength=size * len(keys)).reshape(len(keys), size)
+    return np.count_nonzero(seen, axis=1).tolist()
 
-    Row i of the count matrix belongs to ``index.representatives[i]``; at
-    length n it counts the symbol at offset n-1 of the window, for
-    reductions only where that symbol starts a new run.
+
+def _parikh_measure(index: AlternationPrefix, reduced: bool):
+    """Distinct symbol-count vectors of the windows, or of their reductions.
+
+    Row i of the count matrix belongs to ``index.representatives[i]``; the
+    matrix grows one length at a time, adding the symbol at offset n-1 of
+    each window, for reductions only where that symbol starts a new run.
+    It must still be at length n when a value at n is measured again, so
+    blocks are one n long.
     """
     vectors = np.zeros((len(index.representatives), index.alphabet_size), dtype=np.int32)
-    out: Counts = {}
-    for n in range(1, index.n_max + 1):
-        starts = index.starts(n)
-        rows = np.arange(len(starts))
-        symbols = index.arr[n - 1 :][starts]
-        if reduced and n > 1:
-            fresh = symbols != index.arr[n - 2 :][starts]
-            rows, symbols = rows[fresh], symbols[fresh]
-        vectors[rows, symbols] += 1
-        # a window's count of symbol 0 is n minus the others, so it adds
-        # nothing to the key; a reduction's length varies, so it does there
-        out[n] = _distinct(vectors[: len(starts), 0 if reduced else 1 :])
-    return out
+    # a window's count of symbol 0 is n minus the others, so it adds
+    # nothing to the key; a reduction's length varies, so it does there
+    columns = slice(0 if reduced else 1, None)
+    grown = 0
+
+    def measure(ns, cut, fresh) -> list[int]:
+        nonlocal grown
+        out = []
+        for n, rows in _rows(ns, index.order_rows[:cut], fresh):
+            while grown < n:
+                grown += 1
+                live = index.starts(grown)
+                grow = np.arange(len(live))
+                symbols = index.arr[grown - 1 :][live]
+                if reduced and grown > 1:
+                    new_run = symbols != index.arr[grown - 2 :][live]
+                    grow, symbols = grow[new_run], symbols[new_run]
+                vectors[grow, symbols] += 1
+            out.append(_distinct(vectors[rows, columns]))
+        return out
+
+    return measure, 0
+
+
+def _reduction_measure(index: AlternationPrefix):
+    if index.alphabet_size != 2:
+        def measure(ns, cut, fresh) -> list[int]:
+            rows = _rows(ns, index.order_starts[:cut], fresh)
+            return [_distinct(index.reductions(starts, n)) for n, starts in rows]
+
+        return measure, _BLOCK
+
+    first = index.arr[index.order_starts]
+
+    def measure(ns, cut, fresh) -> list[int]:
+        # a binary reduction alternates, so its first symbol and its
+        # alternation count name it
+        keys = 2 * index.block_alternations(ns, cut) + first[:cut]
+        return _distinct_per_row(_keep_fresh(keys, fresh))
+
+    return measure, _BLOCK
+
+
+def _reduced_abelian_measure(index: AlternationPrefix):
+    if index.alphabet_size != 2:
+        return _parikh_measure(index, reduced=True)
+    first = index.arr[index.order_starts]
+
+    def measure(ns, cut, fresh) -> list[int]:
+        # a binary reduction of r runs alternates: it holds r/2 of each symbol
+        # when r is even and one more of its first symbol when r is odd, so
+        # 2r + (first symbol if r is odd) names its count vector
+        runs = index.block_alternations(ns, cut) + 1
+        return _distinct_per_row(_keep_fresh(2 * runs + (runs & first[:cut]), fresh))
+
+    return measure, _BLOCK
+
+
+def _extremes_measure(index: AlternationPrefix):
+    def measure(ns, cut, fresh) -> list[tuple[int, int]]:
+        d = _keep_fresh(index.block_alternations(ns, cut), fresh)
+        return list(zip(d.min(axis=1).tolist(), d.max(axis=1).tolist()))
+
+    return measure, _BLOCK
+
+
+_abelian_table = _keyed_table(lambda index: _parikh_measure(index, reduced=False))
+_reduced_factor_table = _keyed_table(_reduction_measure)
+_reduced_abelian_table = _keyed_table(_reduced_abelian_measure)
+_extremes_pairs = _keyed_table(_extremes_measure)
+
+
+def _split(pairs: dict) -> tuple[Counts, Counts]:
+    return {n: lo for n, (lo, _) in pairs.items()}, {n: hi for n, (_, hi) in pairs.items()}
+
+
+def _extremes_table(index: AlternationPrefix, window: int | None):
+    values, inside = _extremes_pairs(index, window)
+    return _split(values), None if inside is None else _split(inside)
 
 
 def abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the windows of each length 1..n_max."""
-    return _parikh_counts(index, reduced=False)
+    return _abelian_table(index, None)[0]
 
 
 def reduced_factor_counts(index: AlternationPrefix) -> Counts:
     """Distinct window reductions of each length 1..n_max."""
-    out: Counts = {}
-    for n in range(1, index.n_max + 1):
-        starts = index.starts(n)
-        if index.alphabet_size == 2:
-            # a binary reduction alternates, so its first symbol and its
-            # alternation count name it
-            out[n] = _distinct(2 * index.alternations_at_starts(n) + index.arr[starts])
-        else:
-            out[n] = _distinct(index.reductions(starts, n))
-    return out
+    return _reduced_factor_table(index, None)[0]
 
 
 def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the window reductions of each length 1..n_max."""
-    if index.alphabet_size != 2:
-        return _parikh_counts(index, reduced=True)
-    out: Counts = {}
-    for n in range(1, index.n_max + 1):
-        # a binary reduction of r runs alternates: it holds r/2 of each symbol
-        # when r is even and one more of its first symbol when r is odd, so
-        # 2r + (first symbol if r is odd) names its count vector
-        runs = index.alternations_at_starts(n) + 1
-        out[n] = _distinct(2 * runs + (runs & index.arr[index.starts(n)]))
-    return out
+    return _reduced_abelian_table(index, None)[0]
 
 
 def extremes_counts(index: AlternationPrefix) -> tuple[Counts, Counts]:
     """Least and greatest alternation count of the windows of each length 1..n_max."""
-    minima: Counts = {}
-    maxima: Counts = {}
-    for n in range(1, index.n_max + 1):
-        d = index.alternations_at_starts(n)
-        minima[n] = int(d.min())
-        maxima[n] = int(d.max())
-    return minima, maxima
+    return _extremes_table(index, None)[0]
 
 
 # -- certification driver ------------------------------------------------------
 
-def _scan_until_stable(
-    handle: SequenceHandle,
-    n_max: int,
-    policy: WindowPolicy,
-    scan: Callable[[Sequence[int]], object],
-):
-    """Run ``scan`` on growing prefixes until two consecutive results agree.
+def _first_difference(a, b) -> int:
+    """Least n at which two results differ; a result is a Counts or a tuple of them."""
+    parts = zip(a, b) if isinstance(a, tuple) else [(a, b)]
+    return min(n for x, y in parts for n in x if x[n] != y[n])
 
-    Returns ``(result, certified_window)`` where the result was identical at
-    ``certified_window`` and at twice it. Raises StabilizationError after
-    ``max_doublings`` unsuccessful doublings, carrying the last result.
+
+def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy, table: Callable):
+    """Double the window until the values on it equal those on twice it.
+
+    ``table(index, window)`` returns the values on the whole indexed prefix
+    and on its first ``window`` symbols, so each step builds one index, at
+    twice the window; after the first, the values on the window are those
+    of the step before. Returns ``(values, certified_window)``. Raises
+    StabilizationError after ``max_doublings`` unsuccessful doublings,
+    carrying the values at the last window and the least n that differed.
     """
+
+    def index(length: int) -> AlternationPrefix:
+        return AlternationPrefix(handle.prefix_symbols(length), handle.alphabet_size, n_max)
+
     if policy.mode == "fixed":
         window = policy.fixed_length if policy.fixed_length is not None else policy.initial_window(n_max)
         if window < n_max:
             raise ConfigurationError(f"fixed window {window} is shorter than n_max={n_max}")
-        return scan(handle.prefix_symbols(window)), window
+        return table(index(window), None)[0], window
 
     window = policy.initial_window(n_max)
-    prev = scan(handle.prefix_symbols(window))
-    for _ in range(policy.max_doublings):
-        nxt_window = window * 2
-        nxt = scan(handle.prefix_symbols(nxt_window))
-        if nxt == prev:
-            return prev, window
-        prev, window = nxt, nxt_window
+    # a view; asked for first so that a capacity error names the same prefix
+    # length as a scan of the window itself would
+    handle.prefix_symbols(window)
+    values, inside = table(index(2 * window), window)
+    for _ in range(policy.max_doublings - 1):
+        if inside == values:
+            break
+        window *= 2
+        inside, values = values, table(index(2 * window), None)[0]
+    if inside == values:
+        return values, window
+    window *= 2
     raise StabilizationError(
         f"counts for {handle.name!r} did not stabilize by window {window} "
         f"(n_max={n_max}, {policy.max_doublings} doublings)",
-        partial_values=prev,
+        partial_values=values,
         window=window,
+        first_unstable_n=_first_difference(values, inside),
     )
 
 
-def _indexed_scan(handle: SequenceHandle, n_max: int, count: Callable[[AlternationPrefix], object]):
-    """A scan that builds the representative index of a prefix and counts on it."""
-    return lambda symbols: count(AlternationPrefix(symbols, handle.alphabet_size, n_max))
-
-
-def _profile(handle, n_max, policy, kind, scan) -> ComplexityProfile:
+def _profile(handle, n_max, policy, kind, table) -> ComplexityProfile:
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     policy = policy or WindowPolicy()
-    values, window = _scan_until_stable(handle, n_max, policy, scan)
+    values, window = _scan_until_stable(handle, n_max, policy, table)
     return ComplexityProfile(kind=kind, sequence=handle.name, values=values, certified_window=window)
 
 
@@ -396,32 +669,28 @@ def factor_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct windows of each length 1..n_max."""
-    scan = _indexed_scan(handle, n_max, factor_counts)
-    return _profile(handle, n_max, policy, "factor", scan)
+    return _profile(handle, n_max, policy, "factor", _factor_table)
 
 
 def abelian_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct window symbol-count vectors of each length 1..n_max."""
-    scan = _indexed_scan(handle, n_max, abelian_counts)
-    return _profile(handle, n_max, policy, "abelian", scan)
+    return _profile(handle, n_max, policy, "abelian", _abelian_table)
 
 
 def reduced_factor_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct window reductions of each length 1..n_max."""
-    scan = _indexed_scan(handle, n_max, reduced_factor_counts)
-    return _profile(handle, n_max, policy, "reduced_factor", scan)
+    return _profile(handle, n_max, policy, "reduced_factor", _reduced_factor_table)
 
 
 def reduced_abelian_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct reduction symbol-count vectors of each length 1..n_max."""
-    scan = _indexed_scan(handle, n_max, reduced_abelian_counts)
-    return _profile(handle, n_max, policy, "reduced_abelian", scan)
+    return _profile(handle, n_max, policy, "reduced_abelian", _reduced_abelian_table)
 
 
 def alternation_extremes(
@@ -431,6 +700,5 @@ def alternation_extremes(
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     policy = policy or WindowPolicy()
-    scan = _indexed_scan(handle, n_max, extremes_counts)
-    (minima, maxima), window = _scan_until_stable(handle, n_max, policy, scan)
+    (minima, maxima), window = _scan_until_stable(handle, n_max, policy, _extremes_table)
     return ExtremesTable(sequence=handle.name, minima=minima, maxima=maxima, certified_window=window)

@@ -25,13 +25,21 @@ class StabilizationError(ReduxwordsError, RuntimeError):
     """Counts failed to stabilize within the allowed window doublings.
 
     Carries the last (uncertified) counts so callers can surface partial
-    results instead of silently truncating.
+    results instead of silently truncating, and ``first_unstable_n``, the
+    least window length whose counts differed between the last two windows.
     """
 
-    def __init__(self, message: str, partial_values=None, window: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        partial_values=None,
+        window: int | None = None,
+        first_unstable_n: int | None = None,
+    ):
         super().__init__(message)
         self.partial_values = partial_values
         self.window = window
+        self.first_unstable_n = first_unstable_n
 
 
 class SmallCaseException(ReduxwordsError, ValueError):

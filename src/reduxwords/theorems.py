@@ -246,17 +246,24 @@ def check_mu_alternation(max_len: int = 12) -> VerificationReport:
         raise ConfigurationError(
             f"exhaustive check above length {MU_CHECK_HARD_CAP} is unreasonable, got {max_len}"
         )
-    mu = thue_morse_morphism()
+    images = [thue_morse_morphism().images[a] for a in (0, 1)]
+    # the image of w alternates inside each letter's image and where the
+    # image of one letter meets the image of the next
+    inner = np.array([alternations(Word(image)) for image in images])
+    first = np.array([image[0] for image in images])
+    last = np.array([image[-1] for image in images])
     counterexamples = []
     checked = 0
     for length in range(1, max_len + 1):
-        for bits in range(1 << length):
-            w = Word(tuple((bits >> i) & 1 for i in range(length)))
-            expected = 2 * length - 1 - alternations(w)
-            actual = alternations(mu.apply(w))
-            checked += 1
-            if actual != expected:
-                counterexamples.append((length, expected, actual))
+        # row b holds the word whose i-th symbol is bit i of b
+        words = (np.arange(1 << length)[:, None] >> np.arange(length)) & 1
+        expected = 2 * length - 1 - np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
+        actual = inner[words].sum(axis=1) + np.count_nonzero(
+            last[words[:, :-1]] != first[words[:, 1:]], axis=1
+        )
+        checked += len(words)
+        bad = np.flatnonzero(actual != expected)
+        counterexamples += zip([length] * len(bad), expected[bad].tolist(), actual[bad].tolist())
     return _report("mu_alternation", 1, max_len, counterexamples, details={"words_checked": checked})
 
 

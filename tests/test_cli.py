@@ -162,6 +162,7 @@ class TestComplexity:
         payload = json.loads(err)
         assert payload["error"] == "stabilization-failure"
         assert payload["window"] == 128
+        assert payload["first_unstable_n"] == 18
         assert payload["partial_values"]["1"] == 2
 
 

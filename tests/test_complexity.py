@@ -18,7 +18,8 @@ from reduxwords.complexity import (
     reduced_abelian_counts,
     reduced_factor_counts,
 )
-from reduxwords.errors import ConfigurationError, StabilizationError
+from reduxwords.errors import CapacityError, ConfigurationError, StabilizationError
+from reduxwords.sequences import SequenceHandle
 from reduxwords.words import Word
 
 from conftest import (
@@ -32,7 +33,7 @@ from conftest import (
     RHO_T_15,
     profile_values,
 )
-from window_oracle import oracle_counts, oracle_extremes, windows
+from window_oracle import oracle_counts, oracle_extremes, two_scan_reference, windows
 
 
 class TestGoldenProfiles:
@@ -74,6 +75,7 @@ class TestAlternationPrefix:
     def test_alt_array_on_known_word(self):
         idx = AlternationPrefix([0, 0, 1, 0, 0, 0, 1], 2)
         assert idx.alt.tolist() == [0, 0, 1, 2, 2, 2, 3]
+        assert idx.alt.dtype == np.int32
         assert idx.run_symbols == bytes([0, 1, 0, 1])
 
     def test_window_alternations_match_brute_force(self, tm_handle):
@@ -179,6 +181,31 @@ def indexed_words(draw):
     return symbols, sigma, n_max
 
 
+@st.composite
+def handled_words(draw):
+    """(handle, n_max, policy): a random word wrapped in a capped handle, and a short policy.
+
+    The word is a random preperiod followed by a repeated random block, so
+    some policies certify and others run out of doublings.
+    """
+    sigma = draw(st.integers(2, 4))
+    letters = st.integers(0, sigma - 1)
+    head = draw(st.lists(letters, max_size=64))
+    block = draw(st.lists(letters, min_size=1, max_size=64))
+    word = (head + block * 256)[:256]
+    handle = SequenceHandle(
+        "word", sigma, lambda buf, target: word[len(buf) : target], max_prefix=len(word)
+    )
+    n_max = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        policy = WindowPolicy(
+            initial_multiplier=draw(st.integers(1, 4)), max_doublings=draw(st.integers(1, 3))
+        )
+    else:
+        policy = WindowPolicy(mode="fixed", fixed_length=draw(st.none() | st.integers(n_max, 256)))
+    return handle, n_max, policy
+
+
 class TestRepresentativeIndex:
     @settings(max_examples=60, deadline=None)
     @given(indexed_words())
@@ -197,6 +224,21 @@ class TestRepresentativeIndex:
         assert index.representatives.tolist() == sorted(first.values()) + list(
             range(len(symbols) - n_max + 1, len(symbols))
         )
+        # for every n, the new starts the counts read, in blocks of any size,
+        # are the first occurrences of the distinct length-n windows
+        expected = {}
+        for n in ns:
+            first = {}
+            for s in range(len(symbols) - n + 1):
+                first.setdefault(tuple(symbols[s : s + n]), s)
+            expected[n] = sorted(first.values())
+        for budget in (0, 7, 1 << 16):
+            new = {}
+            for block, cut, fresh in index.new_start_blocks(budget):
+                starts = index.order_starts[:cut]
+                for i, n in enumerate(block.tolist()):
+                    new[n] = sorted((starts if fresh is None else starts[fresh[i]]).tolist())
+            assert new == expected, budget
 
     def test_tm_needs_few_representatives(self, tm_handle):
         index = AlternationPrefix(tm_handle.prefix_symbols(32 * 256), 2, 256)
@@ -221,6 +263,8 @@ class TestRepresentativeIndex:
     def test_starts_needs_n_max(self):
         with pytest.raises(ConfigurationError):
             AlternationPrefix([0, 1, 0], 2).starts(1)
+        with pytest.raises(ConfigurationError):
+            next(AlternationPrefix([0, 1, 0], 2).new_start_blocks(0))
         with pytest.raises(ConfigurationError):
             AlternationPrefix([0, 1, 0], 2, 4)
 
@@ -312,6 +356,52 @@ class TestWindowPolicy:
         assert err.window == 128
         assert isinstance(err.partial_values, dict)
         assert set(err.partial_values) == set(range(1, 65))
+        # the least n whose counts differ between the windows 64 and 128
+        ns = range(1, 65)
+        at_64 = oracle_counts(tm_handle.prefix_symbols(64), "factor", ns)
+        at_128 = oracle_counts(tm_handle.prefix_symbols(128), "factor", ns)
+        assert err.partial_values == at_128
+        assert err.first_unstable_n == min(n for n in ns if at_64[n] != at_128[n]) == 18
+
+    @settings(max_examples=60, deadline=None)
+    @given(handled_words())
+    def test_profiles_match_two_scan_reference(self, case):
+        handle, n_max, policy = case
+        engines = {
+            "factor": rw.factor_complexity,
+            "abelian": rw.abelian_complexity,
+            "reduced_factor": rw.reduced_factor_complexity,
+            "reduced_abelian": rw.reduced_abelian_complexity,
+            "extremes": rw.alternation_extremes,
+        }
+        for kind, engine in engines.items():
+            certified, values, window, first_unstable_n = two_scan_reference(
+                handle, kind, n_max, policy
+            )
+            if certified:
+                result = engine(handle, n_max, policy)
+                got = (result.minima, result.maxima) if kind == "extremes" else result.values
+                assert got == values, kind
+                assert result.certified_window == window, kind
+            else:
+                with pytest.raises(StabilizationError) as excinfo:
+                    engine(handle, n_max, policy)
+                err = excinfo.value
+                assert err.partial_values == values, kind
+                assert err.window == window, kind
+                assert err.first_unstable_n == first_unstable_n, kind
+
+    def test_capacity_error_names_the_same_prefix(self):
+        # the first scan asks for the window and certification for twice it;
+        # the error names the first length past the cap
+        def capped(cap):
+            m = rw.Morphism({0: (0, 1), 1: (2, 0), 2: (1, 2)}, 3)
+            return rw.morphic_fixed_point(m, 0, name="ternary", max_prefix=cap)
+
+        with pytest.raises(CapacityError, match="prefix of 3200 symbols"):
+            rw.reduced_factor_complexity(capped(3000), 100)
+        with pytest.raises(CapacityError, match="prefix of 4096 symbols"):
+            rw.reduced_factor_complexity(capped(3000), 64)
 
     def test_fixed_mode(self, tm_handle):
         policy = WindowPolicy(mode="fixed", fixed_length=4096)

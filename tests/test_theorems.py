@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 import reduxwords as rw
+from reduxwords import theorems
 from reduxwords.complexity import ComplexityProfile
 from reduxwords.errors import ConfigurationError, SmallCaseException
 
@@ -165,6 +166,30 @@ class TestStructuralLemmas:
         report = rw.check_mu_alternation(10)
         assert report.status == "pass"
         assert report.details["words_checked"] == 2 * (2**10 - 1)
+
+    @pytest.mark.parametrize(
+        "images",
+        [{0: (0, 1), 1: (1, 0)}, {0: (0, 0, 1), 1: (1,)}, {0: (1, 1), 1: (0, 1, 0)}],
+    )
+    def test_mu_alternation_matches_per_word_loop(self, monkeypatch, images):
+        # the check builds the images from thue_morse_morphism(); swapping in
+        # other morphisms gives counterexamples whose order must match too
+        mu = rw.Morphism(images, 2)
+        monkeypatch.setattr(theorems, "thue_morse_morphism", lambda: mu)
+        for max_len in (1, 2, 5, 10):
+            checked, counterexamples = 0, []
+            for length in range(1, max_len + 1):
+                for bits in range(1 << length):
+                    w = rw.Word(tuple((bits >> i) & 1 for i in range(length)))
+                    expected = 2 * length - 1 - rw.alternations(w)
+                    actual = rw.alternations(mu.apply(w))
+                    checked += 1
+                    if actual != expected:
+                        counterexamples.append((length, expected, actual))
+            report = theorems.check_mu_alternation(max_len)
+            assert report.details["words_checked"] == checked
+            assert list(report.counterexamples) == counterexamples
+            assert all(type(x) is int for triple in report.counterexamples for x in triple)
 
     def test_mu_alternation_cap(self):
         with pytest.raises(ConfigurationError):

@@ -44,3 +44,39 @@ def oracle_extremes(symbols, n_values):
         counts = [sum(a != b for a, b in zip(w, w[1:])) for w in windows(symbols, n)]
         minima[n], maxima[n] = min(counts), max(counts)
     return minima, maxima
+
+
+def two_scan_reference(handle, kind, n_max, policy):
+    """What a profile under ``policy`` must report, from oracle scans of growing prefixes.
+
+    ``kind`` is one of KINDS or "extremes"; ``handle`` needs only
+    ``prefix_symbols`` and ``policy`` only its fields. The stabilize mode
+    scans the initial window, then twice it, and so on, until two
+    consecutive scans agree or the doublings run out. Returns
+    ``(certified, values, window, first_unstable_n)``: ``certified`` is
+    False when the scans never agreed, and then ``values`` are those at the
+    last ``window`` and ``first_unstable_n`` is the least n at which the
+    last two scans differed.
+    """
+    ns = range(1, n_max + 1)
+
+    def scan(length):
+        symbols = handle.prefix_symbols(length).tolist()
+        return oracle_extremes(symbols, ns) if kind == "extremes" else oracle_counts(symbols, kind, ns)
+
+    def at(values, n):
+        return tuple(part[n] for part in values) if kind == "extremes" else values[n]
+
+    window = policy.initial_multiplier * n_max
+    if policy.mode == "fixed":
+        if policy.fixed_length is not None:
+            window = policy.fixed_length
+        return True, scan(window), window, None
+    prev = scan(window)
+    for _ in range(policy.max_doublings):
+        nxt = scan(2 * window)
+        if nxt == prev:
+            return True, prev, window, None
+        differ = min(n for n in ns if at(prev, n) != at(nxt, n))
+        prev, window = nxt, 2 * window
+    return False, prev, window, differ
