@@ -38,16 +38,16 @@ tm and pf) instead of N(L - N) for every start at every length.
 A finite scan can only undercount the infinite sequence, so counts are
 certified empirically: the window W doubles until the counts on the first
 W symbols equal those on the first 2W, and ``certified_window`` records
-W. One index at 2W decides this. The classes of the first W symbols are
-those of the length-n windows whose first occurrence s has s <= W - n; if
-for every n the last first occurrence ends within W, the counts agree for
-every kind. For tm and pf at the default W = 32n every first occurrence
-ends within the first 13% (tm) or 22% (pf) of W. Otherwise the kind counts
-again, on the first occurrences that end within W, at the n where some
-do not. Each further doubling compares its counts with those of the step
-before. This is the verdict that scanning W and 2W separately gives, at
-the cost of one index per step; it is evidence, not proof, and proofs
-live in :mod:`reduxwords.theorems`.
+W. Every count function takes one index and returns its counts, and each
+step counts on an index at 2W. The length-n windows of the first W
+symbols are those whose first occurrence ends within W, so when every
+first occurrence in that index does, the counts on W equal those on 2W
+for every kind, with no second index. For tm, pf and the tribonacci spec
+at the default W = 32n every first occurrence ends within the first 13%,
+22% and 19% of W. Otherwise the kind is counted again on an index of W
+itself. Each further doubling compares its counts with those of the step
+before. This is the verdict that scanning W and 2W separately gives; it
+is evidence, not proof, and proofs live in :mod:`reduxwords.theorems`.
 
 Window starts are 0-based internally; the public profile maps window length
 ``n`` (>= 1) to its count.
@@ -241,21 +241,20 @@ class AlternationPrefix:
     ``alt[s]`` through run ``alt[s+n-1]``. ``alt`` is int32 while twice the
     prefix length fits, so keys built from it stay in range.
 
-    With ``n_max`` the index also holds ``representatives``: the sorted
-    first-occurrence starts of the distinct length-``n_max`` windows, then
-    the ``n_max - 1`` tail starts, with each one's ``room`` (window length,
-    ``min(n_max, length - r)``) and longest previous factor ``lpf`` (the
-    longest prefix of its window that also starts earlier). The length-n
-    window at representative r is a first occurrence exactly for
-    ``lpf[r] < n <= room[r]``. ``order_starts`` lists the representatives
-    that are one for some n, by lpf (``order_rows`` their rows), so the
-    first occurrences at n are a prefix of it, less the starts whose room
-    ends before n; :meth:`new_start_blocks` gives them, one per distinct
-    length-n window. Symbols are stored in the narrowest unsigned dtype for
-    the alphabet.
+    The index also holds ``representatives``: the sorted first-occurrence
+    starts of the distinct length-``n_max`` windows, then the ``n_max - 1``
+    tail starts, with each one's ``room`` (window length, ``min(n_max,
+    length - r)``) and longest previous factor ``lpf`` (the longest prefix
+    of its window that also starts earlier). The length-n window at
+    representative r is a first occurrence exactly for ``lpf[r] < n <=
+    room[r]``. ``order_starts`` lists the representatives that are one for
+    some n, by lpf (``order_rows`` their rows), so the first occurrences at
+    n are a prefix of it, less the starts whose room ends before n;
+    :meth:`new_start_blocks` gives them, one per distinct length-n window.
+    Symbols are stored in the narrowest unsigned dtype for the alphabet.
     """
 
-    def __init__(self, symbols: Sequence[int], alphabet_size: int, n_max: int | None = None):
+    def __init__(self, symbols: Sequence[int], alphabet_size: int, n_max: int):
         if len(symbols) == 0:
             raise ConfigurationError("cannot index an empty prefix")
         if alphabet_size < 1:
@@ -270,22 +269,20 @@ class AlternationPrefix:
         self.alphabet_size = alphabet_size
         self.length = len(self.arr)
         self.n_max = n_max
-        if n_max is not None:
-            if not (1 <= n_max <= self.length):
-                raise ConfigurationError(f"window length {n_max} outside prefix of {self.length}")
-            self._index_windows(n_max)
+        if not (1 <= n_max <= self.length):
+            raise ConfigurationError(f"window length {n_max} outside prefix of {self.length}")
+        self._index_windows(n_max)
         boundary = self.arr[1:] != self.arr[:-1]
         # past the end, alt repeats its last value, so that keys of windows
         # that would run past the end can be computed and then discarded
         dtype = np.int32 if 2 * self.length < 2**31 else np.int64
-        padded = np.empty(self.length + (n_max or 1), dtype=dtype)
+        padded = np.empty(self.length + n_max, dtype=dtype)
         padded[0] = 0
         np.cumsum(boundary, dtype=padded.dtype, out=padded[1 : self.length])
         padded[self.length :] = padded[self.length - 1]
         self.alt = padded[: self.length]
         self._padded_alt = padded
-        if n_max is not None:
-            self._order_alt = self.alt[self.order_starts]
+        self._order_alt = self.alt[self.order_starts]
         keep = np.empty(self.length, dtype=bool)
         keep[0] = True
         keep[1:] = boundary
@@ -327,13 +324,10 @@ class AlternationPrefix:
         self._cut = np.searchsorted(self._order_lpf, np.arange(n_max + 1))
         self._least_room = np.minimum.accumulate(self._order_room)
 
-    def _require_n(self, n: int) -> None:
-        if self.n_max is None or not (1 <= n <= self.n_max):
-            raise ConfigurationError(f"window length {n} outside the index's n_max={self.n_max}")
-
     def starts(self, n: int) -> np.ndarray:
         """Representative starts with room for a length-n window, ascending."""
-        self._require_n(n)
+        if not (1 <= n <= self.n_max):
+            raise ConfigurationError(f"window length {n} outside the index's n_max={self.n_max}")
         return self.representatives[: len(self.representatives) - n + 1]
 
     def new_start_blocks(self, budget: int):
@@ -347,7 +341,6 @@ class AlternationPrefix:
         one at every n of the block. A block has about ``budget`` entries, or
         one n when ``budget`` is 0.
         """
-        self._require_n(1)
         n = 1
         while n <= self.n_max:
             size = max(1, budget // self._cut[n])
@@ -365,17 +358,6 @@ class AlternationPrefix:
             yield ns[:, 0], cut, fresh
             n = last + 1
 
-    def within(self, n: int, window: int):
-        """The block ``(ns, cut, fresh)`` of the first occurrences at n that end within ``window``."""
-        cut = self._cut[n]
-        fresh = (self.order_starts[:cut] <= window - n) & (self._order_room[:cut] >= n)
-        return np.array([n]), cut, fresh[None, :]
-
-    def late_lengths(self, window: int) -> np.ndarray:
-        """``late[n]``: some first occurrence of a length-n window ends past ``window`` symbols."""
-        inside = np.minimum(np.maximum(self.lpf, window - self.representatives), self.room)
-        return _interval_counts(inside, self.room, self.n_max) > 0
-
     def block_alternations(self, ns: np.ndarray, cut: int) -> np.ndarray:
         """Alternation counts at the first ``cut`` starts of ``order_starts``, a row per n in ``ns``.
 
@@ -387,13 +369,6 @@ class AlternationPrefix:
             return (self._padded_alt[ns[0] - 1 :][starts] - self._order_alt[:cut])[None, :]
         return self._padded_alt[starts + (ns[:, None] - 1)] - self._order_alt[:cut]
 
-    def window_alternations(self, n: int) -> np.ndarray:
-        """Alternation counts of every length-n window, by start position."""
-        if not (1 <= n <= self.length):
-            raise ConfigurationError(f"window length {n} outside prefix of {self.length}")
-        starts = self.length - n + 1
-        return self.alt[n - 1:] - self.alt[:starts]
-
     def reductions(self, starts: np.ndarray, n: int) -> list[bytes]:
         """Reductions of the length-n windows at ``starts``, as run-symbol bytes."""
         size = self.arr.itemsize
@@ -402,60 +377,33 @@ class AlternationPrefix:
         runs = self.run_symbols
         return [runs[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
 
-    def reduction_bytes(self, s: int, n: int) -> bytes:
-        return self.reductions(np.array([s]), n)[0]
-
 
 # -- distinct-window counting --------------------------------------------------
 #
 # Every count reads the first occurrences of the distinct length-n windows,
-# so each kind evaluates one key per distinct window. A table function
-# returns the values on the whole indexed prefix and, given ``window``, on
-# its first ``window`` symbols: the windows there are those whose first
-# occurrence ends within it.
+# so each kind evaluates one key per distinct window.
 
-def factor_counts(index: AlternationPrefix, window: int | None = None) -> Counts:
-    """Distinct windows of each length 1..n_max, within the first ``window`` symbols if given.
+def factor_counts(index: AlternationPrefix) -> Counts:
+    """Distinct windows of each length 1..n_max.
 
     Representative r adds a new length-n window exactly for
     lpf[r] < n <= its room, so the counts are the cumulative count of those
-    intervals, each cut where its windows would end past ``window``.
+    intervals.
     """
-    last = index.room if window is None else np.minimum(index.room, window - index.representatives)
-    counts = _interval_counts(index.lpf, np.maximum(last, index.lpf), index.n_max)
+    counts = _interval_counts(index.lpf, index.room, index.n_max)
     return {n: int(counts[n]) for n in range(1, index.n_max + 1)}
-
-
-def _factor_table(index: AlternationPrefix, window: int | None):
-    return factor_counts(index), None if window is None else factor_counts(index, window)
 
 
 _BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
 
 
-def _keyed_table(measure_for: Callable):
-    """A table function that measures the first occurrences for each n.
-
-    ``measure_for(index)`` returns ``(measure, budget)``; ``measure(ns, cut,
-    fresh)`` gives one value per n of a block from
-    :meth:`AlternationPrefix.new_start_blocks`. Within ``window``, a value
-    is measured again only at the n where some first occurrence ends past
-    it, right after its block.
-    """
-
-    def table(index: AlternationPrefix, window: int | None):
-        measure, budget = measure_for(index)
-        late = None if window is None else index.late_lengths(window)
-        values: dict = {}
-        again: dict = {}
-        for ns, cut, fresh in index.new_start_blocks(budget):
-            values.update(zip(ns.tolist(), measure(ns, cut, fresh)))
-            if late is not None:
-                for n in ns[late[ns]].tolist():
-                    again[n] = measure(*index.within(n, window))[0]
-        return values, None if window is None else {**values, **again}
-
-    return table
+def _by_length(index: AlternationPrefix, measure: Callable) -> dict:
+    """One value per n = 1..n_max: ``measure(ns, cut, fresh)`` gives those of
+    a block from :meth:`AlternationPrefix.new_start_blocks`."""
+    values: dict = {}
+    for ns, cut, fresh in index.new_start_blocks(_BLOCK):
+        values.update(zip(ns.tolist(), measure(ns, cut, fresh)))
+    return values
 
 
 def _rows(ns, entries: np.ndarray, fresh):
@@ -496,14 +444,12 @@ def _distinct_per_row(keys: np.ndarray) -> list[int]:
     return np.count_nonzero(seen, axis=1).tolist()
 
 
-def _parikh_measure(index: AlternationPrefix, reduced: bool):
+def _parikh_measure(index: AlternationPrefix, reduced: bool) -> Callable:
     """Distinct symbol-count vectors of the windows, or of their reductions.
 
     Row i of the count matrix belongs to ``index.representatives[i]``; the
     matrix grows one length at a time, adding the symbol at offset n-1 of
     each window, for reductions only where that symbol starts a new run.
-    It must still be at length n when a value at n is measured again, so
-    blocks are one n long.
     """
     vectors = np.zeros((len(index.representatives), index.alphabet_size), dtype=np.int32)
     # a window's count of symbol 0 is n minus the others, so it adds
@@ -527,16 +473,22 @@ def _parikh_measure(index: AlternationPrefix, reduced: bool):
             out.append(_distinct(vectors[rows, columns]))
         return out
 
-    return measure, 0
+    return measure
 
 
-def _reduction_measure(index: AlternationPrefix):
+def abelian_counts(index: AlternationPrefix) -> Counts:
+    """Distinct symbol-count vectors of the windows of each length 1..n_max."""
+    return _by_length(index, _parikh_measure(index, reduced=False))
+
+
+def reduced_factor_counts(index: AlternationPrefix) -> Counts:
+    """Distinct window reductions of each length 1..n_max."""
     if index.alphabet_size != 2:
         def measure(ns, cut, fresh) -> list[int]:
             rows = _rows(ns, index.order_starts[:cut], fresh)
             return [_distinct(index.reductions(starts, n)) for n, starts in rows]
 
-        return measure, _BLOCK
+        return _by_length(index, measure)
 
     first = index.arr[index.order_starts]
 
@@ -546,12 +498,13 @@ def _reduction_measure(index: AlternationPrefix):
         keys = 2 * index.block_alternations(ns, cut) + first[:cut]
         return _distinct_per_row(_keep_fresh(keys, fresh))
 
-    return measure, _BLOCK
+    return _by_length(index, measure)
 
 
-def _reduced_abelian_measure(index: AlternationPrefix):
+def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
+    """Distinct symbol-count vectors of the window reductions of each length 1..n_max."""
     if index.alphabet_size != 2:
-        return _parikh_measure(index, reduced=True)
+        return _by_length(index, _parikh_measure(index, reduced=True))
     first = index.arr[index.order_starts]
 
     def measure(ns, cut, fresh) -> list[int]:
@@ -561,50 +514,18 @@ def _reduced_abelian_measure(index: AlternationPrefix):
         runs = index.block_alternations(ns, cut) + 1
         return _distinct_per_row(_keep_fresh(2 * runs + (runs & first[:cut]), fresh))
 
-    return measure, _BLOCK
-
-
-def _extremes_measure(index: AlternationPrefix):
-    def measure(ns, cut, fresh) -> list[tuple[int, int]]:
-        d = _keep_fresh(index.block_alternations(ns, cut), fresh)
-        return list(zip(d.min(axis=1).tolist(), d.max(axis=1).tolist()))
-
-    return measure, _BLOCK
-
-
-_abelian_table = _keyed_table(lambda index: _parikh_measure(index, reduced=False))
-_reduced_factor_table = _keyed_table(_reduction_measure)
-_reduced_abelian_table = _keyed_table(_reduced_abelian_measure)
-_extremes_pairs = _keyed_table(_extremes_measure)
-
-
-def _split(pairs: dict) -> tuple[Counts, Counts]:
-    return {n: lo for n, (lo, _) in pairs.items()}, {n: hi for n, (_, hi) in pairs.items()}
-
-
-def _extremes_table(index: AlternationPrefix, window: int | None):
-    values, inside = _extremes_pairs(index, window)
-    return _split(values), None if inside is None else _split(inside)
-
-
-def abelian_counts(index: AlternationPrefix) -> Counts:
-    """Distinct symbol-count vectors of the windows of each length 1..n_max."""
-    return _abelian_table(index, None)[0]
-
-
-def reduced_factor_counts(index: AlternationPrefix) -> Counts:
-    """Distinct window reductions of each length 1..n_max."""
-    return _reduced_factor_table(index, None)[0]
-
-
-def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
-    """Distinct symbol-count vectors of the window reductions of each length 1..n_max."""
-    return _reduced_abelian_table(index, None)[0]
+    return _by_length(index, measure)
 
 
 def extremes_counts(index: AlternationPrefix) -> tuple[Counts, Counts]:
     """Least and greatest alternation count of the windows of each length 1..n_max."""
-    return _extremes_table(index, None)[0]
+
+    def measure(ns, cut, fresh) -> list[tuple[int, int]]:
+        d = _keep_fresh(index.block_alternations(ns, cut), fresh)
+        return list(zip(d.min(axis=1).tolist(), d.max(axis=1).tolist()))
+
+    pairs = _by_length(index, measure)
+    return {n: lo for n, (lo, _) in pairs.items()}, {n: hi for n, (_, hi) in pairs.items()}
 
 
 # -- certification driver ------------------------------------------------------
@@ -618,12 +539,14 @@ def _first_difference(a, b) -> int:
 def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy, table: Callable):
     """Double the window until the values on it equal those on twice it.
 
-    ``table(index, window)`` returns the values on the whole indexed prefix
-    and on its first ``window`` symbols, so each step builds one index, at
-    twice the window; after the first, the values on the window are those
-    of the step before. Returns ``(values, certified_window)``. Raises
-    StabilizationError after ``max_doublings`` unsuccessful doublings,
-    carrying the values at the last window and the least n that differed.
+    ``table(index)`` returns the values on the whole indexed prefix. Each
+    step indexes twice the window. The first step takes the values on the
+    window from that index when every first occurrence in it ends within
+    the window, and otherwise counts them on an index of the window itself;
+    each later step compares with the step before. Returns ``(values,
+    certified_window)``. Raises StabilizationError after ``max_doublings``
+    unsuccessful doublings, carrying the values at the last window and the
+    least n that differed.
     """
 
     def index(length: int) -> AlternationPrefix:
@@ -633,18 +556,25 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
         window = policy.fixed_length if policy.fixed_length is not None else policy.initial_window(n_max)
         if window < n_max:
             raise ConfigurationError(f"fixed window {window} is shorter than n_max={n_max}")
-        return table(index(window), None)[0], window
+        return table(index(window)), window
 
     window = policy.initial_window(n_max)
     # a view; asked for first so that a capacity error names the same prefix
     # length as a scan of the window itself would
     handle.prefix_symbols(window)
-    values, inside = table(index(2 * window), window)
+    twice = index(2 * window)
+    values = table(twice)
+    # the windows of the first W symbols are those whose first occurrence
+    # ends within W; if every one does, both prefixes hold the same windows
+    rows = twice.order_rows
+    last_end = (twice.representatives[rows] + twice.room[rows]).max()
+    del twice
+    inside = values if last_end <= window else table(index(window))
     for _ in range(policy.max_doublings - 1):
         if inside == values:
             break
         window *= 2
-        inside, values = values, table(index(2 * window), None)[0]
+        inside, values = values, table(index(2 * window))
     if inside == values:
         return values, window
     window *= 2
@@ -669,28 +599,28 @@ def factor_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct windows of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "factor", _factor_table)
+    return _profile(handle, n_max, policy, "factor", factor_counts)
 
 
 def abelian_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct window symbol-count vectors of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "abelian", _abelian_table)
+    return _profile(handle, n_max, policy, "abelian", abelian_counts)
 
 
 def reduced_factor_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct window reductions of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "reduced_factor", _reduced_factor_table)
+    return _profile(handle, n_max, policy, "reduced_factor", reduced_factor_counts)
 
 
 def reduced_abelian_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct reduction symbol-count vectors of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "reduced_abelian", _reduced_abelian_table)
+    return _profile(handle, n_max, policy, "reduced_abelian", reduced_abelian_counts)
 
 
 def alternation_extremes(
@@ -700,5 +630,5 @@ def alternation_extremes(
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     policy = policy or WindowPolicy()
-    (minima, maxima), window = _scan_until_stable(handle, n_max, policy, _extremes_table)
+    (minima, maxima), window = _scan_until_stable(handle, n_max, policy, extremes_counts)
     return ExtremesTable(sequence=handle.name, minima=minima, maxima=maxima, certified_window=window)

@@ -19,7 +19,9 @@ Three constructions are provided:
 * fixed points of prolongable morphisms,
 * iterated gap-filling with an eventually periodic filler (the Toeplitz
   construction; each pass writes the filler, restarted from its beginning,
-  into every other remaining gap).
+  into every other remaining gap). Pass k fills the indices n of 2-adic
+  valuation k, so symbol n is the filler's entry n >> (k + 1), and the
+  handle evaluates that rule on blocks of indices like the builtins.
 
 The builtin sequences each come with a second, independent construction so
 the two can be cross-checked against one another. Arbitrary eventually
@@ -343,30 +345,24 @@ class ToeplitzSpec:
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
 
-def _toeplitz_fill(spec: ToeplitzSpec, length: int) -> list[int]:
-    # A position's value is final once written, and the k-th remaining gap of
-    # the finite buffer is the k-th remaining gap of the infinite sequence, so
-    # prefixes of different lengths agree.
-    buf = [0] * length
-    gaps = list(range(length))
-    while gaps:
-        for j, pos in enumerate(gaps[0::2]):
-            buf[pos] = spec.filler_at(j)
-        gaps = gaps[1::2]
-    return buf
-
-
 def toeplitz(
     spec: ToeplitzSpec,
     name: str = "toeplitz",
     max_prefix: int | None = None,
 ) -> SequenceHandle:
-    """Handle for the limit of the iterated gap-filling passes."""
+    """Handle for the limit of the iterated gap-filling passes.
 
-    def extend(buf: np.ndarray, target: int) -> list[int]:
-        return _toeplitz_fill(spec, target)[len(buf):]
+    Pass k (from 0) fills the positions n with 2-adic valuation k, and n is
+    the j-th of them for j = n >> (k + 1), so symbol n is ``filler_at(j)``.
+    """
+    filler = np.array(spec.preperiod + spec.period, dtype=np.int64)
+    head, cycle = len(spec.preperiod), len(spec.period)
 
-    return SequenceHandle(name, spec.alphabet_size, extend, max_prefix=max_prefix)
+    def rule(n: np.ndarray) -> np.ndarray:
+        j = n // (2 * (n & -n))
+        return filler[np.where(j < head, j, head + (j - head) % cycle)]
+
+    return _from_block_rule(rule, spec.alphabet_size, name, max_prefix=max_prefix)
 
 
 def paperfolding_toeplitz_spec() -> ToeplitzSpec:
@@ -408,17 +404,25 @@ def parse_sequence_spec(text: str, name: str = "spec", max_prefix: int | None = 
     ``morphic`` (keys ``alphabet_size``, ``seed``, and one ``image.<symbol>``
     per symbol), or ``toeplitz`` (keys ``alphabet_size``, ``period``,
     optional ``preperiod``). Symbol strings are digit strings, or
-    comma-separated integers for alphabets past 10.
+    comma-separated integers for alphabets past 10. A key may appear once.
     """
     entries: dict[str, str] = {}
+    # the line of each key; image keys by the symbol they name, so that
+    # image.1 and image.01 collide as they would in the morphism
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise SpecFileError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        sym = _image_symbol(key)
+        same = key if sym is None else f"image.{sym}"
+        if same in first_line:
+            raise SpecFileError(f"line {lineno}: {key!r} repeats the key of line {first_line[same]}")
+        first_line[same] = lineno
+        entries[key] = value
 
     kind = entries.pop("kind", None)
     if kind is None:
@@ -448,10 +452,9 @@ def parse_sequence_spec(text: str, name: str = "spec", max_prefix: int | None = 
         images: dict[int, tuple[int, ...]] = {}
         for key in list(entries):
             if key.startswith("image."):
-                try:
-                    sym = int(key[len("image."):])
-                except ValueError as exc:
-                    raise SpecFileError(f"bad image key {key!r}") from exc
+                sym = _image_symbol(key)
+                if sym is None:
+                    raise SpecFileError(f"bad image key {key!r}")
                 images[sym] = _parse_symbol_string(entries.pop(key), key)
         if not images:
             raise SpecFileError("kind 'morphic' requires at least one image.<symbol> key")
@@ -474,6 +477,16 @@ def parse_sequence_spec(text: str, name: str = "spec", max_prefix: int | None = 
         return toeplitz(spec, name=name, max_prefix=max_prefix)
 
     raise SpecFileError(f"unknown kind {kind!r} (expected builtin, morphic, or toeplitz)")
+
+
+def _image_symbol(key: str) -> int | None:
+    """The symbol an ``image.<symbol>`` key names, or None for any other key."""
+    if key.startswith("image."):
+        try:
+            return int(key[len("image."):])
+        except ValueError:
+            pass
+    return None
 
 
 def _reject_extras(entries: dict[str, str]) -> None:

@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .complexity import (
-    AlternationPrefix,
     ComplexityProfile,
     ExtremesTable,
     WindowPolicy,
@@ -349,18 +348,21 @@ def check_alternating_skeleton_runs(
         window = policy.initial_window(n_max)
     if window < n_max:
         raise ConfigurationError(f"window {window} is shorter than n_max={n_max}")
-    handle = paperfolding()
-    symbols = handle.prefix_symbols(window)
-    index = AlternationPrefix(symbols, 2)
-    length = index.length
+    arr = paperfolding().prefix_symbols(window)
+    length = len(arr)
+    # alt[i] counts the unequal adjacent pairs among positions 0..i
+    alt = np.zeros(length, dtype=np.int64)
+    np.cumsum(arr[1:] != arr[:-1], out=alt[1:])
 
     # skeleton[s] = length of the maximal strictly alternating stride-2 chain
-    # starting at s; computed backward so each entry is one comparison.
-    skeleton = np.ones(length, dtype=np.int64)
-    arr = index.arr
-    for s in range(length - 3, -1, -1):
-        if arr[s] != arr[s + 2]:
-            skeleton[s] = skeleton[s + 2] + 1
+    # starting at s: one more than the steps of 2 from s to the first t >= s
+    # with arr[t] == arr[t + 2] (the last two positions end every chain)
+    positions = np.arange(length)
+    stops = np.where(np.r_[arr[:-2] == arr[2:], True, True], positions, length)
+    skeleton = np.empty(length, dtype=np.int64)
+    for parity in (0, 1):
+        stop = np.minimum.accumulate(stops[parity::2][::-1])[::-1]
+        skeleton[parity::2] = 1 + (stop - positions[parity::2]) // 2
 
     counterexamples = []
     qualifying = 0
@@ -373,7 +375,7 @@ def check_alternating_skeleton_runs(
         # 0-based even start = 1-based odd position
         if not bool(mask[0::2].all()):
             odd_start_misses += 1
-        d = index.window_alternations(n)
+        d = alt[n - 1 :] - alt[:starts]
         bad = np.nonzero(mask & (d != k))[0]
         if bad.size:
             s = int(bad[0])

@@ -1,6 +1,7 @@
 """CLI behavior: formats, byte-exact outputs, exit codes, policy flags."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,12 @@ from reduxwords.theorems import CLAIMS, Claim, VerificationReport
 
 from conftest import PF_PREFIX_55, RHO_ABRED_F_22, RHO_RED_T_23, TM_PREFIX_54
 from window_oracle import oracle_counts, oracle_extremes
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# stdout, stderr and exit code of each command, frozen from the CLI; a
+# change that alters one of them must regenerate the file and say why
+GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -332,6 +339,16 @@ class TestSpecFileIntegration:
         assert code == 2
         assert "image" in err
 
+    @pytest.mark.parametrize("second", ["image.1 = 11", "image.01 = 11"])
+    def test_duplicate_image_key_exit_2(self, capsys, tmp_path, second):
+        path = tmp_path / "twice.conf"
+        path.write_text(
+            f"kind = morphic\nalphabet_size = 2\nseed = 0\nimage.0 = 01\nimage.1 = 10\n{second}\n"
+        )
+        code, out, err = run(capsys, "gen", str(path), "--count", "8")
+        assert (code, out) == (2, "")
+        assert "line 6" in err and "line 5" in err
+
     def test_missing_spec_file_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "/no/such/file.conf", "--count", "4")
         assert code == 2
@@ -347,3 +364,10 @@ class TestUsage:
 
     def test_bad_kind_exit_2(self, capsys):
         assert main(["complexity", "tm", "banana", "--n-max", "4"]) == 2
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(case["argv"]) for case in GOLDEN])
+def test_golden_output(capsys, monkeypatch, case):
+    # spec paths in the commands are relative to the repository root
+    monkeypatch.chdir(ROOT)
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reduxwords as rw
+from reduxwords import complexity
 from reduxwords.complexity import (
     AlternationPrefix,
     WindowPolicy,
@@ -73,31 +74,31 @@ class TestGoldenProfiles:
 
 class TestAlternationPrefix:
     def test_alt_array_on_known_word(self):
-        idx = AlternationPrefix([0, 0, 1, 0, 0, 0, 1], 2)
+        idx = AlternationPrefix([0, 0, 1, 0, 0, 0, 1], 2, 3)
         assert idx.alt.tolist() == [0, 0, 1, 2, 2, 2, 3]
         assert idx.alt.dtype == np.int32
         assert idx.run_symbols == bytes([0, 1, 0, 1])
 
     def test_window_alternations_match_brute_force(self, tm_handle):
         symbols = tm_handle.prefix_symbols(300)
-        idx = AlternationPrefix(symbols, 2)
+        idx = AlternationPrefix(symbols, 2, 16)
         for n in (1, 2, 3, 7, 16):
-            d = idx.window_alternations(n)
+            d = idx.alt[n - 1 :] - idx.alt[: 300 - n + 1]
             for s in range(0, 300 - n + 1, 17):
                 w = Word(tuple(symbols[s : s + n]))
                 assert d[s] == rw.alternations(w)
 
     def test_reduction_bytes_match_reduce(self, pf_handle):
         symbols = pf_handle.prefix_symbols(200)
-        idx = AlternationPrefix(symbols, 2)
+        idx = AlternationPrefix(symbols, 2, 20)
         for n in (1, 3, 8, 20):
             for s in range(0, 200 - n + 1, 13):
                 w = Word(tuple(symbols[s : s + n]))
-                assert idx.reduction_bytes(s, n) == bytes(rw.reduce(w).symbols)
+                assert idx.reductions(np.array([s]), n)[0] == bytes(rw.reduce(w).symbols)
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
-            AlternationPrefix([], 2)
+            AlternationPrefix([], 2, 1)
 
 
 INDEX_ENGINES = {
@@ -262,9 +263,7 @@ class TestRepresentativeIndex:
 
     def test_starts_needs_n_max(self):
         with pytest.raises(ConfigurationError):
-            AlternationPrefix([0, 1, 0], 2).starts(1)
-        with pytest.raises(ConfigurationError):
-            next(AlternationPrefix([0, 1, 0], 2).new_start_blocks(0))
+            AlternationPrefix([0, 1, 0], 2, 2).starts(3)
         with pytest.raises(ConfigurationError):
             AlternationPrefix([0, 1, 0], 2, 4)
 
@@ -298,9 +297,9 @@ class TestProfileInvariants:
         # sliding a window one step changes its alternation count by at most
         # one, so every value between min and max is realized
         for handle in (tm_handle, pf_handle):
-            idx = AlternationPrefix(handle.prefix_symbols(4096), 2)
+            idx = AlternationPrefix(handle.prefix_symbols(4096), 2, 64)
             for n in (2, 3, 5, 9, 17, 33, 64):
-                d = idx.window_alternations(n)
+                d = idx.alt[n - 1 :] - idx.alt[: 4096 - n + 1]
                 present = set(np.unique(d).tolist())
                 assert present == set(range(min(present), max(present) + 1))
 
@@ -317,6 +316,15 @@ class TestProfileInvariants:
         profile = rw.reduced_factor_complexity(tm_handle, 64)
         for n in range(1, 65):
             assert rw.reduced_complexity_from_extremes(table, n) == profile.values[n]
+
+
+PROFILE_ENGINES = {
+    "factor": rw.factor_complexity,
+    "abelian": rw.abelian_complexity,
+    "reduced_factor": rw.reduced_factor_complexity,
+    "reduced_abelian": rw.reduced_abelian_complexity,
+    "extremes": rw.alternation_extremes,
+}
 
 
 class TestWindowPolicy:
@@ -367,14 +375,7 @@ class TestWindowPolicy:
     @given(handled_words())
     def test_profiles_match_two_scan_reference(self, case):
         handle, n_max, policy = case
-        engines = {
-            "factor": rw.factor_complexity,
-            "abelian": rw.abelian_complexity,
-            "reduced_factor": rw.reduced_factor_complexity,
-            "reduced_abelian": rw.reduced_abelian_complexity,
-            "extremes": rw.alternation_extremes,
-        }
-        for kind, engine in engines.items():
+        for kind, engine in PROFILE_ENGINES.items():
             certified, values, window, first_unstable_n = two_scan_reference(
                 handle, kind, n_max, policy
             )
@@ -390,6 +391,51 @@ class TestWindowPolicy:
                 assert err.partial_values == values, kind
                 assert err.window == window, kind
                 assert err.first_unstable_n == first_unstable_n, kind
+
+    @pytest.mark.parametrize("kind", list(PROFILE_ENGINES))
+    def test_second_index_only_when_a_first_occurrence_ends_past_the_window(
+        self, monkeypatch, kind
+    ):
+        built = []
+
+        class CountedIndex(AlternationPrefix):
+            def __init__(self, symbols, alphabet_size, n_max):
+                built.append(len(symbols))
+                super().__init__(symbols, alphabet_size, n_max)
+
+        monkeypatch.setattr(complexity, "AlternationPrefix", CountedIndex)
+        rng = random.Random(5)
+        # a long aperiodic preperiod: at multiplier 1 the first occurrences
+        # in twice the window end past it until the window covers the head
+        word = [rng.randrange(3) for _ in range(200)] + [0, 1, 2] * 200
+        head = SequenceHandle("head", 3, lambda buf, target: word[len(buf) : target])
+        cases = [
+            (rw.thue_morse(), WindowPolicy(), 1),
+            (head, WindowPolicy(initial_multiplier=1), 2),
+            (head, WindowPolicy(initial_multiplier=1, max_doublings=2), 2),
+        ]
+        for handle, policy, first_step in cases:
+            built.clear()
+            certified, values, window, first_unstable_n = two_scan_reference(
+                handle, kind, 8, policy
+            )
+            if certified:
+                result = PROFILE_ENGINES[kind](handle, 8, policy)
+                got = (result.minima, result.maxima) if kind == "extremes" else result.values
+                assert (got, result.certified_window) == (values, window)
+                last = 2 * window
+            else:
+                with pytest.raises(StabilizationError) as excinfo:
+                    PROFILE_ENGINES[kind](handle, 8, policy)
+                err = excinfo.value
+                assert (err.partial_values, err.window) == (values, window)
+                assert err.first_unstable_n == first_unstable_n
+                last = window
+            # the first step indexes twice the window, and the window itself
+            # only when a first occurrence ends past it; each later step one
+            w = policy.initial_window(8)
+            assert built[:first_step] == [2 * w, w][:first_step]
+            assert built[first_step:] == [w << k for k in range(2, (last // w).bit_length())]
 
     def test_capacity_error_names_the_same_prefix(self):
         # the first scan asks for the window and certification for twice it;

@@ -7,17 +7,44 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reduxwords as rw
 from reduxwords.errors import CapacityError, ConfigurationError, SpecFileError
 from reduxwords.sequences import (
     ToeplitzSpec,
-    _toeplitz_fill,
     paperfolding_block,
     thue_morse_block,
+    toeplitz,
 )
 
 from conftest import PF_PREFIX_55, TM_PREFIX_54
+
+
+def _toeplitz_fill(spec: ToeplitzSpec, length: int) -> list[int]:
+    """Reference Toeplitz prefix: the gap-filling passes run on a finite buffer."""
+    # A position's value is final once written, and the k-th remaining gap of
+    # the finite buffer is the k-th remaining gap of the infinite sequence, so
+    # prefixes of different lengths agree.
+    buf = [0] * length
+    gaps = list(range(length))
+    while gaps:
+        for j, pos in enumerate(gaps[0::2]):
+            buf[pos] = spec.filler_at(j)
+        gaps = gaps[1::2]
+    return buf
+
+
+@st.composite
+def toeplitz_specs(draw):
+    sigma = draw(st.integers(1, 4))
+    letters = st.integers(0, sigma - 1)
+    return ToeplitzSpec(
+        period=tuple(draw(st.lists(letters, min_size=1, max_size=6))),
+        preperiod=tuple(draw(st.lists(letters, max_size=6))),
+        alphabet_size=sigma,
+    )
 
 
 class TestGoldenPrefixes:
@@ -115,6 +142,13 @@ class TestToeplitz:
     def test_filler_preperiod_then_cycle(self):
         spec = ToeplitzSpec(period=(1, 0), preperiod=(0,))
         assert [spec.filler_at(i) for i in range(6)] == [0, 1, 0, 1, 0, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(toeplitz_specs(), st.integers(1, 3000))
+    def test_handle_matches_gap_filling(self, spec, length):
+        # the handle evaluates symbol n as filler_at(n >> (v + 1)), v the
+        # 2-adic valuation of n, on blocks of indices
+        assert toeplitz(spec).prefix_symbols(length).tolist() == _toeplitz_fill(spec, length)
 
 
 class TestSequenceHandle:
@@ -320,6 +354,18 @@ class TestSpecFiles:
     def test_malformed_line(self):
         with pytest.raises(SpecFileError):
             rw.parse_sequence_spec("kind builtin\n")
+
+    @pytest.mark.parametrize("text, lines", [
+        ("kind = morphic\nalphabet_size = 2\nseed = 0\nimage.0 = 01\nimage.1 = 10\n"
+         "image.1 = 11\n", (5, 6)),
+        ("kind = morphic\nalphabet_size = 2\nseed = 0\nimage.0 = 01\nimage.1 = 10\n"
+         "image.01 = 11\n", (5, 6)),
+        ("kind = toeplitz\nalphabet_size = 2\nperiod = 01\n# comment\nperiod = 10\n", (3, 5)),
+        ("kind = builtin\nkind = builtin\nname = tm\n", (1, 2)),
+    ], ids=["image.1", "image.01", "period", "kind"])
+    def test_duplicate_keys_name_both_lines(self, text, lines):
+        with pytest.raises(SpecFileError, match=f"line {lines[1]}: .* line {lines[0]}"):
+            rw.parse_sequence_spec(text)
 
     def test_unrecognized_keys(self):
         with pytest.raises(SpecFileError):

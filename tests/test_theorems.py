@@ -2,6 +2,7 @@
 failures, scanners, and the exact kernel-rank estimator."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ import reduxwords as rw
 from reduxwords import theorems
 from reduxwords.complexity import ComplexityProfile
 from reduxwords.errors import ConfigurationError, SmallCaseException
+from reduxwords.sequences import SequenceHandle
 
 from conftest import (
     ALL_CLAIM_IDS,
@@ -161,6 +163,11 @@ class TestProfileStore:
             rw.verify("odd_len", 2)
 
 
+def random_ternary():
+    word = random.Random(3).choices((0, 1, 2), k=300)
+    return SequenceHandle("ternary", 3, lambda buf, target: word[len(buf) : target], max_prefix=300)
+
+
 class TestStructuralLemmas:
     def test_mu_alternation_passes(self):
         report = rw.check_mu_alternation(10)
@@ -235,6 +242,33 @@ class TestStructuralLemmas:
         assert report.status == "pass"
         assert report.details["qualifying_windows"] > 0
         assert report.details["odd_start_lengths_missing_qualification"] == 0
+
+    @pytest.mark.parametrize("sequence", [rw.paperfolding, rw.thue_morse, random_ternary])
+    def test_skeleton_runs_match_per_window_loop(self, monkeypatch, sequence):
+        # in place of pf, tm has lengths whose odd starts do not all qualify,
+        # and a ternary word gives counterexamples (a binary word cannot)
+        monkeypatch.setattr(theorems, "paperfolding", sequence)
+        window, n_max = 300, 33
+        symbols = sequence().prefix_symbols(window).tolist()
+        qualifying, misses, counterexamples = 0, 0, []
+        for k in range(1, (n_max - 1) // 2 + 1):
+            n = 2 * k + 1
+            starts = range(window - n + 1)
+            ok = [all(symbols[s + 2 * i] != symbols[s + 2 * i + 2] for i in range(k)) for s in starts]
+            qualifying += sum(ok)
+            misses += not all(ok[0::2])
+            runs = [1 + sum(symbols[s + i] != symbols[s + i + 1] for i in range(n - 1)) for s in starts]
+            bad = [s for s in starts if ok[s] and runs[s] != k + 1]
+            if bad:
+                counterexamples.append((n, k + 1, runs[bad[0]]))
+        policy = rw.WindowPolicy(mode="fixed", fixed_length=window)
+        report = rw.check_alternating_skeleton_runs(n_max, policy)
+        assert report.counterexamples == tuple(counterexamples)
+        assert report.details == {
+            "window": window,
+            "qualifying_windows": qualifying,
+            "odd_start_lengths_missing_qualification": misses,
+        }
 
 
 class TestConjectureScanners:
