@@ -43,14 +43,7 @@ from .complexity import (
     reduced_abelian_complexity,
     reduced_factor_complexity,
 )
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    ReduxwordsError,
-    SpecFileError,
-    StabilizationError,
-    WordDomainError,
-)
+from .errors import ConfigurationError, ReduxwordsError, StabilizationError
 from .sequences import BUILTIN_SEQUENCES, SequenceHandle, load_sequence_spec
 from .theorems import CLAIMS, profile_kernel_rank, verify
 
@@ -74,16 +67,11 @@ def _resolve_sequence(token: str) -> SequenceHandle:
 
 
 def _policy_from_args(args: argparse.Namespace) -> WindowPolicy:
-    if getattr(args, "fixed_window", None) is not None:
-        return WindowPolicy(
-            initial_multiplier=args.window_multiplier,
-            max_doublings=args.max_doublings,
-            mode="fixed",
-            fixed_length=args.fixed_window,
-        )
     return WindowPolicy(
         initial_multiplier=args.window_multiplier,
         max_doublings=args.max_doublings,
+        mode="stabilize" if args.fixed_window is None else "fixed",
+        fixed_length=args.fixed_window,
     )
 
 
@@ -348,9 +336,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         sys.stderr.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_CERTIFICATION
-    except (SpecFileError, ConfigurationError, WordDomainError, CapacityError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except ReduxwordsError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -9,31 +9,32 @@ of a long finite prefix, for every n up to ``n_max``. The class keys are
 * ``reduced_abelian``: the symbol-count vector of the reduction.
 
 All four kinds, and the per-length alternation extremes, read one index,
-:class:`AlternationPrefix`. For a prefix of length L and the largest window
-N it picks one *representative start* per distinct length-N window (its
-first occurrence), plus the N-1 tail starts L-N+1..L-1. A length-n window
-at any start s <= L-N is a prefix of the length-N window at s, which is
-equal to the one at its representative, so the representatives with room
-for a length-n window hold every distinct length-n window. The counts are
-therefore exactly those of a scan over all L-n+1 starts.
+:class:`AlternationPrefix`, of a prefix of length L and the largest window
+N. It holds the starts that are a first occurrence for some n: those whose
+length-n window, for some n <= N that fits before the prefix end, occurs
+nowhere earlier. Every distinct length-n window has its first occurrence
+among them, so the counts are exactly those of a scan over all L-n+1
+starts.
 
-The representatives are found exactly, without hashing, by prefix doubling
-(Karp, Miller and Rosenberg): windows of length 2k get names from the pair
-of names of their two halves. Names are packed integers (literal windows at
-first) while they fit in 32 bits, and are compressed to ranks by a sort
-only when they no longer do; either way they sort as the windows do. The
-index sorts the representatives by name, takes each one's common prefix
-with its sorted neighbour one packed literal chunk at a time, and from
-these its longest previous factor (Crochemore and Ilie): the longest
-prefix of its window that also starts earlier. The length-n window at a
-representative is a first occurrence exactly for lpf < n <= its length, so
-ordered by lpf, the first occurrences of the distinct length-n windows
-are a prefix of the representatives. ``factor`` counts those intervals;
-the other kinds and the extremes evaluate one key per distinct window, at
-those first occurrences only. With D distinct length-N windows, the index
-takes log N packing passes over the L starts plus sorts, and the counts
-evaluate sum_n rho(n) keys (rho the factor complexity, about 1.5 N^2 for
-tm and pf) instead of N(L - N) for every start at every length.
+Windows are named exactly, without hashing, by prefix doubling (Karp,
+Miller and Rosenberg): windows of length 2k get names from the pair of
+names of their two halves, padded past the prefix end. Names are packed
+integers (literal windows at first) while they fit in 32 bits, and are
+compressed to ranks by a sort only when they no longer do; either way they
+sort as the windows do. One stable sort of the L names puts the first
+start of each name first among its equals. The index takes the common
+prefix of each such start with its sorted neighbour, one packed literal
+chunk at a time, and from these its longest previous factor (Crochemore
+and Ilie): the longest prefix of its window that also starts earlier. The
+length-n window at a start is a first occurrence exactly for lpf < n <=
+its room (its window length), so it keeps the starts with lpf < room,
+ordered by lpf, and the first occurrences of the distinct length-n windows
+are a prefix of them. ``factor`` counts those intervals; the other kinds
+and the extremes evaluate one key per distinct window, at those first
+occurrences only. The index takes log N packing passes over the L starts
+plus sorts, and the counts evaluate sum_n rho(n) keys (rho the factor
+complexity, about 1.5 N^2 for tm and pf) instead of N(L - N) for every
+start at every length.
 
 A finite scan can only undercount the infinite sequence, so counts are
 certified empirically: the window W doubles until the counts on the first
@@ -241,17 +242,16 @@ class AlternationPrefix:
     ``alt[s]`` through run ``alt[s+n-1]``. ``alt`` is int32 while twice the
     prefix length fits, so keys built from it stay in range.
 
-    The index also holds ``representatives``: the sorted first-occurrence
-    starts of the distinct length-``n_max`` windows, then the ``n_max - 1``
-    tail starts, with each one's ``room`` (window length, ``min(n_max,
-    length - r)``) and longest previous factor ``lpf`` (the longest prefix
-    of its window that also starts earlier). The length-n window at
-    representative r is a first occurrence exactly for ``lpf[r] < n <=
-    room[r]``. ``order_starts`` lists the representatives that are one for
-    some n, by lpf (``order_rows`` their rows), so the first occurrences at
-    n are a prefix of it, less the starts whose room ends before n;
-    :meth:`new_start_blocks` gives them, one per distinct length-n window.
-    Symbols are stored in the narrowest unsigned dtype for the alphabet.
+    The index also holds ``starts``, the starts whose length-n window is a
+    first occurrence for some n, with each one's ``room`` (window length,
+    ``min(n_max, length - s)``) and longest previous factor ``lpf`` (the
+    longest prefix of its window that also starts earlier). The length-n
+    window at ``starts[i]`` is a first occurrence exactly for ``lpf[i] < n
+    <= room[i]``. The rows are ordered by (lpf, start), so the first
+    occurrences at n are a prefix of them, less the starts whose room ends
+    before n; :meth:`new_start_blocks` gives them, one per distinct length-n
+    window. Symbols are stored in the narrowest unsigned dtype for the
+    alphabet.
     """
 
     def __init__(self, symbols: Sequence[int], alphabet_size: int, n_max: int):
@@ -282,58 +282,46 @@ class AlternationPrefix:
         padded[self.length :] = padded[self.length - 1]
         self.alt = padded[: self.length]
         self._padded_alt = padded
-        self._order_alt = self.alt[self.order_starts]
+        self._start_alt = self.alt[self.starts]
         keep = np.empty(self.length, dtype=bool)
         keep[0] = True
         keep[1:] = boundary
         self.run_symbols = self.arr[keep].tobytes()
 
     def _index_windows(self, n_max: int) -> None:
-        length = self.length
         for span, names, literal in _doubling_names(self.arr, self.alphabet_size, n_max):
             if literal:
                 chunk = span
-        _, first = np.unique(names[: length - n_max + 1], return_index=True)
-        first.sort()
-        reps = np.concatenate((first, np.arange(length - n_max + 1, length)))
-        self.representatives = reps
-        self.room = np.minimum(n_max, length - reps)
-        by_name = np.argsort(names[reps], kind="stable")
-        ordered = reps[by_name]
+        # in name order, the first start of each name is its first occurrence;
+        # a tail start's padded window occurs nowhere else
+        ordered = np.argsort(names, kind="stable")
+        ranked = names[ordered]
+        ordered = ordered[np.r_[True, ranked[1:] != ranked[:-1]]]
+        del ranked
+        room = np.minimum(n_max, self.length - ordered)
         if chunk < span:
             # the widest literal names, made again rather than kept beside the
             # final names through the sort above
             del names
             for span, names, _ in _doubling_names(self.arr, self.alphabet_size, chunk):
                 pass
-        lcp = _neighbour_lcp(
-            ordered, self.room[by_name], names, chunk, self.alphabet_size.bit_length()
-        )
+        lcp = _neighbour_lcp(ordered, room, names, chunk, self.alphabet_size.bit_length())
         del names
-        self.lpf = np.empty(len(reps), dtype=np.int64)
-        self.lpf[by_name] = _longest_previous_factor(ordered, lcp)
-        # the rows that hold a first occurrence for some n, by lpf: those new
-        # at n are the first cut[n] of this order, less any whose room ends
-        # before n
-        order = np.flatnonzero(self.lpf < self.room)
-        order = order[np.argsort(self.lpf[order], kind="stable")]
-        self.order_rows = order
-        self.order_starts = reps[order]
-        self._order_lpf = self.lpf[order]
-        self._order_room = self.room[order]
-        self._cut = np.searchsorted(self._order_lpf, np.arange(n_max + 1))
-        self._least_room = np.minimum.accumulate(self._order_room)
-
-    def starts(self, n: int) -> np.ndarray:
-        """Representative starts with room for a length-n window, ascending."""
-        if not (1 <= n <= self.n_max):
-            raise ConfigurationError(f"window length {n} outside the index's n_max={self.n_max}")
-        return self.representatives[: len(self.representatives) - n + 1]
+        lpf = np.array(_longest_previous_factor(ordered, lcp), dtype=np.int64)
+        # the starts that are a first occurrence for some n, by (lpf, start):
+        # those new at n are the first cut[n], less any whose room ends before n
+        kept = np.flatnonzero(lpf < room)
+        kept = kept[np.lexsort((ordered[kept], lpf[kept]))]
+        self.starts = ordered[kept]
+        self.lpf = lpf[kept]
+        self.room = room[kept]
+        self._cut = np.searchsorted(self.lpf, np.arange(n_max + 1))
+        self._least_room = np.minimum.accumulate(self.room)
 
     def new_start_blocks(self, budget: int):
         """Yield ``(ns, cut, fresh)`` for consecutive blocks of n = 1..n_max.
 
-        The first ``cut`` starts of ``order_starts`` hold the first
+        The first ``cut`` of ``starts`` hold the first
         occurrences for every n in the block; the first of them is start 0,
         which is one at every n. ``fresh[i, j]`` says whether the j-th is one
         at ``ns[i]``: it is not when its window there is an earlier one, or
@@ -351,23 +339,20 @@ class AlternationPrefix:
             cut = self._cut[last]
             fresh = None
             if cut > self._cut[n]:
-                fresh = self._order_lpf[:cut] < ns
+                fresh = self.lpf[:cut] < ns
             if self._least_room[cut - 1] < last:
-                fits = self._order_room[:cut] >= ns
+                fits = self.room[:cut] >= ns
                 fresh = fits if fresh is None else fresh & fits
             yield ns[:, 0], cut, fresh
             n = last + 1
 
     def block_alternations(self, ns: np.ndarray, cut: int) -> np.ndarray:
-        """Alternation counts at the first ``cut`` starts of ``order_starts``, a row per n in ``ns``.
+        """Alternation counts at the first ``cut`` of ``starts``, a row per n in ``ns``.
 
         A window that would run past the prefix end gets a count too, which
         the block's ``fresh`` marks to be discarded.
         """
-        starts = self.order_starts[:cut]
-        if len(ns) == 1:
-            return (self._padded_alt[ns[0] - 1 :][starts] - self._order_alt[:cut])[None, :]
-        return self._padded_alt[starts + (ns[:, None] - 1)] - self._order_alt[:cut]
+        return self._padded_alt[self.starts[:cut] + (ns[:, None] - 1)] - self._start_alt[:cut]
 
     def reductions(self, starts: np.ndarray, n: int) -> list[bytes]:
         """Reductions of the length-n windows at ``starts``, as run-symbol bytes."""
@@ -386,9 +371,8 @@ class AlternationPrefix:
 def factor_counts(index: AlternationPrefix) -> Counts:
     """Distinct windows of each length 1..n_max.
 
-    Representative r adds a new length-n window exactly for
-    lpf[r] < n <= its room, so the counts are the cumulative count of those
-    intervals.
+    Each start adds a new length-n window exactly for lpf < n <= its room,
+    so the counts are the cumulative count of those intervals.
     """
     counts = _interval_counts(index.lpf, index.room, index.n_max)
     return {n: int(counts[n]) for n in range(1, index.n_max + 1)}
@@ -447,11 +431,14 @@ def _distinct_per_row(keys: np.ndarray) -> list[int]:
 def _parikh_measure(index: AlternationPrefix, reduced: bool) -> Callable:
     """Distinct symbol-count vectors of the windows, or of their reductions.
 
-    Row i of the count matrix belongs to ``index.representatives[i]``; the
-    matrix grows one length at a time, adding the symbol at offset n-1 of
-    each window, for reductions only where that symbol starts a new run.
+    Row i of the count matrix belongs to ``index.starts[i]``; the matrix
+    grows one length at a time, adding the symbol at offset n-1 of each
+    window, for reductions only where that symbol starts a new run. Past
+    the prefix end a row reads padding, and it is never read again.
     """
-    vectors = np.zeros((len(index.representatives), index.alphabet_size), dtype=np.int32)
+    starts = index.starts
+    symbols_at = np.concatenate((index.arr, np.zeros(index.n_max, dtype=index.arr.dtype)))
+    vectors = np.zeros((len(starts), index.alphabet_size), dtype=np.int32)
     # a window's count of symbol 0 is n minus the others, so it adds
     # nothing to the key; a reduction's length varies, so it does there
     columns = slice(0 if reduced else 1, None)
@@ -460,14 +447,13 @@ def _parikh_measure(index: AlternationPrefix, reduced: bool) -> Callable:
     def measure(ns, cut, fresh) -> list[int]:
         nonlocal grown
         out = []
-        for n, rows in _rows(ns, index.order_rows[:cut], fresh):
+        for n, rows in _rows(ns, np.arange(cut), fresh):
             while grown < n:
                 grown += 1
-                live = index.starts(grown)
-                grow = np.arange(len(live))
-                symbols = index.arr[grown - 1 :][live]
+                grow = np.arange(len(starts))
+                symbols = symbols_at[grown - 1 :][starts]
                 if reduced and grown > 1:
-                    new_run = symbols != index.arr[grown - 2 :][live]
+                    new_run = symbols != symbols_at[grown - 2 :][starts]
                     grow, symbols = grow[new_run], symbols[new_run]
                 vectors[grow, symbols] += 1
             out.append(_distinct(vectors[rows, columns]))
@@ -481,50 +467,50 @@ def abelian_counts(index: AlternationPrefix) -> Counts:
     return _by_length(index, _parikh_measure(index, reduced=False))
 
 
+def _alternation_table(index: AlternationPrefix, key: Callable, summary: Callable) -> dict:
+    """One value per n: ``summary`` of each row of a block's keys,
+    ``key(alternation counts, first symbols)`` at the first occurrences."""
+    first = index.arr[index.starts]
+
+    def measure(ns, cut, fresh) -> list:
+        return summary(_keep_fresh(key(index.block_alternations(ns, cut), first[:cut]), fresh))
+
+    return _by_length(index, measure)
+
+
 def reduced_factor_counts(index: AlternationPrefix) -> Counts:
     """Distinct window reductions of each length 1..n_max."""
-    if index.alphabet_size != 2:
-        def measure(ns, cut, fresh) -> list[int]:
-            rows = _rows(ns, index.order_starts[:cut], fresh)
-            return [_distinct(index.reductions(starts, n)) for n, starts in rows]
-
-        return _by_length(index, measure)
-
-    first = index.arr[index.order_starts]
-
-    def measure(ns, cut, fresh) -> list[int]:
+    if index.alphabet_size == 2:
         # a binary reduction alternates, so its first symbol and its
         # alternation count name it
-        keys = 2 * index.block_alternations(ns, cut) + first[:cut]
-        return _distinct_per_row(_keep_fresh(keys, fresh))
+        return _alternation_table(index, lambda a, first: 2 * a + first, _distinct_per_row)
+
+    def measure(ns, cut, fresh) -> list[int]:
+        rows = _rows(ns, index.starts[:cut], fresh)
+        return [_distinct(index.reductions(starts, n)) for n, starts in rows]
 
     return _by_length(index, measure)
 
 
 def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the window reductions of each length 1..n_max."""
-    if index.alphabet_size != 2:
-        return _by_length(index, _parikh_measure(index, reduced=True))
-    first = index.arr[index.order_starts]
-
-    def measure(ns, cut, fresh) -> list[int]:
-        # a binary reduction of r runs alternates: it holds r/2 of each symbol
-        # when r is even and one more of its first symbol when r is odd, so
-        # 2r + (first symbol if r is odd) names its count vector
-        runs = index.block_alternations(ns, cut) + 1
-        return _distinct_per_row(_keep_fresh(2 * runs + (runs & first[:cut]), fresh))
-
-    return _by_length(index, measure)
+    if index.alphabet_size == 2:
+        # a binary reduction of r = a + 1 runs alternates: it holds r/2 of
+        # each symbol when r is even and one more of its first symbol when r
+        # is odd, so 2r + (first symbol if r is odd) names its count vector
+        return _alternation_table(
+            index, lambda a, first: 2 * (a + 1) + ((a + 1) & first), _distinct_per_row
+        )
+    return _by_length(index, _parikh_measure(index, reduced=True))
 
 
 def extremes_counts(index: AlternationPrefix) -> tuple[Counts, Counts]:
     """Least and greatest alternation count of the windows of each length 1..n_max."""
 
-    def measure(ns, cut, fresh) -> list[tuple[int, int]]:
-        d = _keep_fresh(index.block_alternations(ns, cut), fresh)
+    def summary(d: np.ndarray) -> list[tuple[int, int]]:
         return list(zip(d.min(axis=1).tolist(), d.max(axis=1).tolist()))
 
-    pairs = _by_length(index, measure)
+    pairs = _alternation_table(index, lambda a, first: a, summary)
     return {n: lo for n, (lo, _) in pairs.items()}, {n: hi for n, (_, hi) in pairs.items()}
 
 
@@ -566,8 +552,7 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     values = table(twice)
     # the windows of the first W symbols are those whose first occurrence
     # ends within W; if every one does, both prefixes hold the same windows
-    rows = twice.order_rows
-    last_end = (twice.representatives[rows] + twice.room[rows]).max()
+    last_end = (twice.starts + twice.room).max()
     del twice
     inside = values if last_end <= window else table(index(window))
     for _ in range(policy.max_doublings - 1):

@@ -1,12 +1,14 @@
 """CLI behavior: formats, byte-exact outputs, exit codes, policy flags."""
 
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import reduxwords as rw
-from reduxwords import theorems
+from reduxwords import cli, theorems
 from reduxwords.cli import main
 from reduxwords.theorems import CLAIMS, Claim, VerificationReport
 
@@ -371,3 +373,40 @@ def test_golden_output(capsys, monkeypatch, case):
     # spec paths in the commands are relative to the repository root
     monkeypatch.chdir(ROOT)
     assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def readme_examples():
+    """(argv, stdout) of each ``$ reduxwords`` command in README that shows its output."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, _, output = command.partition("\n")
+            program, *argv = line.split()
+            assert program == "reduxwords", line
+            if output.strip():
+                examples.append((argv, output.rstrip("\n") + "\n"))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, stdout", README_EXAMPLES, ids=[" ".join(argv) for argv, _ in README_EXAMPLES]
+)
+def test_readme_example(capsys, argv, stdout):
+    assert run(capsys, *argv) == (0, stdout, "")
+
+
+def test_console_script_runs_the_readme_example(capsys, monkeypatch):
+    # the [project.scripts] entry point, resolved and run as the installed
+    # console script would run it
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^reduxwords = "reduxwords.cli:entrypoint"$', pyproject, flags=re.M)
+    argv, stdout = next(e for e in README_EXAMPLES if e[0][0] == "gen")
+    monkeypatch.setattr(sys, "argv", ["reduxwords", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entrypoint()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == stdout

@@ -110,12 +110,12 @@ INDEX_ENGINES = {
 
 
 def engine_counts(symbols, sigma, kind, n_max):
-    """One kind's counts for n = 1..n_max, read off the representative index."""
+    """One kind's counts for n = 1..n_max, read off the window index."""
     return INDEX_ENGINES[kind](AlternationPrefix(symbols, sigma, n_max))
 
 
 class TestEnginePathEquivalence:
-    """The representative-index engines and the window-set oracle must agree."""
+    """The window-index engines and the window-set oracle must agree."""
 
     N_VALUES = list(range(1, 33))
 
@@ -217,33 +217,38 @@ class TestRepresentativeIndex:
         for kind, engine in INDEX_ENGINES.items():
             assert engine(index) == oracle_counts(symbols, kind, ns), kind
         assert extremes_counts(index) == oracle_extremes(symbols, ns)
-        # one first-occurrence start per distinct length-n_max window, then the tail
-        first = {}
-        for s in range(len(symbols) - n_max + 1):
-            first.setdefault(tuple(symbols[s : s + n_max]), s)
-        assert len(first) == len(windows(symbols, n_max))
-        assert index.representatives.tolist() == sorted(first.values()) + list(
-            range(len(symbols) - n_max + 1, len(symbols))
-        )
+        first = {n: {} for n in ns}
+        for n in ns:
+            for s in range(len(symbols) - n + 1):
+                first[n].setdefault(tuple(symbols[s : s + n]), s)
+        expected = {n: sorted(occurrences.values()) for n, occurrences in first.items()}
+        # the rows are the starts whose window of some length occurs nowhere
+        # earlier, tail starts included, ordered by (lpf, start) from start 0
+        starts = index.starts.tolist()
+        assert sorted(starts) == sorted(set().union(*expected.values()))
+        rooms = [min(n_max, len(symbols) - s) for s in starts]
+        assert index.room.tolist() == rooms
+        # lpf: the longest prefix of the window that also starts earlier
+        lpf = [
+            sum(first[n][tuple(symbols[s : s + n])] < s for n in range(1, room + 1))
+            for s, room in zip(starts, rooms)
+        ]
+        assert index.lpf.tolist() == lpf
+        assert list(zip(lpf, starts)) == sorted(zip(lpf, starts))
+        assert starts[0] == 0
         # for every n, the new starts the counts read, in blocks of any size,
         # are the first occurrences of the distinct length-n windows
-        expected = {}
-        for n in ns:
-            first = {}
-            for s in range(len(symbols) - n + 1):
-                first.setdefault(tuple(symbols[s : s + n]), s)
-            expected[n] = sorted(first.values())
         for budget in (0, 7, 1 << 16):
             new = {}
             for block, cut, fresh in index.new_start_blocks(budget):
-                starts = index.order_starts[:cut]
+                starts = index.starts[:cut]
                 for i, n in enumerate(block.tolist()):
                     new[n] = sorted((starts if fresh is None else starts[fresh[i]]).tolist())
             assert new == expected, budget
 
     def test_tm_needs_few_representatives(self, tm_handle):
         index = AlternationPrefix(tm_handle.prefix_symbols(32 * 256), 2, 256)
-        assert len(index.representatives) == rw.tm_factor_count(256) + 255
+        assert len(index.starts) == rw.tm_factor_count(256)
 
     def test_wide_names_are_compressed_exactly(self):
         # 2**17 random bits have more than 2**16 distinct windows of length 32,
@@ -251,7 +256,14 @@ class TestRepresentativeIndex:
         rng = np.random.default_rng(7)
         symbols = rng.integers(0, 2, 1 << 17).tolist()
         index = AlternationPrefix(symbols, 2, 48)
-        assert len(index.representatives) == len(windows(symbols, 48)) + 47
+        # here some tail starts are first occurrences: their suffix occurs
+        # nowhere earlier
+        data = bytes(symbols)
+        tails = range(len(data) - 47, len(data))
+        fresh_tails = [s for s in tails if data.find(data[s:]) == s]
+        assert 0 < len(fresh_tails) < 47
+        assert len(index.starts) == len(windows(symbols, 48)) + len(fresh_tails)
+        assert set(fresh_tails) <= set(index.starts.tolist())
         counts = factor_counts(index)
         assert [counts[n] for n in (20, 48)] == [len(windows(symbols, n)) for n in (20, 48)]
 
@@ -262,8 +274,11 @@ class TestRepresentativeIndex:
             AlternationPrefix([0, 300], 3, 1)
 
     def test_starts_needs_n_max(self):
-        with pytest.raises(ConfigurationError):
-            AlternationPrefix([0, 1, 0], 2, 2).starts(3)
+        # rooms stop at n_max, and the tail start 2, whose window 0 starts
+        # at 0 too, is no first occurrence
+        index = AlternationPrefix([0, 1, 0], 2, 2)
+        assert index.starts.tolist() == [0, 1]
+        assert index.room.tolist() == [2, 2]
         with pytest.raises(ConfigurationError):
             AlternationPrefix([0, 1, 0], 2, 4)
 
