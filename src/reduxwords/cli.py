@@ -70,7 +70,6 @@ def _policy_from_args(args: argparse.Namespace) -> WindowPolicy:
     return WindowPolicy(
         initial_multiplier=args.window_multiplier,
         max_doublings=args.max_doublings,
-        mode="stabilize" if args.fixed_window is None else "fixed",
         fixed_length=args.fixed_window,
     )
 
@@ -99,12 +98,12 @@ def _jsonable(value):
 
 
 def _emit_rows(rows, header: str, fmt: str, metadata: dict) -> None:
-    """Write ``rows`` in ``fmt`` to stdout as one string, in one write."""
+    """Write ``rows`` as json, csv or bfile (``fmt``) to stdout as one string, in one write."""
     fields = header.split(",")
     if fmt == "json":
         records = [dict(zip(fields, row), **metadata) for row in rows]
         text = json.dumps(records, indent=2) + "\n"
-    elif fmt in ("csv", "bfile"):
+    else:
         line = ("," if fmt == "csv" else " ").join("{}" for _ in fields) + "\n"
         # joined in slices of rows, so at most one slice of row strings is alive
         rows = iter(rows)
@@ -112,8 +111,6 @@ def _emit_rows(rows, header: str, fmt: str, metadata: dict) -> None:
         text = "".join(slices)
         if fmt == "csv":
             text = header + "\n" + text
-    else:
-        raise ConfigurationError(f"unknown format {fmt!r}")
     sys.stdout.write(text)
 
 

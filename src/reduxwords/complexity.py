@@ -71,30 +71,30 @@ Counts = dict[int, int]
 class WindowPolicy:
     """How long a prefix to scan and how to certify the counts.
 
-    In ``stabilize`` mode the first scan uses ``initial_multiplier * n_max``
-    symbols and the window doubles until two consecutive scans agree
-    everywhere, up to ``max_doublings`` doublings. In ``fixed`` mode a single
-    scan is performed at ``fixed_length`` (or the initial window if unset)
-    with no agreement check.
+    With ``fixed_length`` unset, the counts are certified by doubling: the
+    first scan uses ``initial_multiplier * n_max`` symbols and the window
+    doubles until two consecutive scans agree everywhere, up to
+    ``max_doublings`` doublings. With ``fixed_length`` set, one scan of
+    exactly that many symbols is performed, with no agreement check.
     """
 
     initial_multiplier: int = 32
     max_doublings: int = 6
-    mode: str = "stabilize"
     fixed_length: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("stabilize", "fixed"):
-            raise ConfigurationError(f"mode must be 'stabilize' or 'fixed', got {self.mode!r}")
         if self.initial_multiplier < 1:
             raise ConfigurationError("initial_multiplier must be >= 1")
         if self.max_doublings < 1:
             raise ConfigurationError("max_doublings must be >= 1")
-        if self.fixed_length is not None and self.mode != "fixed":
-            raise ConfigurationError("fixed_length only applies to mode='fixed'")
 
     def initial_window(self, n_max: int) -> int:
-        return self.initial_multiplier * n_max
+        """The first window scanned for lengths up to ``n_max``: the fixed one, if set."""
+        if self.fixed_length is None:
+            return self.initial_multiplier * n_max
+        if self.fixed_length < n_max:
+            raise ConfigurationError(f"fixed window {self.fixed_length} is shorter than n_max={n_max}")
+        return self.fixed_length
 
 
 @dataclass(frozen=True)
@@ -532,19 +532,16 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     each later step compares with the step before. Returns ``(values,
     certified_window)``. Raises StabilizationError after ``max_doublings``
     unsuccessful doublings, carrying the values at the last window and the
-    least n that differed.
+    least n that differed. A policy with ``fixed_length`` set gets the values
+    on that one window, unchecked.
     """
 
     def index(length: int) -> AlternationPrefix:
         return AlternationPrefix(handle.prefix_symbols(length), handle.alphabet_size, n_max)
 
-    if policy.mode == "fixed":
-        window = policy.fixed_length if policy.fixed_length is not None else policy.initial_window(n_max)
-        if window < n_max:
-            raise ConfigurationError(f"fixed window {window} is shorter than n_max={n_max}")
-        return table(index(window)), window
-
     window = policy.initial_window(n_max)
+    if policy.fixed_length is not None:
+        return table(index(window)), window
     # a view; asked for first so that a capacity error names the same prefix
     # length as a scan of the window itself would
     handle.prefix_symbols(window)

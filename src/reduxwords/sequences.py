@@ -238,6 +238,8 @@ class Morphism:
     alphabet_size: int
 
     def __post_init__(self):
+        if self.alphabet_size < 1:
+            raise ConfigurationError("alphabet_size must be positive")
         object.__setattr__(self, "images", dict(self.images))
         for sym, image in self.images.items():
             if not (0 <= sym < self.alphabet_size):
@@ -333,6 +335,8 @@ class ToeplitzSpec:
     alphabet_size: int = 2
 
     def __post_init__(self):
+        if self.alphabet_size < 1:
+            raise ConfigurationError("alphabet_size must be positive")
         if len(self.period) == 0:
             raise ConfigurationError("toeplitz period must be nonempty")
         for s in self.preperiod + self.period:
@@ -499,7 +503,7 @@ def load_sequence_spec(path: str, max_prefix: int | None = None) -> SequenceHand
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_sequence_spec(text, name=name, max_prefix=max_prefix)

@@ -3,12 +3,15 @@
 Each statement the library can check is one row of ``CLAIMS``, under a
 stable claim id. A closed-form row names its sequence, profile kind, closed
 form and residue filter, and one runner compares it with the brute-force
-engines in :mod:`reduxwords.complexity`; lemmas with a structural check
-carry their own runner. :func:`verify` runs one row. Its ``profiles`` dict
-is a store for one run: every engine call a claim makes goes through it,
-keyed by (sequence, kind, n, policy), so claims that read the same profile
-share one computation. Conjectures are only ever scanned, and their
-reports are evidence, never assertions.
+engines in :mod:`reduxwords.complexity`; the lemmas with a structural
+check and the conjecture scanners are their own runners, called as
+``runner(n_max, policy, profiles)``. :func:`verify` runs one row. Its
+``profiles`` dict is a store for one run: every profile and extremes table
+a claim reads comes from it, keyed by (sequence, kind, n, policy), so
+claims that read the same data share one computation. Every claim that
+compares predicted with observed values per length collects its
+counterexamples by one rule, :func:`_mismatches`. Conjectures are only
+ever scanned, and their reports are evidence, never assertions.
 
 Closed forms are memoized pure functions with explicit base-case tables.
 Declared small-case exceptions are raised as :class:`SmallCaseException`
@@ -39,7 +42,6 @@ from .errors import ConfigurationError, SmallCaseException
 from .sequences import (
     BUILTIN_SEQUENCES,
     paperfolding,
-    thue_morse,
     thue_morse_at,
     thue_morse_morphism,
 )
@@ -74,6 +76,19 @@ def _status(counterexamples, declared_exceptions=None) -> str:
     if counterexamples:
         return "fail"
     return "exception-at-small-n" if declared_exceptions else "pass"
+
+
+def _mismatches(rows) -> list:
+    """Counterexamples of the rows ``(n, name, expected, actual)`` whose values differ.
+
+    Each is ``(n, expected, actual)``, or ``(n, (name, expected), (name,
+    actual))`` when the row names one of several identities checked at n.
+    """
+    return [
+        (n, expected, actual) if name is None else (n, (name, expected), (name, actual))
+        for n, name, expected, actual in rows
+        if expected != actual
+    ]
 
 
 def _report(claim_id, n_lo, n_hi, counterexamples, declared_exceptions=None, details=None):
@@ -195,29 +210,24 @@ def _stored(
 def _check_closed_form(claim: Claim, n_max: int, policy, profiles) -> VerificationReport:
     """Compare a closed-form row with its stored profile at the lengths its residues keep."""
     profile = _stored(profiles, claim.sequence, claim.profile_kind, n_max, policy)
-    counterexamples = []
     exceptions: dict[int, int] = {}
-    checked = 0
-    for n in range(1, n_max + 1):
-        if claim.residues_mod8 is not None and n % 8 not in claim.residues_mod8:
-            continue
+
+    def expected(n: int) -> int:
         try:
-            expected = claim.closed_form(n)
+            return claim.closed_form(n)
         except SmallCaseException as exc:
             exceptions[exc.n] = exc.known_value
-            expected = exc.known_value
-        actual = profile.values[n]
-        if actual != expected:
-            counterexamples.append((n, expected, actual))
-        checked += 1
-    details = {"checked": checked, "certified_window": profile.certified_window}
+            return exc.known_value
+
+    ns = [n for n in range(1, n_max + 1) if claim.residues_mod8 is None or n % 8 in claim.residues_mod8]
+    counterexamples = _mismatches((n, None, expected(n), profile.values[n]) for n in ns)
+    details = {"checked": len(ns), "certified_window": profile.certified_window}
     if claim.bridge:
         table = _stored(profiles, claim.sequence, "extremes", n_max, policy)
-        bridged = []
-        for n in range(1, n_max + 1):
-            predicted = reduced_complexity_from_extremes(table, n)
-            if predicted != profile.values[n]:
-                bridged.append((n, predicted, profile.values[n]))
+        bridged = _mismatches(
+            (n, None, reduced_complexity_from_extremes(table, n), profile.values[n])
+            for n in range(1, n_max + 1)
+        )
         details.update(
             recursion_status=_status(counterexamples, exceptions),
             bridge_status=_status(bridged),
@@ -266,36 +276,36 @@ def check_mu_alternation(max_len: int = 12) -> VerificationReport:
     return _report("mu_alternation", 1, max_len, counterexamples, details={"words_checked": checked})
 
 
-def _tm_extremes_table(n_max: int, policy, table: ExtremesTable | None, needed: int) -> ExtremesTable:
-    if table is not None:
-        if max(table.minima) < needed:
-            raise ConfigurationError(
-                f"supplied extremes table stops at {max(table.minima)}, need {needed}"
-            )
-        return table
-    return alternation_extremes(thue_morse(), needed, policy)
-
-
 def check_extremes_halving(
     n_max: int = 512,
     policy: WindowPolicy | None = None,
+    profiles: dict | None = None,
+    *,
     table: ExtremesTable | None = None,
 ) -> VerificationReport:
-    """Check the four identities relating extremes at 2n and 2n+1 to n and n+1."""
+    """Check the four identities relating extremes at 2n and 2n+1 to n and n+1.
+
+    The tm extremes table up to 2 n_max + 1 is ``table`` when one is
+    supplied, and otherwise the one stored in ``profiles``.
+    """
     if n_max < 2:
         raise ConfigurationError("n_max must be >= 2")
-    table = _tm_extremes_table(n_max, policy, table, 2 * n_max + 1)
+    needed = 2 * n_max + 1
+    if table is None:
+        table = _stored(profiles, "tm", "extremes", needed, policy)
+    elif max(table.minima) < needed:
+        raise ConfigurationError(f"supplied extremes table stops at {max(table.minima)}, need {needed}")
     m, big = table.minima, table.maxima
-    counterexamples = []
-    for n in range(2, n_max + 1):
+    counterexamples = _mismatches(
+        (n, name, rhs, lhs)
+        for n in range(2, n_max + 1)
         for name, lhs, rhs in (
             ("min_at_2n", m[2 * n], 2 * n - 1 - big[n + 1]),
             ("max_at_2n", big[2 * n], 2 * n - 1 - m[n]),
             ("min_at_2n+1", m[2 * n + 1], 2 * n - big[n + 1]),
             ("max_at_2n+1", big[2 * n + 1], 2 * n - m[n + 1]),
-        ):
-            if lhs != rhs:
-                counterexamples.append((n, (name, rhs), (name, lhs)))
+        )
+    )
     return _report(
         "tm_max_min", 2, n_max, counterexamples,
         details={"certified_window": table.certified_window},
@@ -305,23 +315,33 @@ def check_extremes_halving(
 def check_extremes_mod4(
     n_max: int = 512,
     policy: WindowPolicy | None = None,
+    profiles: dict | None = None,
+    *,
     table: ExtremesTable | None = None,
 ) -> VerificationReport:
-    """Check the four identities relating extremes at 4n and 4n+2 to n+1."""
+    """Check the four identities relating extremes at 4n and 4n+2 to n+1.
+
+    The tm extremes table up to 4 n_max + 2 is ``table`` when one is
+    supplied, and otherwise the one stored in ``profiles``.
+    """
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
-    table = _tm_extremes_table(n_max, policy, table, 4 * n_max + 2)
+    needed = 4 * n_max + 2
+    if table is None:
+        table = _stored(profiles, "tm", "extremes", needed, policy)
+    elif max(table.minima) < needed:
+        raise ConfigurationError(f"supplied extremes table stops at {max(table.minima)}, need {needed}")
     m, big = table.minima, table.maxima
-    counterexamples = []
-    for n in range(1, n_max + 1):
+    counterexamples = _mismatches(
+        (n, name, rhs, lhs)
+        for n in range(1, n_max + 1)
         for name, lhs, rhs in (
             ("min_at_4n", m[4 * n], 2 * n - 1 + m[n + 1]),
             ("max_at_4n", big[4 * n], 2 * n + big[n + 1]),
             ("min_at_4n+2", m[4 * n + 2], 2 * n + m[n + 1]),
             ("max_at_4n+2", big[4 * n + 2], 2 * n + 1 + big[n + 1]),
-        ):
-            if lhs != rhs:
-                counterexamples.append((n, (name, rhs), (name, lhs)))
+        )
+    )
     return _report(
         "tm_mod4", 1, n_max, counterexamples,
         details={"certified_window": table.certified_window},
@@ -341,13 +361,7 @@ def check_alternating_skeleton_runs(
     """
     if n_max < 3:
         raise ConfigurationError("n_max must be >= 3")
-    policy = policy or WindowPolicy()
-    if policy.mode == "fixed" and policy.fixed_length is not None:
-        window = policy.fixed_length
-    else:
-        window = policy.initial_window(n_max)
-    if window < n_max:
-        raise ConfigurationError(f"window {window} is shorter than n_max={n_max}")
+    window = (policy or WindowPolicy()).initial_window(n_max)
     arr = paperfolding().prefix_symbols(window)
     length = len(arr)
     # alt[i] counts the unequal adjacent pairs among positions 0..i
@@ -405,12 +419,8 @@ def scan_odd_halving(
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     profile = _stored(profiles, "tm", "abred", 2 * n_max + 1, policy)
-    counterexamples = []
-    for n in range(0, n_max + 1):
-        lhs = profile.values[2 * n + 1]
-        rhs = profile.values[n + 1]
-        if lhs != rhs:
-            counterexamples.append((n, rhs, lhs))
+    v = profile.values
+    counterexamples = _mismatches((n, None, v[n + 1], v[2 * n + 1]) for n in range(0, n_max + 1))
     return _report(
         "conj_odd_halving", 0, n_max, counterexamples,
         details={"certified_window": profile.certified_window, "scanned": n_max + 1},
@@ -432,15 +442,12 @@ def scan_mod4_gap(
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     profile = _stored(profiles, "tm", "abred", 4 * n_max + 2, policy)
-    counterexamples = []
-    signs = []
-    for n in range(1, n_max + 1):
-        gap = profile.values[4 * n + 2] - profile.values[4 * n]
-        expected = 0 if thue_morse_at(n + 1) == thue_morse_at(3 * n + 1) else 1
-        if abs(gap) != expected:
-            counterexamples.append((n, expected, abs(gap)))
-        signs.append("0" if gap == 0 else ("+" if gap > 0 else "-"))
-    pattern = "".join(signs)
+    gaps = {n: profile.values[4 * n + 2] - profile.values[4 * n] for n in range(1, n_max + 1)}
+    counterexamples = _mismatches(
+        (n, None, int(thue_morse_at(n + 1) != thue_morse_at(3 * n + 1)), abs(gap))
+        for n, gap in gaps.items()
+    )
+    pattern = "".join("0" if gap == 0 else ("+" if gap > 0 else "-") for gap in gaps.values())
     return _report(
         "conj_mod4_gap", 1, n_max, counterexamples,
         details={
@@ -568,18 +575,6 @@ class Claim:
     bridge: bool = False
 
 
-def _on_tm_extremes(check, length: Callable[[int], int]):
-    """A row runner handing ``check`` the stored tm extremes table up to ``length(n_max)``."""
-
-    def run(n_max, policy, profiles):
-        needed = length(n_max)
-        # no table for an impossible length: the check rejects n_max with its own bound
-        table = _stored(profiles, "tm", "extremes", needed, policy) if needed >= 1 else None
-        return check(n_max, policy, table)
-
-    return run
-
-
 _PF_RED = {"sequence": "pf", "profile_kind": "red", "closed_form": pf_reduced_factor_count}
 
 CLAIMS: dict[str, Claim] = {
@@ -621,12 +616,12 @@ CLAIMS: dict[str, Claim] = {
         Claim(
             "tm_max_min", "lemma",
             "alternation extremes of tm at 2n and 2n+1 reduce to n and n+1",
-            512, _on_tm_extremes(check_extremes_halving, lambda n: 2 * n + 1),
+            512, check_extremes_halving,
         ),
         Claim(
             "tm_mod4", "lemma",
             "alternation extremes of tm at 4n and 4n+2 reduce to n+1",
-            512, _on_tm_extremes(check_extremes_mod4, lambda n: 4 * n + 2),
+            512, check_extremes_mod4,
         ),
         Claim(
             "odd_len", "lemma",

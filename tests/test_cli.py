@@ -69,6 +69,9 @@ class TestGen:
         assert code == 2
         assert "start" in err
 
+    def test_negative_count(self, capsys):
+        assert run(capsys, "gen", "tm", "--count", "-1") == (2, "", "error: --count must be >= 0, got -1\n")
+
 
     @pytest.mark.parametrize("seq, rule", [("tm", rw.thue_morse_at), ("pf", rw.paperfolding_at)])
     def test_byte_identical_formats_past_the_start(self, capsys, seq, rule):
@@ -350,6 +353,34 @@ class TestSpecFileIntegration:
         code, out, err = run(capsys, "gen", str(path), "--count", "8")
         assert (code, out) == (2, "")
         assert "line 6" in err and "line 5" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["gen", "--count", "4"], ["complexity", "factor", "--n-max", "4"]], ids=["gen", "complexity"]
+    )
+    def test_spec_file_not_utf8_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes(b"# caf\xe9\nkind = toeplitz\nalphabet_size = 2\nperiod = 01\n")
+        command, *rest = argv
+        code, out, err = run(capsys, command, str(path), *rest)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read spec file {str(path)!r}: ")
+        assert "utf-8" in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "kind = morphic\nalphabet_size = 0\nseed = 0\nimage.0 = 01\nimage.1 = 10\n",
+            "kind = morphic\nalphabet_size = -2\nseed = 0\nimage.0 = 01\n",
+            "kind = toeplitz\nalphabet_size = 0\nperiod = 01\n",
+        ],
+        ids=["morphic-0", "morphic-negative", "toeplitz-0"],
+    )
+    def test_nonpositive_alphabet_exit_2(self, capsys, tmp_path, body):
+        path = tmp_path / "no_letters.conf"
+        path.write_text(body)
+        assert run(capsys, "gen", str(path), "--count", "4") == (
+            2, "", "error: alphabet_size must be positive\n"
+        )
 
     def test_missing_spec_file_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "/no/such/file.conf", "--count", "4")

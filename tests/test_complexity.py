@@ -203,7 +203,7 @@ def handled_words(draw):
             initial_multiplier=draw(st.integers(1, 4)), max_doublings=draw(st.integers(1, 3))
         )
     else:
-        policy = WindowPolicy(mode="fixed", fixed_length=draw(st.none() | st.integers(n_max, 256)))
+        policy = WindowPolicy(fixed_length=draw(st.integers(n_max, 256)))
     return handle, n_max, policy
 
 
@@ -347,18 +347,14 @@ class TestWindowPolicy:
         policy = WindowPolicy()
         assert policy.initial_multiplier == 32
         assert policy.max_doublings == 6
-        assert policy.mode == "stabilize"
+        assert policy.fixed_length is None
         assert policy.initial_window(100) == 3200
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            WindowPolicy(mode="guess")
-        with pytest.raises(ConfigurationError):
             WindowPolicy(initial_multiplier=0)
         with pytest.raises(ConfigurationError):
             WindowPolicy(max_doublings=0)
-        with pytest.raises(ConfigurationError):
-            WindowPolicy(fixed_length=99)  # only valid with mode="fixed"
 
     def test_stabilization_soundness(self, tm_handle):
         # the reported counts must be what a direct scan finds at the
@@ -465,14 +461,14 @@ class TestWindowPolicy:
             rw.reduced_factor_complexity(capped(3000), 64)
 
     def test_fixed_mode(self, tm_handle):
-        policy = WindowPolicy(mode="fixed", fixed_length=4096)
+        policy = WindowPolicy(fixed_length=4096)
         profile = rw.reduced_factor_complexity(tm_handle, 16, policy)
         assert profile.certified_window == 4096
         assert profile_values(profile, 16) == RHO_RED_T_23[:16]
 
     def test_fixed_mode_window_must_cover_n_max(self, tm_handle):
-        policy = WindowPolicy(mode="fixed", fixed_length=8)
-        with pytest.raises(ConfigurationError):
+        policy = WindowPolicy(fixed_length=8)
+        with pytest.raises(ConfigurationError, match="^fixed window 8 is shorter than n_max=64$"):
             rw.factor_complexity(tm_handle, 64, policy)
 
     def test_n_max_must_be_positive(self, tm_handle):

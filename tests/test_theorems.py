@@ -3,6 +3,8 @@ failures, scanners, and the exact kernel-rank estimator."""
 
 import dataclasses
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,9 +66,28 @@ class TestClosedForms:
         assert rw.tm_reduced_factor_count(10**9) in range(2, 100)
 
 
+def readme_claim_rows():
+    """(id, kind) of each row of the README claim table, a row listing several ids expanded."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    top = next(i for i, line in enumerate(lines) if line.startswith("| id | kind |"))
+    rows = []
+    for line in lines[top + 2 :]:
+        if not line.startswith("|"):
+            break
+        ids, kind, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        rows += [(claim_id, kind) for claim_id in re.findall(r"`([^`]+)`", ids)]
+    return rows
+
+
 class TestClaimRegistry:
     def test_registry_is_exactly_the_published_ids(self):
         assert set(rw.CLAIMS) == ALL_CLAIM_IDS
+
+    def test_readme_claim_table_is_the_registry(self):
+        rows = readme_claim_rows()
+        assert ("f_5mod8", "lemma") in rows
+        assert rows == [(c.claim_id, c.kind) for c in rw.CLAIMS.values()]
 
     def test_kinds(self):
         assert rw.CLAIMS["tm_red"].kind == "theorem"
@@ -141,7 +162,7 @@ class TestProfileStore:
         assert sum(1 for key in profiles if key[:2] == ("pf", "red")) == 1
 
     def test_policies_are_kept_apart(self):
-        fixed = rw.WindowPolicy(mode="fixed", fixed_length=4096)
+        fixed = rw.WindowPolicy(fixed_length=4096)
         profiles = {}
         default_report = rw.verify("pf_red", 48, profiles=profiles)
         fixed_report = rw.verify("pf_red", 48, fixed, profiles)
@@ -261,7 +282,7 @@ class TestStructuralLemmas:
             bad = [s for s in starts if ok[s] and runs[s] != k + 1]
             if bad:
                 counterexamples.append((n, k + 1, runs[bad[0]]))
-        policy = rw.WindowPolicy(mode="fixed", fixed_length=window)
+        policy = rw.WindowPolicy(fixed_length=window)
         report = rw.check_alternating_skeleton_runs(n_max, policy)
         assert report.counterexamples == tuple(counterexamples)
         assert report.details == {
@@ -300,6 +321,116 @@ class TestConjectureScanners:
         report = rw.verify("conj_odd_halving", 10, profiles=profiles)
         assert report.status == "fail"
         assert report.counterexamples[-1][0] == 10
+
+
+def halving_identities(m, big, n):
+    return (
+        ("min_at_2n", m[2 * n], 2 * n - 1 - big[n + 1]),
+        ("max_at_2n", big[2 * n], 2 * n - 1 - m[n]),
+        ("min_at_2n+1", m[2 * n + 1], 2 * n - big[n + 1]),
+        ("max_at_2n+1", big[2 * n + 1], 2 * n - m[n + 1]),
+    )
+
+
+def mod4_identities(m, big, n):
+    return (
+        ("min_at_4n", m[4 * n], 2 * n - 1 + m[n + 1]),
+        ("max_at_4n", big[4 * n], 2 * n + big[n + 1]),
+        ("min_at_4n+2", m[4 * n + 2], 2 * n + m[n + 1]),
+        ("max_at_4n+2", big[4 * n + 2], 2 * n + 1 + big[n + 1]),
+    )
+
+
+def identity_counterexamples(table, ns, identities):
+    """(n, (name, rhs), (name, lhs)) for each identity lhs = rhs that fails, by n then name."""
+    out = []
+    for n in ns:
+        for name, lhs, rhs in identities(table.minima, table.maxima, n):
+            if lhs != rhs:
+                out.append((n, (name, rhs), (name, lhs)))
+    return out
+
+
+def tm_abred_with(n_hi, changes):
+    values = dict(rw.reduced_abelian_complexity(rw.thue_morse(), n_hi).values)
+    for n, delta in changes.items():
+        values[n] += delta
+    return fake_profile("reduced_abelian", values)
+
+
+class TestCounterexampleShapes:
+    """Counterexamples of the extremes lemmas and the tm abred scanners on
+    fabricated data, against plain loops over the stated identities."""
+
+    @pytest.fixture(scope="class")
+    def wrong_table(self):
+        table = rw.alternation_extremes(rw.thue_morse(), 4 * 24 + 2)
+        minima, maxima = dict(table.minima), dict(table.maxima)
+        # 9 and 13 sit on the right-hand sides, 20, 33, 41, 66 and 98 on the left
+        for n, delta in ((9, -1), (20, 1), (33, -1), (98, 2)):
+            minima[n] += delta
+        for n, delta in ((13, 1), (41, 2), (66, -1)):
+            maxima[n] += delta
+        return dataclasses.replace(table, minima=minima, maxima=maxima)
+
+    def test_halving_with_a_wrong_table(self, wrong_table):
+        expected = identity_counterexamples(wrong_table, range(2, 25), halving_identities)
+        assert len(expected) >= 6
+        report = rw.check_extremes_halving(24, table=wrong_table)
+        assert report.status == "fail"
+        assert report.counterexamples == tuple(expected)
+        assert report.details == {"certified_window": wrong_table.certified_window}
+
+    def test_mod4_with_a_wrong_table(self, wrong_table):
+        expected = identity_counterexamples(wrong_table, range(1, 25), mod4_identities)
+        assert len(expected) >= 6
+        report = rw.check_extremes_mod4(24, table=wrong_table)
+        assert report.status == "fail"
+        assert report.counterexamples == tuple(expected)
+        assert report.details == {"certified_window": wrong_table.certified_window}
+
+    @pytest.mark.parametrize(
+        "claim_id, length, identities, n_lo",
+        [("tm_max_min", 2 * 24 + 1, halving_identities, 2), ("tm_mod4", 4 * 24 + 2, mod4_identities, 1)],
+    )
+    def test_claim_rows_read_the_stored_table(self, wrong_table, claim_id, length, identities, n_lo):
+        report = rw.verify(claim_id, 24, profiles=store_with("tm", "extremes", length, wrong_table))
+        expected = identity_counterexamples(wrong_table, range(n_lo, 25), identities)
+        assert report.counterexamples == tuple(expected)
+        assert (report.n_lo, report.n_hi, report.status) == (n_lo, 24, "fail")
+
+    def test_odd_halving_with_a_fabricated_profile(self):
+        profile = tm_abred_with(33, {3: 1, 11: -1, 21: 2, 33: 1})
+        v = profile.values
+        expected = [(n, v[n + 1], v[2 * n + 1]) for n in range(17) if v[2 * n + 1] != v[n + 1]]
+        assert len(expected) >= 4
+        report = rw.scan_odd_halving(16, profiles=store_with("tm", "abred", 33, profile))
+        assert report.status == "fail"
+        assert report.counterexamples == tuple(expected)
+        assert report.details == {"certified_window": 0, "scanned": 17}
+
+    def test_mod4_gap_with_a_fabricated_profile(self):
+        profile = tm_abred_with(66, {6: 2, 20: -1, 22: 1, 44: -3, 66: 1})
+        v = profile.values
+        expected, signs = [], ""
+        for n in range(1, 17):
+            gap = v[4 * n + 2] - v[4 * n]
+            predicate = 0 if rw.thue_morse_at(n + 1) == rw.thue_morse_at(3 * n + 1) else 1
+            if abs(gap) != predicate:
+                expected.append((n, predicate, abs(gap)))
+            signs += "0" if gap == 0 else ("+" if gap > 0 else "-")
+        assert len(expected) >= 3
+        report = rw.verify("conj_mod4_gap", 16, profiles=store_with("tm", "abred", 66, profile))
+        assert report.status == "fail"
+        assert report.counterexamples == tuple(expected)
+        assert report.details == {
+            "certified_window": 0,
+            "sign_pattern": signs,
+            "zero": signs.count("0"),
+            "positive": signs.count("+"),
+            "negative": signs.count("-"),
+        }
+        assert report.details["sign_pattern"] != rw.scan_mod4_gap(16).details["sign_pattern"]
 
 
 class TestKernelRank:

@@ -50,13 +50,13 @@ def two_scan_reference(handle, kind, n_max, policy):
     """What a profile under ``policy`` must report, from oracle scans of growing prefixes.
 
     ``kind`` is one of KINDS or "extremes"; ``handle`` needs only
-    ``prefix_symbols`` and ``policy`` only its fields. The stabilize mode
-    scans the initial window, then twice it, and so on, until two
-    consecutive scans agree or the doublings run out. Returns
-    ``(certified, values, window, first_unstable_n)``: ``certified`` is
-    False when the scans never agreed, and then ``values`` are those at the
-    last ``window`` and ``first_unstable_n`` is the least n at which the
-    last two scans differed.
+    ``prefix_symbols`` and ``policy`` only its fields. A fixed policy scans
+    its one window; otherwise the reference scans the initial window, then
+    twice it, and so on, until two consecutive scans agree or the doublings
+    run out. Returns ``(certified, values, window, first_unstable_n)``:
+    ``certified`` is False when the scans never agreed, and then ``values``
+    are those at the last ``window`` and ``first_unstable_n`` is the least
+    n at which the last two scans differed.
     """
     ns = range(1, n_max + 1)
 
@@ -67,11 +67,9 @@ def two_scan_reference(handle, kind, n_max, policy):
     def at(values, n):
         return tuple(part[n] for part in values) if kind == "extremes" else values[n]
 
+    if policy.fixed_length is not None:
+        return True, scan(policy.fixed_length), policy.fixed_length, None
     window = policy.initial_multiplier * n_max
-    if policy.mode == "fixed":
-        if policy.fixed_length is not None:
-            window = policy.fixed_length
-        return True, scan(window), window, None
     prev = scan(window)
     for _ in range(policy.max_doublings):
         nxt = scan(2 * window)
