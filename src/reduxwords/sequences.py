@@ -501,7 +501,8 @@ def _reject_extras(entries: dict[str, str]) -> None:
 def load_sequence_spec(path: str, max_prefix: int | None = None) -> SequenceHandle:
     """Read a spec file from disk; see :func:`parse_sequence_spec` for the format."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark some editors write before the first key
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc

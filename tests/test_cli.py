@@ -1,11 +1,16 @@
 """CLI behavior: formats, byte-exact outputs, exit codes, policy flags."""
 
+import io
 import json
 import re
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reduxwords as rw
 from reduxwords import cli, theorems
@@ -26,6 +31,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_same_text(got, want, label):
+    """Fail at the first character where ``got`` and ``want`` differ.
+
+    pytest's own diff of two megabyte strings takes minutes.
+    """
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"{label} differs at {at}: {got[near]!r} != {want[near]!r}")
 
 
 class TestGen:
@@ -73,16 +89,18 @@ class TestGen:
         assert run(capsys, "gen", "tm", "--count", "-1") == (2, "", "error: --count must be >= 0, got -1\n")
 
 
+    # (99_990, 70_000) crosses a change of decimal width (99,999 to 100,000)
+    # and the writer's slice boundaries
+    @pytest.mark.parametrize("start, count", [(1000, 300), (99_990, 70_000)])
     @pytest.mark.parametrize("seq, rule", [("tm", rw.thue_morse_at), ("pf", rw.paperfolding_at)])
-    def test_byte_identical_formats_past_the_start(self, capsys, seq, rule):
-        start, count = 1000, 300
-        ns = range(start, start + count)
+    def test_byte_identical_formats_past_the_start(self, capsys, seq, rule, start, count):
+        rows = [(n, rule(n)) for n in range(start, start + count)]
         expected = {
-            "raw": "".join(str(rule(n)) for n in ns) + "\n",
-            "bfile": "".join(f"{n} {rule(n)}\n" for n in ns),
-            "csv": "n,value\n" + "".join(f"{n},{rule(n)}\n" for n in ns),
+            "raw": "".join(str(value) for _, value in rows) + "\n",
+            "bfile": "".join(f"{n} {value}\n" for n, value in rows),
+            "csv": "n,value\n" + "".join(f"{n},{value}\n" for n, value in rows),
             "json": json.dumps(
-                [{"n": n, "value": rule(n), "sequence": seq, "kind": "symbols"} for n in ns],
+                [{"n": n, "value": value, "sequence": seq, "kind": "symbols"} for n, value in rows],
                 indent=2,
             ) + "\n",
         }
@@ -90,7 +108,7 @@ class TestGen:
             code, out, _ = run(capsys, "gen", seq, "--start", str(start), "--count", str(count),
                                "--format", fmt)
             assert code == 0
-            assert out == text
+            assert_same_text(out, text, fmt)
 
     def test_eleven_letters_raw_is_space_separated(self, capsys, tmp_path):
         path = tmp_path / "eleven.conf"
@@ -103,9 +121,28 @@ class TestGen:
         code, out, _ = run(capsys, "gen", str(path), "--start", "5", "--count", "150")
         assert code == 0
         assert out == " ".join(str(s) for s in word[4:154]) + "\n"
-        code, out, _ = run(capsys, "gen", str(path), "--start", "5", "--count", "3",
-                           "--format", "bfile")
-        assert out == "".join(f"{n} {word[n - 1]}\n" for n in range(5, 8))
+        ns = range(5, 155)
+        expected = {
+            "bfile": "".join(f"{n} {word[n - 1]}\n" for n in ns),
+            "csv": "n,value\n" + "".join(f"{n},{word[n - 1]}\n" for n in ns),
+            "json": json.dumps(
+                [{"n": n, "value": word[n - 1], "sequence": "eleven", "kind": "symbols"} for n in ns],
+                indent=2,
+            ) + "\n",
+        }
+        for fmt, text in expected.items():
+            code, out, _ = run(capsys, "gen", str(path), "--start", "5", "--count", "150",
+                               "--format", fmt)
+            assert code == 0
+            assert out == text
+
+    def test_spec_with_byte_order_mark(self, capsys, tmp_path):
+        spec = ROOT / "tests" / "data" / "toeplitz3.spec"
+        path = tmp_path / spec.name
+        path.write_bytes(b"\xef\xbb\xbf" + spec.read_bytes())
+        expected = run(capsys, "gen", str(spec), "--count", "100", "--format", "json")
+        assert expected[0] == 0
+        assert run(capsys, "gen", str(path), "--count", "100", "--format", "json") == expected
 
     @pytest.mark.parametrize("argv", [
         ("gen", "bad", "--count", "100"),
@@ -121,6 +158,45 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert f"symbol {bad} at n=70 is outside the alphabet 0..1" in err
+
+
+def per_row_reference(columns, header, fmt, metadata):
+    """The text of one ``str.format`` per csv/bfile row, or of ``json.dumps`` of the json records."""
+    fields = header.split(",")
+    rows = list(zip(*columns))
+    if fmt == "json":
+        return json.dumps([dict(zip(fields, row), **metadata) for row in rows], indent=2) + "\n"
+    line = ("," if fmt == "csv" else " ").join("{}" for _ in fields) + "\n"
+    text = "".join(line.format(*row) for row in rows)
+    return header + "\n" + text if fmt == "csv" else text
+
+
+class TestRowWriter:
+    @settings(max_examples=30, deadline=None)
+    # at least one draw spans several slices in every run
+    @example(column_count=3, rows=70_000, seed=0, top=2**40, name="\u00e9", window=4096)
+    @given(
+        column_count=st.integers(1, 3),
+        rows=st.integers(1, 70_000),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.sampled_from([11, 101, 2**20, 2**40]),
+        name=st.text(max_size=6),
+        window=st.integers(0, 2**40),
+    )
+    def test_matches_per_row_reference(self, column_count, rows, seed, top, name, window):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, top, size=(column_count, rows), dtype=np.int64)
+        # about a third of the values sit at a change of decimal width
+        edges = rng.random(size=values.shape) < 0.3
+        values[edges] = rng.choice([0, 9, 10, 99, 100], size=int(edges.sum()))
+        columns = [column.tolist() for column in values]
+        header = ",".join(("n", "min", "max")[:column_count])
+        metadata = {"sequence": "Thue\u2013Morse " + name, "kind": "red", "certified_window": window}
+        for fmt in ("csv", "bfile", "json"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                cli._emit_rows(columns, header, fmt, metadata)
+            assert_same_text(out.getvalue(), per_row_reference(columns, header, fmt, metadata), fmt)
 
 
 class TestComplexity:
