@@ -55,6 +55,8 @@ KIND_ENGINES = {
     "abred": reduced_abelian_complexity,
 }
 
+CONJECTURE_IDS = [cid for cid, c in CLAIMS.items() if c.kind == "conjecture"]
+
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLES = 1
 EXIT_USAGE = 2
@@ -200,28 +202,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_complexity(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace, engine, header: str) -> int:
     handle = _resolve_sequence(args.sequence)
-    engine = KIND_ENGINES[args.kind]
     profile = engine(handle, args.n_max, _policy_from_args(args))
     metadata = {
         "sequence": handle.name,
         "kind": profile.kind,
         "certified_window": profile.certified_window,
     }
-    _emit_rows(list(zip(*profile.as_rows())), "n,value", args.format, metadata)
-    return EXIT_OK
-
-
-def _cmd_extremes(args: argparse.Namespace) -> int:
-    handle = _resolve_sequence(args.sequence)
-    table = alternation_extremes(handle, args.n_max, _policy_from_args(args))
-    metadata = {
-        "sequence": handle.name,
-        "kind": "alternation_extremes",
-        "certified_window": table.certified_window,
-    }
-    _emit_rows(list(zip(*table.as_rows())), "n,min,max", args.format, metadata)
+    _emit_rows(list(zip(*profile.as_rows())), header, args.format, metadata)
     return EXIT_OK
 
 
@@ -275,14 +264,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     policy = _policy_from_args(args)
-    conjecture_ids = [cid for cid, c in CLAIMS.items() if c.kind == "conjecture"]
     if args.claim == "all":
-        ids = conjecture_ids
-    elif args.claim in conjecture_ids:
+        ids = CONJECTURE_IDS
+    elif args.claim in CONJECTURE_IDS:
         ids = [args.claim]
     else:
         raise ConfigurationError(
-            f"{args.claim!r} is not a conjecture id; choices: {', '.join(conjecture_ids)}, all"
+            f"{args.claim!r} is not a conjecture id; choices: {', '.join(CONJECTURE_IDS)}, all"
         )
     return _run_claims(ids, args.n_max, policy, args.json)
 
@@ -340,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
     _add_policy_flags(p)
-    p.set_defaults(func=_cmd_complexity)
+    p.set_defaults(func=lambda args: _cmd_profile(args, KIND_ENGINES[args.kind], "n,value"))
 
     p = sub.add_parser("extremes", help="per-length min/max window alternation counts")
     p.add_argument("sequence", help="tm, pf, or a spec-file path")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_policy_flags(p)
-    p.set_defaults(func=_cmd_extremes)
+    p.set_defaults(func=lambda args: _cmd_profile(args, alternation_extremes, "n,min,max"))
 
     p = sub.add_parser("verify", help="check a registered claim against the engines")
     p.add_argument("claim", help=f"claim id or 'all'; ids: {', '.join(sorted(CLAIMS))}")
@@ -357,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="scan an open statement and report evidence")
-    p.add_argument("claim", help="conjecture id or 'all'")
+    p.add_argument("claim", help=f"conjecture id or 'all'; ids: {', '.join(CONJECTURE_IDS)}")
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--json", action="store_true")
     _add_policy_flags(p)

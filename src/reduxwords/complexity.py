@@ -8,13 +8,14 @@ of a long finite prefix, for every n up to ``n_max``. The class keys are
 * ``reduced_factor``: the window's run-length reduction,
 * ``reduced_abelian``: the symbol-count vector of the reduction.
 
-All four kinds, and the per-length alternation extremes, read one index,
-:class:`AlternationPrefix`, of a prefix of length L and the largest window
-N. It holds the starts that are a first occurrence for some n: those whose
-length-n window, for some n <= N that fits before the prefix end, occurs
-nowhere earlier. Every distinct length-n window has its first occurrence
-among them, so the counts are exactly those of a scan over all L-n+1
-starts.
+The alternation extremes are a profile too, whose value at n is the pair
+(least, greatest) of the alternation counts of the length-n windows. All
+five read one index, :class:`AlternationPrefix`, of a prefix of length L
+and the largest window N. It holds the starts that are a first occurrence
+for some n: those whose length-n window, for some n <= N that fits before
+the prefix end, occurs nowhere earlier. Every distinct length-n window has
+its first occurrence among them, so the counts are exactly those of a scan
+over all L-n+1 starts.
 
 Windows are named exactly, without hashing, by prefix doubling (Karp,
 Miller and Rosenberg): windows of length 2k get names from the pair of
@@ -99,40 +100,30 @@ class WindowPolicy:
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Counts per window length, with the window that certified them."""
+    """Values per window length, with the window that certified them: counts,
+    or for ``alternation_extremes`` the (least, greatest) alternation counts."""
 
     kind: str
     sequence: str
-    values: Counts
+    values: dict
     certified_window: int
 
-    def value(self, n: int) -> int:
+    def value(self, n: int):
         return self.values[n]
 
-    def as_rows(self) -> list[tuple[int, int]]:
-        return sorted(self.values.items())
+    def as_rows(self) -> list[tuple[int, ...]]:
+        """``(n, value)``, or ``(n, min, max)`` for a pair, in order of n."""
+        return [(n, *v) if isinstance(v, tuple) else (n, v) for n, v in sorted(self.values.items())]
 
 
-@dataclass(frozen=True)
-class ExtremesTable:
-    """Min and max window alternation counts per length."""
-
-    sequence: str
-    minima: Counts
-    maxima: Counts
-    certified_window: int
-
-    def as_rows(self) -> list[tuple[int, int, int]]:
-        return [(n, self.minima[n], self.maxima[n]) for n in sorted(self.minima)]
-
-
-def reduced_complexity_from_extremes(table: ExtremesTable, n: int) -> int:
-    """Reduced factor count predicted from window alternation extremes.
+def reduced_complexity_from_extremes(table: ComplexityProfile, n: int) -> int:
+    """Reduced factor count predicted from the window alternation extremes at n.
 
     Valid for sequences whose length-n windows realize every alternation
     count between the minimum and the maximum, with both starting symbols.
     """
-    return 2 * (table.maxima[n] - table.minima[n] + 1)
+    least, greatest = table.values[n]
+    return 2 * (greatest - least + 1)
 
 
 def _doubling_names(arr, alphabet_size: int, n_max: int):
@@ -504,23 +495,16 @@ def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
     return _by_length(index, _parikh_measure(index, reduced=True))
 
 
-def extremes_counts(index: AlternationPrefix) -> tuple[Counts, Counts]:
-    """Least and greatest alternation count of the windows of each length 1..n_max."""
+def extremes_counts(index: AlternationPrefix) -> dict[int, tuple[int, int]]:
+    """(least, greatest) alternation count of the windows of each length 1..n_max."""
 
     def summary(d: np.ndarray) -> list[tuple[int, int]]:
         return list(zip(d.min(axis=1).tolist(), d.max(axis=1).tolist()))
 
-    pairs = _alternation_table(index, lambda a, first: a, summary)
-    return {n: lo for n, (lo, _) in pairs.items()}, {n: hi for n, (_, hi) in pairs.items()}
+    return _alternation_table(index, lambda a, first: a, summary)
 
 
 # -- certification driver ------------------------------------------------------
-
-def _first_difference(a, b) -> int:
-    """Least n at which two results differ; a result is a Counts or a tuple of them."""
-    parts = zip(a, b) if isinstance(a, tuple) else [(a, b)]
-    return min(n for x, y in parts for n in x if x[n] != y[n])
-
 
 def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy, table: Callable):
     """Double the window until the values on it equal those on twice it.
@@ -565,7 +549,7 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
         f"(n_max={n_max}, {policy.max_doublings} doublings)",
         partial_values=values,
         window=window,
-        first_unstable_n=_first_difference(values, inside),
+        first_unstable_n=min(n for n in values if values[n] != inside[n]),
     )
 
 
@@ -607,10 +591,6 @@ def reduced_abelian_complexity(
 
 def alternation_extremes(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
-) -> ExtremesTable:
-    """Least and greatest alternation count over windows of each length."""
-    if n_max < 1:
-        raise ConfigurationError("n_max must be >= 1")
-    policy = policy or WindowPolicy()
-    (minima, maxima), window = _scan_until_stable(handle, n_max, policy, extremes_counts)
-    return ExtremesTable(sequence=handle.name, minima=minima, maxima=maxima, certified_window=window)
+) -> ComplexityProfile:
+    """(least, greatest) alternation count over windows of each length 1..n_max."""
+    return _profile(handle, n_max, policy, "alternation_extremes", extremes_counts)

@@ -24,9 +24,10 @@ class CapacityError(ReduxwordsError, RuntimeError):
 class StabilizationError(ReduxwordsError, RuntimeError):
     """Counts failed to stabilize within the allowed window doublings.
 
-    Carries the last (uncertified) counts so callers can surface partial
-    results instead of silently truncating, and ``first_unstable_n``, the
-    least window length whose counts differed between the last two windows.
+    Carries the last (uncertified) profile values, keyed by window length,
+    so callers can surface partial results instead of silently truncating,
+    and ``first_unstable_n``, the least window length whose values differed
+    between the last two windows.
     """
 
     def __init__(

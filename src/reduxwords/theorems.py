@@ -6,12 +6,12 @@ form and residue filter, and one runner compares it with the brute-force
 engines in :mod:`reduxwords.complexity`; the lemmas with a structural
 check and the conjecture scanners are their own runners, called as
 ``runner(n_max, policy, profiles)``. :func:`verify` runs one row. Its
-``profiles`` dict is a store for one run: every profile and extremes table
-a claim reads comes from it, keyed by (sequence, kind, n, policy), so
-claims that read the same data share one computation. Every claim that
-compares predicted with observed values per length collects its
-counterexamples by one rule, :func:`_mismatches`. Conjectures are only
-ever scanned, and their reports are evidence, never assertions.
+``profiles`` dict is a store for one run: every profile a claim reads, the
+alternation extremes included, comes from it, keyed by (sequence, kind, n,
+policy), so claims that read the same data share one computation. Every
+claim that compares predicted with observed values per length collects
+its counterexamples by one rule, :func:`_mismatches`. Conjectures are
+only ever scanned, and their reports are evidence, never assertions.
 
 Closed forms are memoized pure functions with explicit base-case tables.
 Declared small-case exceptions are raised as :class:`SmallCaseException`
@@ -30,7 +30,6 @@ import numpy as np
 
 from .complexity import (
     ComplexityProfile,
-    ExtremesTable,
     WindowPolicy,
     alternation_extremes,
     factor_complexity,
@@ -184,7 +183,7 @@ def pf_reduced_abelian_count(n: int) -> int:
 def _stored(
     profiles: dict | None, sequence: str, kind: str, n: int, policy: WindowPolicy | None
 ):
-    """The ``kind`` profile (or extremes table) of a builtin sequence at exactly ``n``.
+    """The ``kind`` profile of a builtin sequence at exactly ``n``.
 
     ``profiles`` is a store that lasts one run, keyed by (sequence, kind, n,
     policy) with ``policy=None`` read as ``WindowPolicy()``; each key is
@@ -276,39 +275,44 @@ def check_mu_alternation(max_len: int = 12) -> VerificationReport:
     return _report("mu_alternation", 1, max_len, counterexamples, details={"words_checked": checked})
 
 
+def _check_extremes_lemma(claim_id, n_lo, n_max, needed, policy, profiles, table, identities):
+    """Check a tm extremes lemma for n_lo <= n <= n_max on the table up to ``needed``,
+    ``table`` or else the one in ``profiles``. ``identities(m, big, n)`` are its
+    named identities (name, lhs, rhs) over the minima m and the maxima big."""
+    if n_max < n_lo:
+        raise ConfigurationError(f"n_max must be >= {n_lo}")
+    if table is None:
+        table = _stored(profiles, "tm", "extremes", needed, policy)
+    elif max(table.values) < needed:
+        raise ConfigurationError(f"supplied extremes table stops at {max(table.values)}, need {needed}")
+    m = {n: least for n, (least, _) in table.values.items()}
+    big = {n: greatest for n, (_, greatest) in table.values.items()}
+    counterexamples = _mismatches(
+        (n, name, rhs, lhs) for n in range(n_lo, n_max + 1) for name, lhs, rhs in identities(m, big, n)
+    )
+    return _report(
+        claim_id, n_lo, n_max, counterexamples,
+        details={"certified_window": table.certified_window},
+    )
+
+
 def check_extremes_halving(
     n_max: int = 512,
     policy: WindowPolicy | None = None,
     profiles: dict | None = None,
     *,
-    table: ExtremesTable | None = None,
+    table: ComplexityProfile | None = None,
 ) -> VerificationReport:
-    """Check the four identities relating extremes at 2n and 2n+1 to n and n+1.
-
-    The tm extremes table up to 2 n_max + 1 is ``table`` when one is
-    supplied, and otherwise the one stored in ``profiles``.
-    """
-    if n_max < 2:
-        raise ConfigurationError("n_max must be >= 2")
-    needed = 2 * n_max + 1
-    if table is None:
-        table = _stored(profiles, "tm", "extremes", needed, policy)
-    elif max(table.minima) < needed:
-        raise ConfigurationError(f"supplied extremes table stops at {max(table.minima)}, need {needed}")
-    m, big = table.minima, table.maxima
-    counterexamples = _mismatches(
-        (n, name, rhs, lhs)
-        for n in range(2, n_max + 1)
-        for name, lhs, rhs in (
+    """Check the four identities relating extremes at 2n and 2n+1 to n and n+1, on the
+    tm extremes table up to 2 n_max + 1: ``table``, or else the one in ``profiles``."""
+    return _check_extremes_lemma(
+        "tm_max_min", 2, n_max, 2 * n_max + 1, policy, profiles, table,
+        lambda m, big, n: (
             ("min_at_2n", m[2 * n], 2 * n - 1 - big[n + 1]),
             ("max_at_2n", big[2 * n], 2 * n - 1 - m[n]),
             ("min_at_2n+1", m[2 * n + 1], 2 * n - big[n + 1]),
             ("max_at_2n+1", big[2 * n + 1], 2 * n - m[n + 1]),
-        )
-    )
-    return _report(
-        "tm_max_min", 2, n_max, counterexamples,
-        details={"certified_window": table.certified_window},
+        ),
     )
 
 
@@ -317,34 +321,18 @@ def check_extremes_mod4(
     policy: WindowPolicy | None = None,
     profiles: dict | None = None,
     *,
-    table: ExtremesTable | None = None,
+    table: ComplexityProfile | None = None,
 ) -> VerificationReport:
-    """Check the four identities relating extremes at 4n and 4n+2 to n+1.
-
-    The tm extremes table up to 4 n_max + 2 is ``table`` when one is
-    supplied, and otherwise the one stored in ``profiles``.
-    """
-    if n_max < 1:
-        raise ConfigurationError("n_max must be >= 1")
-    needed = 4 * n_max + 2
-    if table is None:
-        table = _stored(profiles, "tm", "extremes", needed, policy)
-    elif max(table.minima) < needed:
-        raise ConfigurationError(f"supplied extremes table stops at {max(table.minima)}, need {needed}")
-    m, big = table.minima, table.maxima
-    counterexamples = _mismatches(
-        (n, name, rhs, lhs)
-        for n in range(1, n_max + 1)
-        for name, lhs, rhs in (
+    """Check the four identities relating extremes at 4n and 4n+2 to n+1, on the
+    tm extremes table up to 4 n_max + 2: ``table``, or else the one in ``profiles``."""
+    return _check_extremes_lemma(
+        "tm_mod4", 1, n_max, 4 * n_max + 2, policy, profiles, table,
+        lambda m, big, n: (
             ("min_at_4n", m[4 * n], 2 * n - 1 + m[n + 1]),
             ("max_at_4n", big[4 * n], 2 * n + big[n + 1]),
             ("min_at_4n+2", m[4 * n + 2], 2 * n + m[n + 1]),
             ("max_at_4n+2", big[4 * n + 2], 2 * n + 1 + big[n + 1]),
-        )
-    )
-    return _report(
-        "tm_mod4", 1, n_max, counterexamples,
-        details={"certified_window": table.certified_window},
+        ),
     )
 
 

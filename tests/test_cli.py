@@ -260,6 +260,27 @@ class TestExtremes:
         assert code == 0
         assert out == "n,min,max\n1,0,0\n2,0,1\n3,1,2\n4,1,3\n"
 
+    def test_stabilization_failure_exit_3(self, capsys):
+        # the partial values are keyed by n, as every profile's are, each a (min, max) pair
+        code, out, err = run(
+            capsys, "extremes", "tm", "--n-max", "4", "--window-multiplier", "1", "--max-doublings", "1",
+        )
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "stabilization-failure"
+        assert (payload["window"], payload["first_unstable_n"]) == (8, 3)
+        assert payload["partial_values"] == {"1": [0, 0], "2": [0, 1], "3": [1, 2], "4": [2, 3]}
+        # a claim that reads the extremes fails the same way, at the table length it reads
+        code, out, err = run(
+            capsys, "verify", "tm_mod4", "--n-max", "8", "--window-multiplier", "1", "--max-doublings", "1",
+        )
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert (payload["window"], payload["first_unstable_n"]) == (68, 14)
+        # the values at the last window, 68 symbols, for n up to 4 * 8 + 2
+        expected = oracle_extremes(rw.thue_morse().prefix_symbols(68).tolist(), range(1, 35))
+        assert payload["partial_values"] == {str(n): list(pair) for n, pair in expected.items()}
+
 
 class TestVerify:
     def test_pass_exit_zero(self, capsys):
@@ -410,8 +431,8 @@ class TestSpecFileIntegration:
         code, out, err = run(capsys, "extremes", str(path), "--n-max", "6", "--format", "json")
         assert code == 0, err
         records = json.loads(out)
-        minima, maxima = oracle_extremes(handle.prefix_symbols(records[0]["certified_window"]), ns)
-        assert [(r["min"], r["max"]) for r in records] == [(minima[n], maxima[n]) for n in ns]
+        extremes = oracle_extremes(handle.prefix_symbols(records[0]["certified_window"]), ns)
+        assert [(r["min"], r["max"]) for r in records] == [extremes[n] for n in ns]
 
     def test_bad_spec_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.conf"

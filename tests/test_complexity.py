@@ -320,11 +320,13 @@ class TestProfileInvariants:
 
     def test_extremes_table_bounds_and_monotonicity(self, tm_handle):
         table = rw.alternation_extremes(tm_handle, 64)
+        assert table.kind == "alternation_extremes"
         for n in range(1, 65):
-            assert 0 <= table.minima[n] <= table.maxima[n] <= n - 1
+            least, greatest = table.values[n]
+            assert 0 <= least <= greatest <= n - 1
         for n in range(1, 64):
-            assert table.minima[n] <= table.minima[n + 1]
-            assert table.maxima[n] <= table.maxima[n + 1]
+            assert table.values[n][0] <= table.values[n + 1][0]
+            assert table.values[n][1] <= table.values[n + 1][1]
 
     def test_bridge_small(self, tm_handle):
         table = rw.alternation_extremes(tm_handle, 64)
@@ -392,8 +394,7 @@ class TestWindowPolicy:
             )
             if certified:
                 result = engine(handle, n_max, policy)
-                got = (result.minima, result.maxima) if kind == "extremes" else result.values
-                assert got == values, kind
+                assert result.values == values, kind
                 assert result.certified_window == window, kind
             else:
                 with pytest.raises(StabilizationError) as excinfo:
@@ -432,8 +433,7 @@ class TestWindowPolicy:
             )
             if certified:
                 result = PROFILE_ENGINES[kind](handle, 8, policy)
-                got = (result.minima, result.maxima) if kind == "extremes" else result.values
-                assert (got, result.certified_window) == (values, window)
+                assert (result.values, result.certified_window) == (values, window)
                 last = 2 * window
             else:
                 with pytest.raises(StabilizationError) as excinfo:
@@ -493,6 +493,6 @@ class TestNonBinaryEndToEnd:
             handle.prefix_symbols(abred.certified_window), "reduced_abelian", range(1, 13)
         )
         table = rw.alternation_extremes(handle, 12)
-        assert (table.minima, table.maxima) == oracle_extremes(
+        assert table.values == oracle_extremes(
             handle.prefix_symbols(table.certified_window), range(1, 13)
         )

@@ -241,9 +241,10 @@ class TestStructuralLemmas:
         assert rw.verify("tm_red", 64).details["bridge_status"] == "pass"
         # a wrong extremes table fails the bridge and leaves the recursion passing
         table = rw.alternation_extremes(tm_handle, 64)
-        maxima = dict(table.maxima)
-        maxima[20] += 1
-        wrong = dataclasses.replace(table, maxima=maxima)
+        values = dict(table.values)
+        least, greatest = values[20]
+        values[20] = (least, greatest + 1)
+        wrong = dataclasses.replace(table, values=values)
         report = rw.verify("tm_red", 64, profiles=store_with("tm", "extremes", 64, wrong))
         assert report.status == "fail"
         assert report.details["recursion_status"] == "pass"
@@ -344,8 +345,10 @@ def mod4_identities(m, big, n):
 def identity_counterexamples(table, ns, identities):
     """(n, (name, rhs), (name, lhs)) for each identity lhs = rhs that fails, by n then name."""
     out = []
+    m = {n: least for n, (least, _) in table.values.items()}
+    big = {n: greatest for n, (_, greatest) in table.values.items()}
     for n in ns:
-        for name, lhs, rhs in identities(table.minima, table.maxima, n):
+        for name, lhs, rhs in identities(m, big, n):
             if lhs != rhs:
                 out.append((n, (name, rhs), (name, lhs)))
     return out
@@ -365,13 +368,15 @@ class TestCounterexampleShapes:
     @pytest.fixture(scope="class")
     def wrong_table(self):
         table = rw.alternation_extremes(rw.thue_morse(), 4 * 24 + 2)
-        minima, maxima = dict(table.minima), dict(table.maxima)
+        values = dict(table.values)
         # 9 and 13 sit on the right-hand sides, 20, 33, 41, 66 and 98 on the left
         for n, delta in ((9, -1), (20, 1), (33, -1), (98, 2)):
-            minima[n] += delta
+            least, greatest = values[n]
+            values[n] = (least + delta, greatest)
         for n, delta in ((13, 1), (41, 2), (66, -1)):
-            maxima[n] += delta
-        return dataclasses.replace(table, minima=minima, maxima=maxima)
+            least, greatest = values[n]
+            values[n] = (least, greatest + delta)
+        return dataclasses.replace(table, values=values)
 
     def test_halving_with_a_wrong_table(self, wrong_table):
         expected = identity_counterexamples(wrong_table, range(2, 25), halving_identities)

@@ -38,12 +38,12 @@ def oracle_counts(symbols, kind, n_values):
 
 
 def oracle_extremes(symbols, n_values):
-    """(minima, maxima): least and greatest alternation count of the length-n windows."""
-    minima, maxima = {}, {}
+    """{n: (min, max)}: least and greatest alternation count of the length-n windows."""
+    extremes = {}
     for n in n_values:
         counts = [sum(a != b for a, b in zip(w, w[1:])) for w in windows(symbols, n)]
-        minima[n], maxima[n] = min(counts), max(counts)
-    return minima, maxima
+        extremes[n] = (min(counts), max(counts))
+    return extremes
 
 
 def two_scan_reference(handle, kind, n_max, policy):
@@ -64,9 +64,6 @@ def two_scan_reference(handle, kind, n_max, policy):
         symbols = handle.prefix_symbols(length).tolist()
         return oracle_extremes(symbols, ns) if kind == "extremes" else oracle_counts(symbols, kind, ns)
 
-    def at(values, n):
-        return tuple(part[n] for part in values) if kind == "extremes" else values[n]
-
     if policy.fixed_length is not None:
         return True, scan(policy.fixed_length), policy.fixed_length, None
     window = policy.initial_multiplier * n_max
@@ -75,6 +72,6 @@ def two_scan_reference(handle, kind, n_max, policy):
         nxt = scan(2 * window)
         if nxt == prev:
             return True, prev, window, None
-        differ = min(n for n in ns if at(prev, n) != at(nxt, n))
+        differ = min(n for n in ns if prev[n] != nxt[n])
         prev, window = nxt, 2 * window
     return False, prev, window, differ
