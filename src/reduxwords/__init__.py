@@ -29,16 +29,13 @@ from .errors import (
 from .sequences import (
     Morphism,
     SequenceHandle,
-    from_pointwise,
     load_sequence_spec,
     morphic_fixed_point,
     paperfolding,
     paperfolding_at,
-    paperfolding_toeplitz,
     parse_sequence_spec,
     thue_morse,
     thue_morse_at,
-    thue_morse_morphic,
     thue_morse_morphism,
 )
 from .theorems import (
@@ -94,13 +91,11 @@ __all__ = [
     "check_extremes_mod4",
     "check_mu_alternation",
     "factor_complexity",
-    "from_pointwise",
     "kernel_rank",
     "load_sequence_spec",
     "morphic_fixed_point",
     "paperfolding",
     "paperfolding_at",
-    "paperfolding_toeplitz",
     "parikh",
     "parse_sequence_spec",
     "pf_factor_count",
@@ -117,7 +112,6 @@ __all__ = [
     "scan_odd_halving",
     "thue_morse",
     "thue_morse_at",
-    "thue_morse_morphic",
     "thue_morse_morphism",
     "tm_factor_count",
     "tm_reduced_factor_count",

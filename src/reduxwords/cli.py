@@ -92,14 +92,6 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 # rows per slice: the writer holds one slice of digits and text at a time.
 # 2**13 runs faster, but when stdout is an in-memory buffer its many small
 # writes left the process peak 9 MiB higher in some heap layouts
@@ -222,9 +214,9 @@ def _report_to_json(report) -> dict:
         "n_lo": report.n_lo,
         "n_hi": report.n_hi,
         "status": report.status,
-        "counterexamples": _jsonable(report.counterexamples),
-        "declared_exceptions": _jsonable(report.declared_exceptions),
-        "details": _jsonable(report.details),
+        "counterexamples": report.counterexamples,
+        "declared_exceptions": report.declared_exceptions,
+        "details": report.details,
     }
 
 
@@ -379,7 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "message": str(exc),
             "window": exc.window,
             "first_unstable_n": exc.first_unstable_n,
-            "partial_values": _jsonable(exc.partial_values),
+            "partial_values": exc.partial_values,
         }
         sys.stderr.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_CERTIFICATION

@@ -429,7 +429,8 @@ def _parikh_measure(index: AlternationPrefix, reduced: bool) -> Callable:
     """
     starts = index.starts
     symbols_at = np.concatenate((index.arr, np.zeros(index.n_max, dtype=index.arr.dtype)))
-    vectors = np.zeros((len(starts), index.alphabet_size), dtype=np.int32)
+    # sized by the symbols present: a declared but absent symbol counts 0 in every row
+    vectors = np.zeros((len(starts), int(index.arr.max()) + 1), dtype=np.int32)
     # a window's count of symbol 0 is n minus the others, so it adds
     # nothing to the key; a reduction's length varies, so it does there
     columns = slice(0 if reduced else 1, None)

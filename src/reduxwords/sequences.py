@@ -14,8 +14,8 @@ hands out are never copied and never change.
 
 Three constructions are provided:
 
-* direct arithmetic rules (the production generators for the two builtin
-  sequences ``tm`` and ``pf``, evaluated on whole blocks of indices),
+* direct arithmetic rules (the generators of the two builtin sequences
+  ``tm`` and ``pf``, evaluated on whole blocks of indices),
 * fixed points of prolongable morphisms,
 * iterated gap-filling with an eventually periodic filler (the Toeplitz
   construction; each pass writes the filler, restarted from its beginning,
@@ -23,10 +23,12 @@ Three constructions are provided:
   valuation k, so symbol n is the filler's entry n >> (k + 1), and the
   handle evaluates that rule on blocks of indices like the builtins.
 
-The builtin sequences each come with a second, independent construction so
-the two can be cross-checked against one another. Arbitrary eventually
-periodic Toeplitz fillers are supported as an extension beyond the
-alternating 0/1 filler the builtin sequence needs.
+Each builtin sequence has a second, independent construction written as a
+spec file (``tests/data/tm_morphic.spec``: the fixed point of 0->01,
+1->10; ``tests/data/pf_toeplitz.spec``: the Toeplitz word with filler 01),
+and the tests cross-check the two. Arbitrary eventually periodic Toeplitz
+fillers are supported as an extension beyond the alternating 0/1 filler
+the paperfolding sequence needs.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class SequenceHandle:
 
     ``extender(buf, target)`` gets the current read-only prefix and returns
     the symbols at 1-based indices ``len(buf)+1 .. target`` as one block.
+    The prefix is capped at ``max_prefix`` symbols, by default at
+    ``REDUXWORDS_MAX_PREFIX`` (2**26 when unset), read when the handle is made.
     """
 
     def __init__(
@@ -156,25 +160,8 @@ class SequenceHandle:
         return f"SequenceHandle({self.name!r}, alphabet_size={self.alphabet_size})"
 
 
-def from_pointwise(
-    rule: Callable[[int], int],
-    alphabet_size: int,
-    name: str,
-    max_prefix: int | None = None,
-) -> SequenceHandle:
-    """Handle for a sequence given by a direct rule ``n -> symbol`` (n >= 1)."""
-
-    def extend(buf: np.ndarray, target: int) -> list[int]:
-        return [rule(n) for n in range(len(buf) + 1, target + 1)]
-
-    return SequenceHandle(name, alphabet_size, extend, max_prefix=max_prefix)
-
-
 def _from_block_rule(
-    rule: Callable[[np.ndarray], np.ndarray],
-    alphabet_size: int,
-    name: str,
-    max_prefix: int | None = None,
+    rule: Callable[[np.ndarray], np.ndarray], alphabet_size: int, name: str
 ) -> SequenceHandle:
     """Handle for a rule evaluated on an int64 array of 1-based indices."""
 
@@ -184,7 +171,7 @@ def _from_block_rule(
             rule(np.arange(lo, min(lo + _BLOCK_CHUNK, target + 1), dtype=np.int64)) for lo in starts
         ])
 
-    return SequenceHandle(name, alphabet_size, extend, max_prefix=max_prefix)
+    return SequenceHandle(name, alphabet_size, extend)
 
 
 # -- builtin arithmetic rules -------------------------------------------------
@@ -220,12 +207,12 @@ def paperfolding_block(n: np.ndarray) -> np.ndarray:
     return ((n & ((n & -n) << 1)) != 0).astype(np.uint8)
 
 
-def thue_morse(max_prefix: int | None = None) -> SequenceHandle:
-    return _from_block_rule(thue_morse_block, 2, "tm", max_prefix=max_prefix)
+def thue_morse() -> SequenceHandle:
+    return _from_block_rule(thue_morse_block, 2, "tm")
 
 
-def paperfolding(max_prefix: int | None = None) -> SequenceHandle:
-    return _from_block_rule(paperfolding_block, 2, "pf", max_prefix=max_prefix)
+def paperfolding() -> SequenceHandle:
+    return _from_block_rule(paperfolding_block, 2, "pf")
 
 
 # -- morphic fixed points -----------------------------------------------------
@@ -266,12 +253,7 @@ def thue_morse_morphism() -> Morphism:
     return Morphism({0: (0, 1), 1: (1, 0)}, 2)
 
 
-def morphic_fixed_point(
-    m: Morphism,
-    seed: Symbol,
-    name: str | None = None,
-    max_prefix: int | None = None,
-) -> SequenceHandle:
+def morphic_fixed_point(m: Morphism, seed: Symbol, name: str | None = None) -> SequenceHandle:
     """Handle for the fixed point obtained by iterating ``m`` on ``seed``.
 
     Requires the morphism to be prolongable at the seed (the seed's image
@@ -311,12 +293,7 @@ def morphic_fixed_point(
 
     if name is None:
         name = f"morphic(seed={seed})"
-    return SequenceHandle(name, m.alphabet_size, extend, max_prefix=max_prefix)
-
-
-def thue_morse_morphic(max_prefix: int | None = None) -> SequenceHandle:
-    """Independent construction of tm, for cross-checking the arithmetic rule."""
-    return morphic_fixed_point(thue_morse_morphism(), 0, name="tm-morphic", max_prefix=max_prefix)
+    return SequenceHandle(name, m.alphabet_size, extend)
 
 
 # -- Toeplitz construction ----------------------------------------------------
@@ -349,11 +326,7 @@ class ToeplitzSpec:
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
 
-def toeplitz(
-    spec: ToeplitzSpec,
-    name: str = "toeplitz",
-    max_prefix: int | None = None,
-) -> SequenceHandle:
+def toeplitz(spec: ToeplitzSpec, name: str = "toeplitz") -> SequenceHandle:
     """Handle for the limit of the iterated gap-filling passes.
 
     Pass k (from 0) fills the positions n with 2-adic valuation k, and n is
@@ -366,21 +339,12 @@ def toeplitz(
         j = n // (2 * (n & -n))
         return filler[np.where(j < head, j, head + (j - head) % cycle)]
 
-    return _from_block_rule(rule, spec.alphabet_size, name, max_prefix=max_prefix)
-
-
-def paperfolding_toeplitz_spec() -> ToeplitzSpec:
-    return ToeplitzSpec(period=(0, 1), alphabet_size=2)
-
-
-def paperfolding_toeplitz(max_prefix: int | None = None) -> SequenceHandle:
-    """Independent construction of pf, for cross-checking the arithmetic rule."""
-    return toeplitz(paperfolding_toeplitz_spec(), name="pf-toeplitz", max_prefix=max_prefix)
+    return _from_block_rule(rule, spec.alphabet_size, name)
 
 
 # -- sequence spec files ------------------------------------------------------
 
-BUILTIN_SEQUENCES: dict[str, Callable[..., SequenceHandle]] = {
+BUILTIN_SEQUENCES: dict[str, Callable[[], SequenceHandle]] = {
     "tm": thue_morse,
     "pf": paperfolding,
 }
@@ -400,7 +364,7 @@ def _parse_symbol_string(raw: str, key: str) -> tuple[Symbol, ...]:
         ) from exc
 
 
-def parse_sequence_spec(text: str, name: str = "spec", max_prefix: int | None = None) -> SequenceHandle:
+def parse_sequence_spec(text: str, name: str = "spec") -> SequenceHandle:
     """Build a handle from the key/value spec format.
 
     Lines are ``key = value``; blank lines and ``#`` comments are ignored.
@@ -448,7 +412,7 @@ def parse_sequence_spec(text: str, name: str = "spec", max_prefix: int | None = 
                 f"builtin name must be one of {sorted(BUILTIN_SEQUENCES)}, got {builtin!r}"
             )
         _reject_extras(entries)
-        return BUILTIN_SEQUENCES[builtin](max_prefix=max_prefix)
+        return BUILTIN_SEQUENCES[builtin]()
 
     if kind == "morphic":
         alphabet_size = take_int("alphabet_size")
@@ -465,7 +429,7 @@ def parse_sequence_spec(text: str, name: str = "spec", max_prefix: int | None = 
         _reject_extras(entries)
         try:
             morphism = Morphism(images, alphabet_size)
-            return morphic_fixed_point(morphism, seed, name=name, max_prefix=max_prefix)
+            return morphic_fixed_point(morphism, seed, name=name)
         except ConfigurationError as exc:
             raise SpecFileError(str(exc)) from exc
 
@@ -478,7 +442,7 @@ def parse_sequence_spec(text: str, name: str = "spec", max_prefix: int | None = 
             spec = ToeplitzSpec(period=period, preperiod=preperiod, alphabet_size=alphabet_size)
         except ConfigurationError as exc:
             raise SpecFileError(str(exc)) from exc
-        return toeplitz(spec, name=name, max_prefix=max_prefix)
+        return toeplitz(spec, name=name)
 
     raise SpecFileError(f"unknown kind {kind!r} (expected builtin, morphic, or toeplitz)")
 
@@ -498,7 +462,7 @@ def _reject_extras(entries: dict[str, str]) -> None:
         raise SpecFileError(f"unrecognized keys: {sorted(entries)}")
 
 
-def load_sequence_spec(path: str, max_prefix: int | None = None) -> SequenceHandle:
+def load_sequence_spec(path: str) -> SequenceHandle:
     """Read a spec file from disk; see :func:`parse_sequence_spec` for the format."""
     try:
         # utf-8-sig drops the byte-order mark some editors write before the first key
@@ -507,4 +471,4 @@ def load_sequence_spec(path: str, max_prefix: int | None = None) -> SequenceHand
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read spec file {path!r}: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse_sequence_spec(text, name=name, max_prefix=max_prefix)
+    return parse_sequence_spec(text, name=name)

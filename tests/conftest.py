@@ -7,6 +7,8 @@ lengths before being frozen here; tests must never recompute them from the
 code under test.
 """
 
+from pathlib import Path
+
 import pytest
 
 import reduxwords as rw
@@ -33,6 +35,18 @@ ALL_CLAIM_IDS = {
 
 def profile_values(profile, n_hi):
     return [profile.values[n] for n in range(1, n_hi + 1)]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def pointwise_handle(rule, alphabet_size, name, max_prefix=None):
+    """Handle for a scalar rule ``n -> symbol`` (n >= 1), called once per symbol."""
+
+    def extend(buf, target):
+        return [rule(n) for n in range(len(buf) + 1, target + 1)]
+
+    return rw.SequenceHandle(name, alphabet_size, extend, max_prefix=max_prefix)
 
 
 def all_binary_words(max_len):

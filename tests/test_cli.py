@@ -1,5 +1,6 @@
 """CLI behavior: formats, byte-exact outputs, exit codes, policy flags."""
 
+import ast
 import io
 import json
 import re
@@ -17,7 +18,7 @@ from reduxwords import cli, theorems
 from reduxwords.cli import main
 from reduxwords.theorems import CLAIMS, Claim, VerificationReport
 
-from conftest import PF_PREFIX_55, RHO_ABRED_F_22, RHO_RED_T_23, TM_PREFIX_54
+from conftest import PF_PREFIX_55, RHO_ABRED_F_22, RHO_RED_T_23, TM_PREFIX_54, pointwise_handle
 from window_oracle import oracle_counts, oracle_extremes
 
 
@@ -150,8 +151,8 @@ class TestGen:
     ])
     @pytest.mark.parametrize("bad", [300, -1, 2])
     def test_rule_leaving_the_alphabet_exit_2(self, capsys, monkeypatch, argv, bad):
-        def handle(max_prefix=None):
-            return rw.from_pointwise(lambda n: bad if n == 70 else n % 2, 2, "bad", max_prefix)
+        def handle():
+            return pointwise_handle(lambda n: bad if n == 70 else n % 2, 2, "bad")
 
         monkeypatch.setitem(rw.sequences.BUILTIN_SEQUENCES, "bad", handle)
         code, out, err = run(capsys, *argv)
@@ -434,6 +435,19 @@ class TestSpecFileIntegration:
         extremes = oracle_extremes(handle.prefix_symbols(records[0]["certified_window"]), ns)
         assert [(r["min"], r["max"]) for r in records] == [extremes[n] for n in ns]
 
+    @pytest.mark.parametrize("kind", ["abelian", "abred"])
+    def test_declared_alphabet_larger_than_used(self, capsys, tmp_path, kind):
+        # the symbol-count rows cover the symbols that occur, not all 10**9
+        # declared ones, so the counts equal those under the 2 letters used
+        csv = []
+        for alphabet_size in (2, 1000000000):
+            path = tmp_path / f"pf{alphabet_size}.spec"
+            path.write_text(f"kind = toeplitz\nalphabet_size = {alphabet_size}\nperiod = 01\n")
+            code, out, err = run(capsys, "complexity", str(path), kind, "--n-max", "40")
+            assert (code, err) == (0, "")
+            csv.append(out)
+        assert csv[0] == csv[1]
+
     def test_bad_spec_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.conf"
         path.write_text("kind = morphic\nalphabet_size = 2\nseed = 0\n")
@@ -485,6 +499,24 @@ class TestSpecFileIntegration:
         assert "error" in err
 
 
+class TestPrefixCap:
+    @pytest.mark.parametrize("argv, length", [
+        (("gen", "tm", "--count", "1001"), 1001),
+        (("complexity", str(ROOT / "tests" / "data" / "toeplitz3.spec"), "red", "--n-max", "64"), 2048),
+    ], ids=["gen-tm", "complexity-spec"])
+    def test_env_var_caps_builtins_and_spec_files(self, capsys, monkeypatch, argv, length):
+        monkeypatch.setenv("REDUXWORDS_MAX_PREFIX", "1000")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"prefix of {length} symbols exceeds the cap of 1000" in err
+
+    def test_env_var_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("REDUXWORDS_MAX_PREFIX", "x")
+        code, out, err = run(capsys, "gen", "tm", "--count", "4")
+        assert (code, out) == (2, "")
+        assert "REDUXWORDS_MAX_PREFIX must be an integer" in err
+
+
 class TestUsage:
     def test_no_arguments_exit_2(self, capsys):
         assert main([]) == 2
@@ -525,6 +557,24 @@ README_EXAMPLES = readme_examples()
 )
 def test_readme_example(capsys, argv, stdout):
     assert run(capsys, *argv) == (0, stdout, "")
+
+
+def test_readme_quick_start():
+    # each line of the python block runs in order; a line whose comment is a
+    # Python literal must evaluate to it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Library quick start\n\n```python\n(.*?)```", text, flags=re.S | re.M)
+    namespace, checked = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expected = ast.literal_eval(comment.strip())
+        except (SyntaxError, ValueError):
+            exec(code, namespace)
+            continue
+        assert eval(code, namespace) == expected, line
+        checked.append(expected)
+    assert checked == [4, 6, (2, 3), True, "pass", (1, 2, 4, 4, 4), True]
 
 
 def test_console_script_runs_the_readme_example(capsys, monkeypatch):

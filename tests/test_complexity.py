@@ -448,17 +448,16 @@ class TestWindowPolicy:
             assert built[:first_step] == [2 * w, w][:first_step]
             assert built[first_step:] == [w << k for k in range(2, (last // w).bit_length())]
 
-    def test_capacity_error_names_the_same_prefix(self):
+    def test_capacity_error_names_the_same_prefix(self, monkeypatch):
         # the first scan asks for the window and certification for twice it;
         # the error names the first length past the cap
-        def capped(cap):
-            m = rw.Morphism({0: (0, 1), 1: (2, 0), 2: (1, 2)}, 3)
-            return rw.morphic_fixed_point(m, 0, name="ternary", max_prefix=cap)
+        monkeypatch.setenv("REDUXWORDS_MAX_PREFIX", "3000")
+        m = rw.Morphism({0: (0, 1), 1: (2, 0), 2: (1, 2)}, 3)
 
         with pytest.raises(CapacityError, match="prefix of 3200 symbols"):
-            rw.reduced_factor_complexity(capped(3000), 100)
+            rw.reduced_factor_complexity(rw.morphic_fixed_point(m, 0, name="ternary"), 100)
         with pytest.raises(CapacityError, match="prefix of 4096 symbols"):
-            rw.reduced_factor_complexity(capped(3000), 64)
+            rw.reduced_factor_complexity(rw.morphic_fixed_point(m, 0, name="ternary"), 64)
 
     def test_fixed_mode(self, tm_handle):
         policy = WindowPolicy(fixed_length=4096)

@@ -19,7 +19,12 @@ from reduxwords.sequences import (
     toeplitz,
 )
 
-from conftest import PF_PREFIX_55, TM_PREFIX_54
+from conftest import DATA, PF_PREFIX_55, TM_PREFIX_54, pointwise_handle
+
+
+def _second_construction(name):
+    """The spec-file construction of a builtin: ``tm_morphic`` or ``pf_toeplitz``."""
+    return rw.load_sequence_spec(str(DATA / f"{name}.spec"))
 
 
 def _toeplitz_fill(spec: ToeplitzSpec, length: int) -> list[int]:
@@ -72,12 +77,12 @@ class TestGoldenPrefixes:
 class TestCrossConstruction:
     def test_tm_morphic_agrees_with_rule(self):
         a = rw.thue_morse().prefix_symbols(1 << 14)
-        b = rw.thue_morse_morphic().prefix_symbols(1 << 14)
+        b = _second_construction("tm_morphic").prefix_symbols(1 << 14)
         assert a.tolist() == b.tolist()
 
     def test_pf_toeplitz_agrees_with_rule(self):
         a = rw.paperfolding().prefix_symbols(1 << 14)
-        b = rw.paperfolding_toeplitz().prefix_symbols(1 << 14)
+        b = _second_construction("pf_toeplitz").prefix_symbols(1 << 14)
         assert a.tolist() == b.tolist()
 
 
@@ -164,7 +169,7 @@ class TestSequenceHandle:
         assert pf_handle.prefix_symbols(100).tolist() == long[:100].tolist()
 
     def test_capacity_error(self):
-        h = rw.from_pointwise(rw.thue_morse_at, 2, "capped", max_prefix=100)
+        h = pointwise_handle(rw.thue_morse_at, 2, "capped", max_prefix=100)
         assert len(h.prefix_symbols(100)) == 100
         with pytest.raises(CapacityError):
             h.prefix_symbols(101)
@@ -208,7 +213,10 @@ class TestSymbolBuffer:
         assert view.tolist() == before == h.prefix_symbols(64).tolist()
 
     def test_at_returns_python_int(self):
-        handles = [rw.thue_morse(), rw.paperfolding(), rw.thue_morse_morphic(), rw.paperfolding_toeplitz()]
+        handles = [
+            rw.thue_morse(), rw.paperfolding(),
+            _second_construction("tm_morphic"), _second_construction("pf_toeplitz"),
+        ]
         for h in handles:
             assert type(h.at(5)) is int
 
@@ -220,19 +228,19 @@ class TestSymbolBuffer:
 
     @pytest.mark.parametrize("bad", [300, -1, 2, 2**70])
     def test_rule_leaving_the_alphabet_is_rejected(self, bad):
-        h = rw.from_pointwise(lambda n: bad if n == 70 else 0, 2, "bad")
+        h = pointwise_handle(lambda n: bad if n == 70 else 0, 2, "bad")
         assert h.prefix_symbols(64).tolist() == [0] * 64
         with pytest.raises(ConfigurationError, match="n=70"):
             h.prefix_symbols(65)
         assert len(h.prefix_symbols(64)) == 64
 
     def test_non_integer_rule_is_rejected(self):
-        h = rw.from_pointwise(lambda n: 0.5, 2, "float")
+        h = pointwise_handle(lambda n: 0.5, 2, "float")
         with pytest.raises(ConfigurationError):
             h.at(1)
 
     def test_concurrent_reads_while_growing(self):
-        h = rw.thue_morse_morphic()
+        h = _second_construction("tm_morphic")
         length = 1 << 14
         expected = [rw.thue_morse_at(n) for n in range(1, length + 1)]
         wrong = []
