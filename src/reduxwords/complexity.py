@@ -18,24 +18,32 @@ its first occurrence among them, so the counts are exactly those of a scan
 over all L-n+1 starts.
 
 Windows are named exactly, without hashing, by prefix doubling (Karp,
-Miller and Rosenberg): windows of length 2k get names from the pair of
-names of their two halves, padded past the prefix end. Names are packed
-integers (literal windows at first) while they fit in 32 bits, and are
-compressed to ranks by a sort only when they no longer do; either way they
-sort as the windows do. One stable sort of the L names puts the first
-start of each name first among its equals. The index takes the common
-prefix of each such start with its sorted neighbour, one packed literal
-chunk at a time, and from these its longest previous factor (Crochemore
-and Ilie): the longest prefix of its window that also starts earlier. The
-length-n window at a start is a first occurrence exactly for lpf < n <=
-its room (its window length), so it keeps the starts with lpf < room,
-ordered by lpf, and the first occurrences of the distinct length-n windows
-are a prefix of them. ``factor`` counts those intervals; the other kinds
-and the extremes evaluate one key per distinct window, at those first
-occurrences only. The index takes log N packing passes over the L starts
-plus sorts, and the counts evaluate sum_n rho(n) keys (rho the factor
-complexity, about 1.5 N^2 for tm and pf) instead of N(L - N) for every
-start at every length.
+Miller and Rosenberg; the rank steps of Manber and Myers' suffix arrays):
+windows of length 2k get names from the pair of names of their two halves,
+padded past the prefix end. Names are packed integers (literal windows at
+first) while they fit in 32 bits, and are compressed to dense ranks only
+when they no longer do; either way they sort as the windows do. Each sort,
+a rank step's and the final one, is one in-place sort of a uint64 key with
+the name (or one 32-bit word of a wider name) above the start, so the
+first start of each name comes first among its equals. The index takes the
+common prefix of each such start with its sorted neighbour, one packed
+literal chunk at a time, and from these its longest previous factor
+(Crochemore and Ilie): the longest prefix of its window that also starts
+earlier, which is its longer common prefix with the previous and the next
+smaller start in sorted order. Numpy passes over a tree of block minima
+find those, at most 2 log2(m) + 2 passes each way for m starts, whatever
+the word. The length-n window at a start is a first occurrence exactly
+for lpf < n <= its room (its window length), so it keeps the starts with
+lpf < room, ordered by lpf, and the first occurrences of the distinct
+length-n windows are a prefix of them. ``factor`` counts those intervals;
+the other kinds and the extremes evaluate one key per distinct window, at
+those first occurrences only. The binary alternation keys skip the mask
+that picks them out: a start with lpf >= n repeats, at n, a window that
+starts earlier among the same rows, so its key is already there, and only
+windows that run past the prefix end are dropped. The index takes log N
+packing passes and as many sorts over the L starts, and the counts
+evaluate sum_n rho(n) keys (rho the factor complexity, about 1.5 N^2 for
+tm and pf) instead of N(L - N) for every start at every length.
 
 A finite scan can only undercount the infinite sequence, so counts are
 certified empirically: the window W doubles until the counts on the first
@@ -126,6 +134,40 @@ def reduced_complexity_from_extremes(table: ComplexityProfile, n: int) -> int:
     return 2 * (greatest - least + 1)
 
 
+def _name_order(names: np.ndarray):
+    """The starts sorted by (name, start), and where each new name begins.
+
+    Returns ``(order, new)``: ``new[i]`` says whether the name at
+    ``order[i]`` differs from the one before it, so ``new[0]`` is True.
+    Each pass is one in-place sort of a uint64 key that holds 32 bits of
+    the name in its high half and the position in the order so far in its
+    low half; ``order`` reads the low halves through a uint32 view. A name
+    of up to 32 bits takes one pass; a wider one takes its low word and
+    then its high word, the second pass keeping the order of the first
+    among equal words.
+    """
+    low, high = (slice(0, None, 2), slice(1, None, 2))[:: 1 if np.little_endian else -1]
+    key = np.arange(len(names), dtype=np.uint64)
+    key.view(np.uint32)[high] = names  # truncates a wider name to its low word
+    key.sort()
+    order = key.view(np.uint32)[low]
+    if names.dtype.itemsize <= 4:
+        sorted_names = key.view(np.uint32)[high]
+    else:
+        word = names[order]
+        word >>= np.uint64(32)
+        key = np.arange(len(names), dtype=np.uint64)
+        key.view(np.uint32)[high] = word
+        del word
+        key.sort()
+        order = order[key.view(np.uint32)[low]]
+        sorted_names = names[order]
+    new = np.empty(len(names), dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_names[1:], sorted_names[:-1], out=new[1:])
+    return order, new
+
+
 def _doubling_names(arr, alphabet_size: int, n_max: int):
     """Yield ``(span, names, literal)`` for span = 1, 2, 4, ... and finally ``n_max``.
 
@@ -134,10 +176,10 @@ def _doubling_names(arr, alphabet_size: int, n_max: int):
     and names sort as their windows do. Doubling names the length-``new``
     window at s by the pair of names at s and at s + new - span, whose
     windows cover it. Pairs pack into one integer; once a pair would need
-    more than 32 bits, the names are first replaced by their ranks. Name 0
-    is the empty window past the end. ``literal`` says the names still pack
-    the window itself, symbol + 1 in ``alphabet_size.bit_length()`` bits
-    each, first symbol highest.
+    more than 32 bits, the names are first replaced by their dense ranks,
+    from one :func:`_name_order` sort. Name 0 is the empty window past the
+    end. ``literal`` says the names still pack the window itself, symbol +
+    1 in ``alphabet_size.bit_length()`` bits each, first symbol highest.
     """
     width = alphabet_size.bit_length()
     names = arr.astype(_uint_dtype(width)) + 1
@@ -145,10 +187,14 @@ def _doubling_names(arr, alphabet_size: int, n_max: int):
     yield span, names, literal
     while span < n_max:
         if 2 * width > 32:
-            ordered = np.sort(names)
-            distinct = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-            width = len(distinct).bit_length()
-            names = (np.searchsorted(distinct, names) + 1).astype(_uint_dtype(width))
+            order, new = _name_order(names)
+            order = np.ascontiguousarray(order)  # so the sort key is freed
+            ranks = np.cumsum(new, dtype=np.uint32)
+            del new
+            width = int(ranks[-1]).bit_length()
+            names = np.empty(len(order), dtype=_uint_dtype(width))
+            names[order] = ranks
+            del order, ranks
             literal = False
         new = min(2 * span, n_max)
         shift = new - span
@@ -172,47 +218,110 @@ def _neighbour_lcp(ordered, room, literal, span: int, bits: int) -> np.ndarray:
     number of leading equal symbols. Entry 0 has no predecessor and gets 0.
     """
     cap = np.minimum(room[1:], room[:-1])
-    lcp = np.zeros(len(ordered), dtype=np.int64)
+    lcp = np.zeros(len(ordered), dtype=room.dtype)
     lcp[1:] = cap
     pairs = np.flatnonzero(cap > 0)
+    ordered = ordered.astype(np.intp)
+    before, after = ordered[:-1], ordered[1:]
     depth = 0
     while len(pairs):
-        x = literal[ordered[pairs + 1] + depth] ^ literal[ordered[pairs] + depth]
+        x = literal[after[pairs] + depth] ^ literal[before[pairs] + depth]
         differ = x != 0
         ended = pairs[differ]
         equal = (span * bits - np.frexp(x[differ].astype(np.float64))[1]) // bits
         lcp[ended + 1] = np.minimum(depth + equal, cap[ended])
         depth += span
+        differ |= cap[pairs] <= depth
         pairs = pairs[~differ]
-        pairs = pairs[cap[pairs] > depth]
     return lcp
 
 
-def _longest_previous_factor(ordered, lcp) -> list[int]:
+def _previous_smaller_lcp(values: np.ndarray, lcp: np.ndarray) -> np.ndarray:
+    """For each i, ``min(lcp[j+1..i])`` for the nearest j < i with
+    ``values[j] < values[i]``, or 0 where there is none (``values`` distinct).
+
+    Level k holds the minima of both arrays over aligned blocks of 2^k
+    entries, about 2m entries in all. Entry i climbs, having passed entries
+    q..i-1 with q = (i >> k) << k at level k: the block just left of q is
+    block (i >> k) - 1. If that block holds a value below values[i], it
+    holds j. If not, and i >> k is odd, the entry passes it and the lcp
+    takes the block's minimum in; if i >> k is even, the block is the right
+    half of the one the next level looks at. The entry then descends
+    through the halves of the block that holds j, passing each right half
+    that lies above it. Each level is one numpy pass over the entries still
+    moving, so there are at most 2 log2(m) + 2 passes for any input. The
+    passes select with arithmetic and index lists rather than masked
+    writes, which cost several times more on arrays of this size.
+    """
+    value_levels, lcp_levels = [values], [lcp]
+    while len(value_levels[-1]) > 1:
+        even = len(value_levels[-1]) & ~1
+        value_levels.append(np.minimum(value_levels[-1][0:even:2], value_levels[-1][1:even:2]))
+        lcp_levels.append(np.minimum(lcp_levels[-1][0:even:2], lcp_levels[-1][1:even:2]))
+    top = np.iinfo(lcp.dtype).max  # an lcp ORed with it is never taken in
+    # the entries still climbing, each with its lcp with the entry just left
+    # of the blocks passed so far; per level, those whose block holds j. An
+    # entry below every earlier one has no j and does not climb.
+    entry = np.flatnonzero(values[1:] > np.minimum.accumulate(values)[:-1]) + 1
+    acc = lcp.take(entry)
+    stopped = []
+    for k, (level_values, level_lcp) in enumerate(zip(value_levels, lcp_levels)):
+        block = entry >> k
+        block -= 1
+        found = level_values.take(block) < values.take(entry)
+        passed = (block & 1) == 0
+        passed &= ~found
+        taken = level_lcp.take(block)
+        taken |= np.multiply(~passed, top, dtype=lcp.dtype)
+        np.minimum(acc, taken, out=acc)
+        stop = found.nonzero()[0]
+        stopped.append((entry.take(stop), acc.take(stop)))
+        # past level k, an entry below 2^(k+1) has no block left of it
+        found |= block == 0
+        del passed, taken, block, stop
+        moving = (~found).nonzero()[0]
+        entry, acc = entry.take(moving), acc.take(moving)
+        if not len(entry):
+            break
+    # descend from level k: ``block`` is the block there that holds j
+    entry, acc = np.empty(0, dtype=np.intp), np.empty(0, dtype=lcp.dtype)
+    block = entry
+    for k in range(len(stopped) - 1, 0, -1):
+        joined, joined_acc = stopped.pop()
+        entry, acc = np.concatenate((entry, joined)), np.concatenate((acc, joined_acc))
+        block = np.concatenate((block, (joined >> k) - 1))
+        del joined, joined_acc
+        right = 2 * block + 1
+        holds = value_levels[k - 1].take(right) < values.take(entry)
+        taken = lcp_levels[k - 1].take(right)
+        taken |= np.multiply(holds, top, dtype=lcp.dtype)
+        np.minimum(acc, taken, out=acc)
+        block = right - 1 + holds
+    result = np.zeros_like(lcp)
+    result[entry] = acc
+    # those found at level 0 have j = entry - 1
+    entry, acc = stopped.pop()
+    result[entry] = acc
+    return result
+
+
+def _longest_previous_factor(ordered: np.ndarray, lcp: np.ndarray) -> np.ndarray:
     """Longest previous factor of each entry in sorted order (Crochemore & Ilie 2008).
 
     An entry's longest common prefix with any earlier start is the larger of
-    those with its previous and its next smaller start in sorted order; one
-    stack pass finds both, taking minima of the neighbour common prefixes.
+    those with its previous and its next smaller start in sorted order, each
+    the minimum of the neighbour common prefixes between them; the next
+    smaller one is the previous smaller one in the reversed order. Starts
+    and common prefixes are below the prefix length, so the passes run on
+    int32 copies while it fits.
     """
-    lpf = [0] * len(ordered)
-    above = len(ordered)  # above every common prefix, which is at most n_max
-    # the previous-smaller chain: (start, sorted position, common prefix with
-    # the entry below it), over a sentinel
-    stack = [(-1, -1, 0)]
-    top = 0  # common prefix of the stack top and the current entry
-    for i, (start, h) in enumerate(zip(ordered.tolist(), lcp.tolist())):
-        if h < top:
-            top = h
-        while stack[-1][0] > start:
-            _, j, below = stack.pop()
-            lpf[j] = below if below > top else top
-            if below < top:
-                top = below
-        stack.append((start, i, top))
-        top = above
-    for _, j, below in stack[1:]:
-        lpf[j] = below
+    dtype = np.int32 if max(int(ordered.max()), int(lcp.max())) < 2**31 - 1 else np.int64
+    values, lcp = ordered.astype(dtype), lcp.astype(dtype)
+    lpf = _previous_smaller_lcp(values, lcp)
+    reversed_lcp = np.zeros_like(lcp)
+    reversed_lcp[1:] = lcp[:0:-1]
+    del lcp
+    np.maximum(lpf, _previous_smaller_lcp(values[::-1], reversed_lcp)[::-1], out=lpf)
     return lpf
 
 
@@ -241,8 +350,11 @@ class AlternationPrefix:
     <= room[i]``. The rows are ordered by (lpf, start), so the first
     occurrences at n are a prefix of them, less the starts whose room ends
     before n; :meth:`new_start_blocks` gives them, one per distinct length-n
-    window. Symbols are stored in the narrowest unsigned dtype for the
-    alphabet.
+    window, or with the repeats among them. The windows are sorted by
+    packed uint64 keys, one sort per rank step, and ``lpf`` comes from
+    bounded numpy passes (:func:`_longest_previous_factor`); a prefix is at
+    most 2**32 - 1 symbols, so that a start fits in half a key. Symbols are
+    stored in the narrowest unsigned dtype for the alphabet.
     """
 
     def __init__(self, symbols: Sequence[int], alphabet_size: int, n_max: int):
@@ -262,6 +374,9 @@ class AlternationPrefix:
         self.n_max = n_max
         if not (1 <= n_max <= self.length):
             raise ConfigurationError(f"window length {n_max} outside prefix of {self.length}")
+        if self.length >= 2**32:
+            # the sort keys pack each start into 32 bits
+            raise ConfigurationError(f"cannot index a prefix of {self.length} symbols, 2**32 or more")
         self._index_windows(n_max)
         boundary = self.arr[1:] != self.arr[:-1]
         # past the end, alt repeats its last value, so that keys of windows
@@ -285,10 +400,9 @@ class AlternationPrefix:
                 chunk = span
         # in name order, the first start of each name is its first occurrence;
         # a tail start's padded window occurs nowhere else
-        ordered = np.argsort(names, kind="stable")
-        ranked = names[ordered]
-        ordered = ordered[np.r_[True, ranked[1:] != ranked[:-1]]]
-        del ranked
+        order, new = _name_order(names)
+        ordered = order[new]
+        del order, new
         room = np.minimum(n_max, self.length - ordered)
         if chunk < span:
             # the widest literal names, made again rather than kept beside the
@@ -298,27 +412,33 @@ class AlternationPrefix:
                 pass
         lcp = _neighbour_lcp(ordered, room, names, chunk, self.alphabet_size.bit_length())
         del names
-        lpf = np.array(_longest_previous_factor(ordered, lcp), dtype=np.int64)
+        lpf = _longest_previous_factor(ordered, lcp)
         # the starts that are a first occurrence for some n, by (lpf, start):
         # those new at n are the first cut[n], less any whose room ends before n
-        kept = np.flatnonzero(lpf < room)
-        kept = kept[np.lexsort((ordered[kept], lpf[kept]))]
-        self.starts = ordered[kept]
-        self.lpf = lpf[kept]
-        self.room = room[kept]
+        kept = lpf < room
+        key = lpf[kept].astype(np.uint64)
+        key <<= np.uint64(32)
+        key |= ordered[kept].astype(np.uint64)
+        key.sort()
+        self.starts = (key & np.uint64(0xFFFFFFFF)).astype(np.int64)
+        self.lpf = (key >> np.uint64(32)).astype(np.int64)
+        self.room = np.minimum(n_max, self.length - self.starts)
         self._cut = np.searchsorted(self.lpf, np.arange(n_max + 1))
         self._least_room = np.minimum.accumulate(self.room)
 
-    def new_start_blocks(self, budget: int):
+    def new_start_blocks(self, budget: int, repeats: bool = False):
         """Yield ``(ns, cut, fresh)`` for consecutive blocks of n = 1..n_max.
 
-        The first ``cut`` of ``starts`` hold the first
-        occurrences for every n in the block; the first of them is start 0,
-        which is one at every n. ``fresh[i, j]`` says whether the j-th is one
-        at ``ns[i]``: it is not when its window there is an earlier one, or
-        would run past the prefix end. ``fresh`` is None when every start is
-        one at every n of the block. A block has about ``budget`` entries, or
-        one n when ``budget`` is 0.
+        The first ``cut`` of ``starts`` hold the first occurrences for every
+        n in the block; the first of them is start 0, which is one at every
+        n. ``fresh[i, j]`` says whether the j-th is one at ``ns[i]``: it is
+        not when its window there is an earlier one, or would run past the
+        prefix end. With ``repeats``, ``fresh`` marks only the windows that
+        fit: a start with lpf >= n repeats an earlier first occurrence among
+        the same ``cut``, so a key taken there adds no class and changes no
+        least or greatest value. ``fresh`` is None when it would be all
+        True. A block has about ``budget`` entries, or one n when ``budget``
+        is 0.
         """
         n = 1
         while n <= self.n_max:
@@ -329,7 +449,7 @@ class AlternationPrefix:
             ns = np.arange(n, last + 1)[:, None]
             cut = self._cut[last]
             fresh = None
-            if cut > self._cut[n]:
+            if not repeats and cut > self._cut[n]:
                 fresh = self.lpf[:cut] < ns
             if self._least_room[cut - 1] < last:
                 fits = self.room[:cut] >= ns
@@ -372,11 +492,11 @@ def factor_counts(index: AlternationPrefix) -> Counts:
 _BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
 
 
-def _by_length(index: AlternationPrefix, measure: Callable) -> dict:
+def _by_length(index: AlternationPrefix, measure: Callable, repeats: bool = False) -> dict:
     """One value per n = 1..n_max: ``measure(ns, cut, fresh)`` gives those of
     a block from :meth:`AlternationPrefix.new_start_blocks`."""
     values: dict = {}
-    for ns, cut, fresh in index.new_start_blocks(_BLOCK):
+    for ns, cut, fresh in index.new_start_blocks(_BLOCK, repeats):
         values.update(zip(ns.tolist(), measure(ns, cut, fresh)))
     return values
 
@@ -388,8 +508,9 @@ def _rows(ns, entries: np.ndarray, fresh):
 
 
 def _keep_fresh(matrix: np.ndarray, fresh) -> np.ndarray:
-    """A block's key matrix with every entry that is not a first occurrence
-    replaced by the row's first key, which is one, so it adds no class."""
+    """A block's key matrix with every entry that ``fresh`` leaves out (a
+    window past the prefix end) replaced by the row's first key, that of
+    start 0, whose window fits at every n, so it adds no class."""
     return matrix if fresh is None else np.where(fresh, matrix, matrix[:, :1])
 
 
@@ -461,13 +582,14 @@ def abelian_counts(index: AlternationPrefix) -> Counts:
 
 def _alternation_table(index: AlternationPrefix, key: Callable, summary: Callable) -> dict:
     """One value per n: ``summary`` of each row of a block's keys,
-    ``key(alternation counts, first symbols)`` at the first occurrences."""
+    ``key(alternation counts, first symbols)`` at the first occurrences and
+    at the repeats among them, which add no class."""
     first = index.arr[index.starts]
 
     def measure(ns, cut, fresh) -> list:
         return summary(_keep_fresh(key(index.block_alternations(ns, cut), first[:cut]), fresh))
 
-    return _by_length(index, measure)
+    return _by_length(index, measure, repeats=True)
 
 
 def reduced_factor_counts(index: AlternationPrefix) -> Counts:

@@ -34,7 +34,13 @@ from conftest import (
     RHO_T_15,
     profile_values,
 )
-from window_oracle import oracle_counts, oracle_extremes, two_scan_reference, windows
+from window_oracle import (
+    longest_previous_factor_stack,
+    oracle_counts,
+    oracle_extremes,
+    two_scan_reference,
+    windows,
+)
 
 
 class TestGoldenProfiles:
@@ -281,6 +287,107 @@ class TestRepresentativeIndex:
         assert index.room.tolist() == [2, 2]
         with pytest.raises(ConfigurationError):
             AlternationPrefix([0, 1, 0], 2, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(indexed_words())
+    def test_blocks_with_repeats_mask_only_the_room(self, case):
+        # with repeats, the windows of a block's starts that fit are exactly
+        # the distinct length-n windows, each at least once
+        symbols, sigma, n_max = case
+        index = AlternationPrefix(symbols, sigma, n_max)
+        for budget in (0, 7, 1 << 16):
+            for block, cut, fresh in index.new_start_blocks(budget, repeats=True):
+                starts = index.starts[:cut]
+                for i, n in enumerate(block.tolist()):
+                    fits = index.room[:cut] >= n
+                    assert fits.tolist() == (fits if fresh is None else fresh[i]).tolist()
+                    kept = starts[fits].tolist()
+                    assert {tuple(symbols[s : s + n]) for s in kept} == windows(symbols, n)
+
+
+@st.composite
+def lpf_words(draw):
+    """(symbols, alphabet size, n_max): a random, run-heavy or periodic word over 1-5 letters."""
+    sigma = draw(st.integers(1, 5))
+    letters = st.integers(0, sigma - 1)
+    shape = draw(st.sampled_from(("random", "runs", "periodic")))
+    if shape == "random":
+        symbols = draw(st.lists(letters, min_size=1, max_size=600))
+    elif shape == "runs":
+        runs = draw(st.lists(st.tuples(letters, st.integers(1, 80)), min_size=1, max_size=30))
+        symbols = [symbol for symbol, run in runs for _ in range(run)]
+    else:
+        block = draw(st.lists(letters, min_size=1, max_size=12))
+        symbols = block * draw(st.integers(1, 600 // len(block)))
+    n_max = draw(st.integers(1, len(symbols)))
+    return symbols, sigma, n_max
+
+
+def stack_pass_index(symbols, sigma, n_max) -> AlternationPrefix:
+    """The index built with the stack pass of window_oracle for the longest previous factor."""
+
+    def stack_pass(ordered, lcp):
+        return np.array(longest_previous_factor_stack(ordered.tolist(), lcp.tolist()), dtype=np.int64)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexity, "_longest_previous_factor", stack_pass)
+        return AlternationPrefix(symbols, sigma, n_max)
+
+
+class TestLongestPreviousFactor:
+    """The vectorized passes give the index the stack pass gives."""
+
+    def assert_same_index(self, symbols, sigma, n_max):
+        index = AlternationPrefix(symbols, sigma, n_max)
+        reference = stack_pass_index(symbols, sigma, n_max)
+        for name in ("starts", "lpf", "room", "_cut"):
+            got, want = getattr(index, name), getattr(reference, name)
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(lpf_words())
+    def test_matches_stack_pass(self, case):
+        self.assert_same_index(*case)
+
+    def test_long_run_between_two_ones(self):
+        # following previous-smaller pointers one hop per round would take a
+        # round per zero here
+        symbols = [1] + [0] * 4096 + [1]
+        self.assert_same_index(symbols, 2, len(symbols))
+
+    def test_previous_smaller_on_every_permutation_of_six(self):
+        from itertools import permutations
+
+        lcp = np.array([0, 3, 1, 4, 1, 5])
+        for values in permutations(range(6)):
+            values = np.array(values)
+            want = []
+            for i in range(6):
+                j = next((j for j in range(i - 1, -1, -1) if values[j] < values[i]), None)
+                want.append(0 if j is None else int(lcp[j + 1 : i + 1].min()))
+            assert complexity._previous_smaller_lcp(values, lcp).tolist() == want, values
+
+
+class TestRoomMasks:
+    """Binary red, abred and the extremes drop only windows past the prefix end."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_words_with_fresh_tail_starts(self, seed):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(200, 1200))
+        n_max = int(rng.integers(24, 64))
+        symbols = rng.integers(0, 2, length).tolist()
+        index = AlternationPrefix(symbols, 2, n_max)
+        # a random word's long suffixes occur nowhere earlier, so some tail
+        # starts are first occurrences and their blocks carry a room mask
+        assert (index.room < n_max).any()
+        blocks = index.new_start_blocks(complexity._BLOCK, repeats=True)
+        assert any(fresh is not None for _, _, fresh in blocks)
+        ns = range(1, n_max + 1)
+        assert reduced_factor_counts(index) == oracle_counts(symbols, "reduced_factor", ns)
+        assert reduced_abelian_counts(index) == oracle_counts(symbols, "reduced_abelian", ns)
+        assert extremes_counts(index) == oracle_extremes(symbols, ns)
 
 
 class TestProfileInvariants:

@@ -75,3 +75,34 @@ def two_scan_reference(handle, kind, n_max, policy):
         differ = min(n for n in ns if prev[n] != nxt[n])
         prev, window = nxt, 2 * window
     return False, prev, window, differ
+
+
+def longest_previous_factor_stack(ordered, lcp):
+    """Longest previous factor of each entry in sorted order, by one stack pass.
+
+    The reference for the index's vectorized passes (Crochemore & Ilie
+    2008): ``ordered`` holds distinct starts in window order and ``lcp[i]``
+    the common prefix of entries i - 1 and i. An entry's longest common
+    prefix with any earlier start is the larger of those with its previous
+    and its next smaller start in sorted order, each the least ``lcp``
+    between them.
+    """
+    lpf = [0] * len(ordered)
+    above = len(ordered)  # above every common prefix, which is at most n_max
+    # the previous-smaller chain: (start, sorted position, common prefix with
+    # the entry below it), over a sentinel
+    stack = [(-1, -1, 0)]
+    top = 0  # common prefix of the stack top and the current entry
+    for i, (start, h) in enumerate(zip(list(ordered), list(lcp))):
+        if h < top:
+            top = h
+        while stack[-1][0] > start:
+            _, j, below = stack.pop()
+            lpf[j] = below if below > top else top
+            if below < top:
+                top = below
+        stack.append((start, i, top))
+        top = above
+    for _, j, below in stack[1:]:
+        lpf[j] = below
+    return lpf
