@@ -2,6 +2,7 @@
 and the certification policy."""
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -357,8 +358,6 @@ class TestLongestPreviousFactor:
         self.assert_same_index(symbols, 2, len(symbols))
 
     def test_previous_smaller_on_every_permutation_of_six(self):
-        from itertools import permutations
-
         lcp = np.array([0, 3, 1, 4, 1, 5])
         for values in permutations(range(6)):
             values = np.array(values)
