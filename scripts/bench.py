@@ -1,18 +1,19 @@
 """Run the benchmark on two checkouts in alternating pairs and summarize it.
 
-    python scripts/bench.py --parent ../base --label index --workload claims-512 --pairs 10 --seed 12001
+    python scripts/bench.py --parent ../base --label index --pairs 10 --seed 14001
     python scripts/bench.py --parent . --smoke --pairs 1 --label smoke --out-dir /tmp
 
-Each checkout runs its own, unchanged ``perfbench/run.py`` in a new process.
+The change is the checkout holding this script. Each checkout runs its own,
+unchanged ``perfbench/run.py`` in a new process, on every workload that
+this checkout's ``BENCHMARK.json`` declares, for its ``run_seconds``.
 Pair i runs both sides with seed ``--seed + i``, the parent first on even
-pairs and the change first on odd ones. ``--change`` defaults to the
-checkout holding this script. The summary goes to ``BENCH_<label>.json`` in
-``--out-dir`` (default: the change's checkout): the machine, both commits,
-every pair's end-to-end metrics and failure counts, and per workload and
-metric each side's median and quartiles and the number of pairs the
-change won (ties count for neither side). The exit code is 0 when every
-run checked its outputs correct, 1 when any failed a check, and 2 when a
-run could not complete.
+pairs and the change first on odd ones. The summary goes to
+``BENCH_<label>.json`` in ``--out-dir`` (default: this checkout): the
+machine, both commits, every pair's end-to-end metrics and failure counts,
+and per workload and metric each side's median and quartiles and the
+number of pairs the change won (ties count for neither side). The exit
+code is 0 when every run checked its outputs correct, 1 when any failed a
+check, and 2 when a run could not complete.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOAD_NAMES = ("binary-2048", "claims-512", "morphic-spec", "long-prefix")
 
 
 class BenchError(Exception):
@@ -78,37 +78,35 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", default=ROOT, help="checkout of the change (default: this one)")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--workload", choices=WORKLOAD_NAMES, action="append",
-                        help="repeat for several (default: every workload)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=25, help="passed to perfbench/run.py")
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, one pass, for a quick check")
-    parser.add_argument("--out-dir", help="where to write the summary (default: the change's checkout)")
+    parser.add_argument("--out-dir", default=ROOT, help="where to write the summary (default: this checkout)")
     args = parser.parse_args()
 
-    sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    with open(os.path.join(sides["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     summary = {
         "label": args.label,
-        "settings": {"seconds": args.seconds, "smoke": args.smoke, "first_seed": args.seed, "pairs": args.pairs},
+        "settings": {"seconds": seconds, "smoke": args.smoke, "first_seed": args.seed, "pairs": args.pairs},
         "machine": None,
         "commits": {},
         "workloads": {},
     }
     correct = True
     try:
-        for workload in args.workload or WORKLOAD_NAMES:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0], "failed": {}}
                 for side in order:
-                    result, record = run_once(sides[side], workload, seed, args.seconds, args.smoke)
+                    result, record = run_once(sides[side], workload, seed, seconds, args.smoke)
                     pair[side] = {name: result["metrics"][name]["value"] for name in declared}
                     pair["failed"][side] = result["failed"]
                     correct = correct and result["correct"]
@@ -123,7 +121,7 @@ def main() -> int:
     except BenchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    path = os.path.join(args.out_dir or sides["change"], f"BENCH_{args.label}.json")
+    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")

@@ -139,29 +139,29 @@ def _name_order(names: np.ndarray):
 
     Returns ``(order, new)``: ``new[i]`` says whether the name at
     ``order[i]`` differs from the one before it, so ``new[0]`` is True.
-    Each pass is one in-place sort of a uint64 key that holds 32 bits of
-    the name in its high half and the position in the order so far in its
-    low half; ``order`` reads the low halves through a uint32 view. A name
-    of up to 32 bits takes one pass; a wider one takes its low word and
-    then its high word, the second pass keeping the order of the first
-    among equal words.
+    Each pass is one in-place sort of a uint64 key that holds a 32-bit word
+    of the name in its high half and the position in the order so far in
+    its low half; ``order`` reads the low halves through a uint32 view. The
+    words go least significant first, each pass keeping the order of the
+    ones before among equal words, so a name of up to 32 bits takes one
+    pass and a wider one two.
     """
     low, high = (slice(0, None, 2), slice(1, None, 2))[:: 1 if np.little_endian else -1]
-    key = np.arange(len(names), dtype=np.uint64)
-    key.view(np.uint32)[high] = names  # truncates a wider name to its low word
-    key.sort()
-    order = key.view(np.uint32)[low]
-    if names.dtype.itemsize <= 4:
-        sorted_names = key.view(np.uint32)[high]
-    else:
-        word = names[order]
-        word >>= np.uint64(32)
+    order = None
+    for shift in range(0, 8 * names.dtype.itemsize, 32):
+        if order is None:
+            word = names
+        else:
+            word = names[order]
+            word >>= np.uint64(shift)
         key = np.arange(len(names), dtype=np.uint64)
-        key.view(np.uint32)[high] = word
+        key.view(np.uint32)[high] = word  # truncates a wider word to its low 32 bits
         del word
         key.sort()
-        order = order[key.view(np.uint32)[low]]
-        sorted_names = names[order]
+        step = key.view(np.uint32)[low]
+        order = step if order is None else order[step]
+    # a name of one word is left sorted in the key; a wider one is gathered
+    sorted_names = key.view(np.uint32)[high] if shift == 0 else names[order]
     new = np.empty(len(names), dtype=bool)
     new[0] = True
     np.not_equal(sorted_names[1:], sorted_names[:-1], out=new[1:])
@@ -436,8 +436,12 @@ class AlternationPrefix:
         prefix end. With ``repeats``, ``fresh`` marks only the windows that
         fit: a start with lpf >= n repeats an earlier first occurrence among
         the same ``cut``, so a key taken there adds no class and changes no
-        least or greatest value. ``fresh`` is None when it would be all
-        True. A block has about ``budget`` entries, or one n when ``budget``
+        least or greatest value. The binary alternation keys take it; the
+        general-alphabet kinds keep the exact mask, where a repeat's key
+        (a reduction's bytes, a count-vector row) costs more than the
+        mask: on the tribonacci spec the room-only mask made ``red`` at
+        256 and ``abelian`` at 128 10-35% slower. ``fresh`` is None when
+        it would be all True. A block has about ``budget`` entries, or one n when ``budget``
         is 0.
         """
         n = 1
