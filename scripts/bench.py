@@ -9,11 +9,12 @@ this checkout's ``BENCHMARK.json`` declares, for its ``run_seconds``.
 Pair i runs both sides with seed ``--seed + i``, the parent first on even
 pairs and the change first on odd ones. The summary goes to
 ``BENCH_<label>.json`` in ``--out-dir`` (default: this checkout): the
-machine, both commits, every pair's end-to-end metrics and failure counts,
-and per workload and metric each side's median and quartiles and the
-number of pairs the change won (ties count for neither side). The exit
-code is 0 when every run checked its outputs correct, 1 when any failed a
-check, and 2 when a run could not complete.
+machine, both commits, every pair's end-to-end metrics and each side's
+failed and attempted operations, and per workload each side's failed
+share over all its pairs and, per metric, each side's median and
+quartiles and the number of pairs the change won (ties count for neither
+side). The exit code is 0 when every run checked its outputs correct, 1
+when any failed a check, and 2 when a run could not complete.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
     return metrics
 
 
+def failed_share(pairs: list[dict]) -> dict:
+    """Each side's failed operations as a share of those it attempted, over all pairs."""
+    return {
+        side: sum(p["failed"][side] for p in pairs) / sum(p["attempted"][side] for p in pairs)
+        for side in ("parent", "change")
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -104,11 +113,12 @@ def main() -> int:
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0], "failed": {}}
+                pair = {"seed": seed, "first": order[0], "failed": {}, "attempted": {}}
                 for side in order:
                     result, record = run_once(sides[side], workload, seed, seconds, args.smoke)
                     pair[side] = {name: result["metrics"][name]["value"] for name in declared}
                     pair["failed"][side] = result["failed"]
+                    pair["attempted"][side] = result["attempted"]
                     correct = correct and result["correct"]
                     summary["commits"][side] = record["machine"]["commit"]
                     machine = {k: v for k, v in record["machine"].items() if k != "commit"}
@@ -117,7 +127,11 @@ def main() -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in declared
                 ), flush=True)
-            summary["workloads"][workload] = {"pairs": pairs, "metrics": summarize(pairs, declared)}
+            summary["workloads"][workload] = {
+                "pairs": pairs,
+                "failed_share": failed_share(pairs),
+                "metrics": summarize(pairs, declared),
+            }
     except BenchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

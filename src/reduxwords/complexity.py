@@ -36,14 +36,15 @@ the word. The length-n window at a start is a first occurrence exactly
 for lpf < n <= its room (its window length), so it keeps the starts with
 lpf < room, ordered by lpf, and the first occurrences of the distinct
 length-n windows are a prefix of them. ``factor`` counts those intervals;
-the other kinds and the extremes evaluate one key per distinct window, at
-those first occurrences only. The binary alternation keys skip the mask
-that picks them out: a start with lpf >= n repeats, at n, a window that
-starts earlier among the same rows, so its key is already there, and only
-windows that run past the prefix end are dropped. The index takes log N
-packing passes and as many sorts over the L starts, and the counts
-evaluate sum_n rho(n) keys (rho the factor complexity, about 1.5 N^2 for
-tm and pf) instead of N(L - N) for every start at every length.
+the other kinds and the extremes evaluate one key matrix per block of
+lengths over a prefix of those rows, each key a few gathers from prefix
+sums, alternation counts or factor names. A start with lpf >= n repeats,
+at n, a window that starts earlier among the same rows, so its key is
+already there, and only windows that run past the prefix end are dropped.
+The index takes log N packing passes and as many sorts over the L starts,
+and the counts evaluate sum_n rho(n) keys (rho the factor complexity,
+about 1.5 N^2 for tm and pf) instead of N(L - N) for every start at every
+length.
 
 A finite scan can only undercount the infinite sequence, so counts are
 certified empirically: the window W doubles until the counts on the first
@@ -337,10 +338,9 @@ class AlternationPrefix:
     ``alt[i]`` counts adjacent unequal pairs among positions 0..i, so the
     window starting at ``s`` of length ``n`` has ``alt[s+n-1] - alt[s]``
     alternations, and ``alt[s]`` is the index of the run containing position
-    ``s``. ``run_symbols`` lists one symbol per run (as bytes of the symbol
-    dtype); the reduction of the window is ``run_symbols`` from run
-    ``alt[s]`` through run ``alt[s+n-1]``. ``alt`` is int32 while twice the
-    prefix length fits, so keys built from it stay in range.
+    ``s``, so the window's reduction is the symbols of runs ``alt[s]``
+    through ``alt[s+n-1]``. ``alt`` is int32 while twice the prefix length
+    fits, so keys built from it stay in range.
 
     The index also holds ``starts``, the starts whose length-n window is a
     first occurrence for some n, with each one's ``room`` (window length,
@@ -349,8 +349,8 @@ class AlternationPrefix:
     window at ``starts[i]`` is a first occurrence exactly for ``lpf[i] < n
     <= room[i]``. The rows are ordered by (lpf, start), so the first
     occurrences at n are a prefix of them, less the starts whose room ends
-    before n; :meth:`new_start_blocks` gives them, one per distinct length-n
-    window, or with the repeats among them. The windows are sorted by
+    before n; :meth:`new_start_blocks` gives them with the repeats among
+    them, which add no class. The windows are sorted by
     packed uint64 keys, one sort per rank step, and ``lpf`` comes from
     bounded numpy passes (:func:`_longest_previous_factor`); a prefix is at
     most 2**32 - 1 symbols, so that a start fits in half a key. Symbols are
@@ -378,21 +378,16 @@ class AlternationPrefix:
             # the sort keys pack each start into 32 bits
             raise ConfigurationError(f"cannot index a prefix of {self.length} symbols, 2**32 or more")
         self._index_windows(n_max)
-        boundary = self.arr[1:] != self.arr[:-1]
         # past the end, alt repeats its last value, so that keys of windows
         # that would run past the end can be computed and then discarded
         dtype = np.int32 if 2 * self.length < 2**31 else np.int64
         padded = np.empty(self.length + n_max, dtype=dtype)
         padded[0] = 0
-        np.cumsum(boundary, dtype=padded.dtype, out=padded[1 : self.length])
+        np.cumsum(self.arr[1:] != self.arr[:-1], dtype=padded.dtype, out=padded[1 : self.length])
         padded[self.length :] = padded[self.length - 1]
         self.alt = padded[: self.length]
         self._padded_alt = padded
         self._start_alt = self.alt[self.starts]
-        keep = np.empty(self.length, dtype=bool)
-        keep[0] = True
-        keep[1:] = boundary
-        self.run_symbols = self.arr[keep].tobytes()
 
     def _index_windows(self, n_max: int) -> None:
         for span, names, literal in _doubling_names(self.arr, self.alphabet_size, n_max):
@@ -426,23 +421,18 @@ class AlternationPrefix:
         self._cut = np.searchsorted(self.lpf, np.arange(n_max + 1))
         self._least_room = np.minimum.accumulate(self.room)
 
-    def new_start_blocks(self, budget: int, repeats: bool = False):
+    def new_start_blocks(self, budget: int):
         """Yield ``(ns, cut, fresh)`` for consecutive blocks of n = 1..n_max.
 
         The first ``cut`` of ``starts`` hold the first occurrences for every
         n in the block; the first of them is start 0, which is one at every
-        n. ``fresh[i, j]`` says whether the j-th is one at ``ns[i]``: it is
-        not when its window there is an earlier one, or would run past the
-        prefix end. With ``repeats``, ``fresh`` marks only the windows that
-        fit: a start with lpf >= n repeats an earlier first occurrence among
-        the same ``cut``, so a key taken there adds no class and changes no
-        least or greatest value. The binary alternation keys take it; the
-        general-alphabet kinds keep the exact mask, where a repeat's key
-        (a reduction's bytes, a count-vector row) costs more than the
-        mask: on the tribonacci spec the room-only mask made ``red`` at
-        256 and ``abelian`` at 128 10-35% slower. ``fresh`` is None when
-        it would be all True. A block has about ``budget`` entries, or one n when ``budget``
-        is 0.
+        n. ``fresh[i, j]`` says whether the window of the j-th at ``ns[i]``
+        fits before the prefix end. Those that fit are the distinct length-n
+        windows, each at least once: a start with lpf >= n repeats the
+        window of an earlier first occurrence among the same ``cut``, so a
+        key taken there adds no class and moves neither extreme. ``fresh``
+        is None when it would be all True. A block has about ``budget``
+        entries, or one n when ``budget`` is 0.
         """
         n = 1
         while n <= self.n_max:
@@ -450,15 +440,12 @@ class AlternationPrefix:
             while size > 1 and size * self._cut[min(self.n_max, n + size - 1)] > budget:
                 size //= 2
             last = min(self.n_max, n + size - 1)
-            ns = np.arange(n, last + 1)[:, None]
+            ns = np.arange(n, last + 1)
             cut = self._cut[last]
             fresh = None
-            if not repeats and cut > self._cut[n]:
-                fresh = self.lpf[:cut] < ns
             if self._least_room[cut - 1] < last:
-                fits = self.room[:cut] >= ns
-                fresh = fits if fresh is None else fresh & fits
-            yield ns[:, 0], cut, fresh
+                fresh = self.room[:cut] >= ns[:, None]
+            yield ns, cut, fresh
             n = last + 1
 
     def block_alternations(self, ns: np.ndarray, cut: int) -> np.ndarray:
@@ -469,19 +456,10 @@ class AlternationPrefix:
         """
         return self._padded_alt[self.starts[:cut] + (ns[:, None] - 1)] - self._start_alt[:cut]
 
-    def reductions(self, starts: np.ndarray, n: int) -> list[bytes]:
-        """Reductions of the length-n windows at ``starts``, as run-symbol bytes."""
-        size = self.arr.itemsize
-        lo = self.alt[starts].astype(np.int64) * size
-        hi = (self.alt[starts + (n - 1)].astype(np.int64) + 1) * size
-        runs = self.run_symbols
-        return [runs[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
-
 
 # -- distinct-window counting --------------------------------------------------
 #
-# Every count reads the first occurrences of the distinct length-n windows,
-# so each kind evaluates one key per distinct window.
+# Every count reads the first occurrences of the distinct length-n windows.
 
 def factor_counts(index: AlternationPrefix) -> Counts:
     """Distinct windows of each length 1..n_max.
@@ -496,104 +474,92 @@ def factor_counts(index: AlternationPrefix) -> Counts:
 _BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
 
 
-def _by_length(index: AlternationPrefix, measure: Callable, repeats: bool = False) -> dict:
-    """One value per n = 1..n_max: ``measure(ns, cut, fresh)`` gives those of
-    a block from :meth:`AlternationPrefix.new_start_blocks`."""
+def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
+    """Distinct keys per row of nonnegative integer matrices, a key being one
+    entry of every word: by one bincount over (row, key) for one word below
+    twice the row length, by row sorts for one word, else by one lexsort."""
+    rows, cut = words[0].shape
+    if len(words) == 1:
+        keys = words[0]
+        size = int(keys.max()) + 1
+        if size <= 2 * cut:
+            keys = keys + size * np.arange(rows)[:, None]
+            seen = np.bincount(keys.ravel(), minlength=size * rows).reshape(rows, size)
+            return np.count_nonzero(seen, axis=1).tolist()
+        keys = np.sort(keys, axis=1)
+        return (1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)).tolist()
+    row = np.repeat(np.arange(rows), cut)
+    order = np.lexsort([word.ravel() for word in words] + [row])
+    # the rows come out in order, each with its keys sorted
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.not_equal(row[1:], row[:-1], out=new[1:])
+    for word in words:
+        word = word.ravel()[order]
+        new[1:] |= word[1:] != word[:-1]
+    return np.bincount(row[new], minlength=rows).tolist()
+
+
+def _key_table(index: AlternationPrefix, key: Callable, summary: Callable = _distinct_per_row) -> dict:
+    """One value per n = 1..n_max: ``summary`` of the rows of each block's
+    key words, ``key(ns, cut)``: matrices over the first ``cut`` starts of a
+    block of :meth:`AlternationPrefix.new_start_blocks`, a row per n."""
     values: dict = {}
-    for ns, cut, fresh in index.new_start_blocks(_BLOCK, repeats):
-        values.update(zip(ns.tolist(), measure(ns, cut, fresh)))
+    for ns, cut, fresh in index.new_start_blocks(_BLOCK):
+        words = key(ns, cut)
+        if fresh is not None:
+            # a window past the prefix end takes the key of start 0, whose
+            # window fits at every n, so it adds no class
+            words = [np.where(fresh, word, word[:, :1]) for word in words]
+        values.update(zip(ns.tolist(), summary(words)))
     return values
 
 
-def _rows(ns, entries: np.ndarray, fresh):
-    """(n, the entries that are first occurrences at n) for each n of a block."""
-    for i, n in enumerate(ns.tolist()):
-        yield n, entries if fresh is None else entries[fresh[i]]
+def _runs(index: AlternationPrefix) -> np.ndarray:
+    """One symbol per run of the prefix: run ``alt[s]`` holds position s."""
+    return index.arr[np.flatnonzero(np.diff(index.alt, prepend=-1))]
 
 
-def _keep_fresh(matrix: np.ndarray, fresh) -> np.ndarray:
-    """A block's key matrix with every entry that ``fresh`` leaves out (a
-    window past the prefix end) replaced by the row's first key, that of
-    start 0, whose window fits at every n, so it adds no class."""
-    return matrix if fresh is None else np.where(fresh, matrix, matrix[:, :1])
+def _packed_counts(symbols: np.ndarray, low: int, bits: int) -> np.ndarray:
+    """Prefix sums of the counts of symbols ``low`` up to the largest present.
 
-
-def _distinct(keys) -> int:
-    """Distinct items of a list, or rows of a 2-D array of nonnegative integers."""
-    if isinstance(keys, list):
-        return len(set(keys))
-    if keys.shape[1] == 1:
-        return int(np.count_nonzero(np.bincount(keys[:, 0])))
-    bits = int(keys.max(initial=0)).bit_length()
-    if bits * keys.shape[1] > 63:
-        return len({row.tobytes() for row in keys})
-    # rows pack into one integer each
-    packed = np.zeros(len(keys), dtype=np.int64)
-    for column in keys.T:
-        packed <<= bits
-        packed |= column
-    return len(np.unique(packed))
-
-
-def _distinct_per_row(keys: np.ndarray) -> list[int]:
-    """Distinct small nonnegative integers in each row."""
-    size = int(keys.max()) + 1
-    if len(keys) > 1:
-        keys = keys + size * np.arange(len(keys))[:, None]
-    seen = np.bincount(keys.ravel(), minlength=size * len(keys)).reshape(len(keys), size)
-    return np.count_nonzero(seen, axis=1).tolist()
-
-
-def _parikh_measure(index: AlternationPrefix, reduced: bool) -> Callable:
-    """Distinct symbol-count vectors of the windows, or of their reductions.
-
-    Row i of the count matrix belongs to ``index.starts[i]``; the matrix
-    grows one length at a time, adding the symbol at offset n-1 of each
-    window, for reductions only where that symbol starts a new run. Past
-    the prefix end a row reads padding, and it is never read again.
+    Entry ``[w, i]`` packs the counts among ``symbols[:i]`` of the symbols
+    that word w holds, ``bits`` bits each and 63 // bits to a word. The sums
+    wrap past 2**63, but the difference of two entries packs the counts
+    between them exactly while each count is below 2**bits.
     """
-    starts = index.starts
-    symbols_at = np.concatenate((index.arr, np.zeros(index.n_max, dtype=index.arr.dtype)))
-    # sized by the symbols present: a declared but absent symbol counts 0 in every row
-    vectors = np.zeros((len(starts), int(index.arr.max()) + 1), dtype=np.int32)
-    # a window's count of symbol 0 is n minus the others, so it adds
-    # nothing to the key; a reduction's length varies, so it does there
-    columns = slice(0 if reduced else 1, None)
-    grown = 0
+    per_word = 63 // bits
+    slot = np.arange(max(int(symbols.max()) + 1 - low, 1))
+    weights = np.zeros((-(-len(slot) // per_word), low + len(slot)), dtype=np.int64)
+    weights[slot // per_word, low + slot] = np.left_shift(1, bits * (slot % per_word))
+    sums = np.zeros((len(weights), len(symbols) + 1), dtype=np.int64)
+    np.cumsum(weights[:, symbols], axis=1, out=sums[:, 1:])
+    return sums
 
-    def measure(ns, cut, fresh) -> list[int]:
-        nonlocal grown
-        out = []
-        for n, rows in _rows(ns, np.arange(cut), fresh):
-            while grown < n:
-                grown += 1
-                grow = np.arange(len(starts))
-                symbols = symbols_at[grown - 1 :][starts]
-                if reduced and grown > 1:
-                    new_run = symbols != symbols_at[grown - 2 :][starts]
-                    grow, symbols = grow[new_run], symbols[new_run]
-                vectors[grow, symbols] += 1
-            out.append(_distinct(vectors[rows, columns]))
-        return out
 
-    return measure
+def _factor_names(symbols: np.ndarray, alphabet_size: int, cap: int) -> np.ndarray:
+    """``[k, r]``: the dense uint32 rank of the :func:`_doubling_names` name of
+    the length-2^k factor of ``symbols`` at r, for 2^k <= ``cap``."""
+    top = 1 << (cap.bit_length() - 1)
+    names = np.empty((top.bit_length(), len(symbols)), dtype=np.uint32)
+    for span, level, _ in _doubling_names(symbols, alphabet_size, top):
+        order, new = _name_order(level)
+        names[span.bit_length() - 1, order] = np.cumsum(new, dtype=np.uint32)
+    return names
 
 
 def abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the windows of each length 1..n_max."""
-    return _by_length(index, _parikh_measure(index, reduced=False))
+    # a window's count of symbol 0 is n minus the others, so it adds nothing
+    # to the key; the padding 0s give windows past the end a key too
+    padded = np.concatenate((index.arr, np.zeros(index.n_max, dtype=index.arr.dtype)))
+    sums = _packed_counts(padded, 1, index.n_max.bit_length())
 
+    def key(ns, cut):
+        starts = index.starts[:cut]
+        return sums[:, starts + ns[:, None]] - sums[:, None, starts]
 
-def _alternation_table(index: AlternationPrefix, key: Callable, summary: Callable) -> dict:
-    """One value per n: ``summary`` of each row of a block's keys,
-    ``key(alternation counts, first symbols)`` at the first occurrences and
-    at the repeats among them, which add no class."""
-    first = index.arr[index.starts]
-
-    def measure(ns, cut, fresh) -> list:
-        return summary(_keep_fresh(key(index.block_alternations(ns, cut), first[:cut]), fresh))
-
-    return _by_length(index, measure, repeats=True)
+    return _key_table(index, key)
 
 
 def reduced_factor_counts(index: AlternationPrefix) -> Counts:
@@ -601,13 +567,29 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
     if index.alphabet_size == 2:
         # a binary reduction alternates, so its first symbol and its
         # alternation count name it
-        return _alternation_table(index, lambda a, first: 2 * a + first, _distinct_per_row)
+        first = index.arr[index.starts]
+        return _key_table(index, lambda ns, cut: [2 * index.block_alternations(ns, cut) + first[:cut]])
+    # the reduction of m = a + 1 runs is the length-m factor of the run
+    # symbols at run r = alt[s]; with 2^k <= m < 2^(k+1), its first and its
+    # last 2^k run symbols cover it, so m and their names name it
+    runs = _runs(index)
+    cap = min(index.n_max, len(runs))
+    names = _factor_names(runs, index.alphabet_size, cap)
+    level = np.frexp(np.arange(1, cap + 1))[1] - 1  # k, by a = m - 1
+    bits = int(names.max()).bit_length()
+    one_word = cap.bit_length() + 2 * bits <= 63  # a < cap
 
-    def measure(ns, cut, fresh) -> list[int]:
-        rows = _rows(ns, index.starts[:cut], fresh)
-        return [_distinct(index.reductions(starts, n)) for n, starts in rows]
+    def key(ns, cut):
+        a = index.block_alternations(ns, cut)
+        r, k = index._start_alt[:cut], level[a]
+        head = names[k, r].astype(np.int64)
+        tail = names[k, r + a + 1 - (1 << k)].astype(np.int64)
+        a = a.astype(np.int64)
+        if one_word:
+            return [(a << 2 * bits) | (head << bits) | tail]
+        return [(a << bits) | head, tail]
 
-    return _by_length(index, measure)
+    return _key_table(index, key)
 
 
 def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
@@ -616,19 +598,31 @@ def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
         # a binary reduction of r = a + 1 runs alternates: it holds r/2 of
         # each symbol when r is even and one more of its first symbol when r
         # is odd, so 2r + (first symbol if r is odd) names its count vector
-        return _alternation_table(
-            index, lambda a, first: 2 * (a + 1) + ((a + 1) & first), _distinct_per_row
-        )
-    return _by_length(index, _parikh_measure(index, reduced=True))
+        first = index.arr[index.starts]
+
+        def binary(ns, cut):
+            runs = index.block_alternations(ns, cut) + 1
+            return [2 * runs + (runs & first[:cut])]
+
+        return _key_table(index, binary)
+    # the reduction of a window holds runs alt[s] through alt[s+n-1]; its
+    # length varies, so its count of symbol 0 is part of the key
+    sums = _packed_counts(_runs(index), 0, index.n_max.bit_length())
+
+    def key(ns, cut):
+        r = index._start_alt[:cut]
+        return sums[:, r + index.block_alternations(ns, cut) + 1] - sums[:, None, r]
+
+    return _key_table(index, key)
 
 
 def extremes_counts(index: AlternationPrefix) -> dict[int, tuple[int, int]]:
     """(least, greatest) alternation count of the windows of each length 1..n_max."""
 
-    def summary(d: np.ndarray) -> list[tuple[int, int]]:
-        return list(zip(d.min(axis=1).tolist(), d.max(axis=1).tolist()))
+    def summary(words) -> list[tuple[int, int]]:
+        return list(zip(words[0].min(axis=1).tolist(), words[0].max(axis=1).tolist()))
 
-    return _alternation_table(index, lambda a, first: a, summary)
+    return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], summary)
 
 
 # -- certification driver ------------------------------------------------------

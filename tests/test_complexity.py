@@ -1,8 +1,10 @@
 """Window engines: golden values, oracle agreement, structural invariants,
 and the certification policy."""
 
+import json
 import random
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,7 +86,7 @@ class TestAlternationPrefix:
         idx = AlternationPrefix([0, 0, 1, 0, 0, 0, 1], 2, 3)
         assert idx.alt.tolist() == [0, 0, 1, 2, 2, 2, 3]
         assert idx.alt.dtype == np.int32
-        assert idx.run_symbols == bytes([0, 1, 0, 1])
+        assert complexity._runs(idx).tolist() == [0, 1, 0, 1]
 
     def test_window_alternations_match_brute_force(self, tm_handle):
         symbols = tm_handle.prefix_symbols(300)
@@ -98,10 +100,13 @@ class TestAlternationPrefix:
     def test_reduction_bytes_match_reduce(self, pf_handle):
         symbols = pf_handle.prefix_symbols(200)
         idx = AlternationPrefix(symbols, 2, 20)
+        runs = complexity._runs(idx).tolist()
         for n in (1, 3, 8, 20):
             for s in range(0, 200 - n + 1, 13):
                 w = Word(tuple(symbols[s : s + n]))
-                assert idx.reductions(np.array([s]), n)[0] == bytes(rw.reduce(w).symbols)
+                # the reduction is the run symbols from run alt[s] to run alt[s+n-1]
+                reduction = runs[idx.alt[s] : idx.alt[s + n - 1] + 1]
+                assert tuple(reduction) == rw.reduce(w).symbols
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
@@ -243,15 +248,15 @@ class TestRepresentativeIndex:
         assert index.lpf.tolist() == lpf
         assert list(zip(lpf, starts)) == sorted(zip(lpf, starts))
         assert starts[0] == 0
-        # for every n, the new starts the counts read, in blocks of any size,
-        # are the first occurrences of the distinct length-n windows
+        # the first occurrences at n are the starts with lpf < n <= room, and
+        # in blocks of any size they are among the first cut of each block
+        for n in ns:
+            new = [s for s, low, room in zip(starts, lpf, rooms) if low < n <= room]
+            assert sorted(new) == expected[n], n
         for budget in (0, 7, 1 << 16):
-            new = {}
-            for block, cut, fresh in index.new_start_blocks(budget):
-                starts = index.starts[:cut]
-                for i, n in enumerate(block.tolist()):
-                    new[n] = sorted((starts if fresh is None else starts[fresh[i]]).tolist())
-            assert new == expected, budget
+            for block, cut, _ in index.new_start_blocks(budget):
+                for n in block.tolist():
+                    assert set(expected[n]) <= set(starts[:cut]), (budget, n)
 
     def test_tm_needs_few_representatives(self, tm_handle):
         index = AlternationPrefix(tm_handle.prefix_symbols(32 * 256), 2, 256)
@@ -292,12 +297,12 @@ class TestRepresentativeIndex:
     @settings(max_examples=60, deadline=None)
     @given(indexed_words())
     def test_blocks_with_repeats_mask_only_the_room(self, case):
-        # with repeats, the windows of a block's starts that fit are exactly
-        # the distinct length-n windows, each at least once
+        # the windows of a block's starts that fit are exactly the distinct
+        # length-n windows, each at least once
         symbols, sigma, n_max = case
         index = AlternationPrefix(symbols, sigma, n_max)
         for budget in (0, 7, 1 << 16):
-            for block, cut, fresh in index.new_start_blocks(budget, repeats=True):
+            for block, cut, fresh in index.new_start_blocks(budget):
                 starts = index.starts[:cut]
                 for i, n in enumerate(block.tolist()):
                     fits = index.room[:cut] >= n
@@ -369,7 +374,7 @@ class TestLongestPreviousFactor:
 
 
 class TestRoomMasks:
-    """Binary red, abred and the extremes drop only windows past the prefix end."""
+    """The key tables drop only windows past the prefix end."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_words_with_fresh_tail_starts(self, seed):
@@ -381,12 +386,47 @@ class TestRoomMasks:
         # a random word's long suffixes occur nowhere earlier, so some tail
         # starts are first occurrences and their blocks carry a room mask
         assert (index.room < n_max).any()
-        blocks = index.new_start_blocks(complexity._BLOCK, repeats=True)
+        blocks = index.new_start_blocks(complexity._BLOCK)
         assert any(fresh is not None for _, _, fresh in blocks)
         ns = range(1, n_max + 1)
         assert reduced_factor_counts(index) == oracle_counts(symbols, "reduced_factor", ns)
         assert reduced_abelian_counts(index) == oracle_counts(symbols, "reduced_abelian", ns)
         assert extremes_counts(index) == oracle_extremes(symbols, ns)
+
+
+class TestKeyTables:
+    """Every kind but factor counts one packed key matrix per block of lengths."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lpf_words())
+    def test_every_kind_matches_oracle_on_one_to_five_letters(self, case):
+        symbols, sigma, n_max = case
+        index = AlternationPrefix(symbols, sigma, n_max)
+        ns = range(1, n_max + 1)
+        for kind, engine in INDEX_ENGINES.items():
+            assert engine(index) == oracle_counts(symbols, kind, ns), kind
+        assert extremes_counts(index) == oracle_extremes(symbols, ns)
+
+    def test_packed_counts_that_wrap_and_span_several_words(self):
+        # 3 bits per symbol at n_max = 7 and 23 symbols past 0 take two
+        # words, and the prefix sums of the top slots pass 2**63
+        rng = np.random.default_rng(22)
+        symbols = rng.integers(0, 24, 3000)
+        index = AlternationPrefix(symbols, 24, 7)
+        sums = complexity._packed_counts(symbols, 1, 3)
+        assert len(sums) == 2 and (sums < 0).any()
+        ns = range(1, 8)
+        for kind, engine in INDEX_ENGINES.items():
+            assert engine(index) == oracle_counts(symbols.tolist(), kind, ns), kind
+
+    def test_distinct_per_row_split_keys(self):
+        rng = np.random.default_rng(3)
+        for high in (40, 1 << 40):
+            keys = rng.integers(0, high, (5, 37))
+            want = [len(set(row)) for row in keys.tolist()]
+            assert complexity._distinct_per_row([keys]) == want, high
+            split = [keys >> 20, keys & ((1 << 20) - 1)]
+            assert complexity._distinct_per_row(split) == want, high
 
 
 class TestProfileInvariants:
@@ -601,3 +641,35 @@ class TestNonBinaryEndToEnd:
         assert table.values == oracle_extremes(
             handle.prefix_symbols(table.certified_window), range(1, 13)
         )
+
+    def test_three_hundred_letters(self):
+        # the spec of the CLI's alphabet-past-256 test: the Parikh keys take
+        # many words and the reductions many run names
+        images = {0: tuple(range(300)), **{i: (i, i) for i in range(1, 300)}}
+        handle = rw.morphic_fixed_point(rw.Morphism(images, 300), 0, name="wide")
+        for kind in ("abelian", "reduced_factor", "reduced_abelian"):
+            profile = PROFILE_ENGINES[kind](handle, 20)
+            symbols = handle.prefix_symbols(profile.certified_window).tolist()
+            assert max(symbols) >= 256
+            assert profile.values == oracle_counts(symbols, kind, range(1, 21)), kind
+
+
+class TestFrozenMorphicValues:
+    """The four kinds on the tribonacci spec at the sizes frozen for the benchmark."""
+
+    @pytest.mark.parametrize(
+        "kind, engine",
+        [
+            ("abred", rw.reduced_abelian_complexity),
+            ("red", rw.reduced_factor_complexity),
+            ("abelian", rw.abelian_complexity),
+            ("factor", rw.factor_complexity),
+        ],
+    )
+    def test_matches_frozen_values(self, kind, engine):
+        data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+        frozen = json.loads((data / "morphic_expected.json").read_text())["profiles"][kind]
+        handle = rw.load_sequence_spec(str(data / "tribonacci.spec"))
+        policy = WindowPolicy(fixed_length=frozen["prefix_length"])
+        profile = engine(handle, frozen["n_max"], policy)
+        assert profile_values(profile, frozen["n_max"]) == frozen["values"]
