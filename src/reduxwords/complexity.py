@@ -40,11 +40,10 @@ the other kinds and the extremes evaluate one key matrix per block of
 lengths over a prefix of those rows, each key a few gathers from prefix
 sums, alternation counts or factor names. A start with lpf >= n repeats,
 at n, a window that starts earlier among the same rows, so its key is
-already there, and only windows that run past the prefix end are dropped.
-The index takes log N packing passes and as many sorts over the L starts,
-and the counts evaluate sum_n rho(n) keys (rho the factor complexity,
-about 1.5 N^2 for tm and pf) instead of N(L - N) for every start at every
-length.
+there already; only windows that run past the prefix end are dropped. The
+index takes log N packing passes and as many sorts over the L starts, and
+the counts evaluate sum_n rho(n) keys (rho the factor complexity, about
+1.5 N^2 for tm and pf) instead of N(L - N) for every start at every length.
 
 A finite scan can only undercount the infinite sequence, so counts are
 certified empirically: the window W doubles until the counts on the first
@@ -350,11 +349,11 @@ class AlternationPrefix:
     <= room[i]``. The rows are ordered by (lpf, start), so the first
     occurrences at n are a prefix of them, less the starts whose room ends
     before n; :meth:`new_start_blocks` gives them with the repeats among
-    them, which add no class. The windows are sorted by
-    packed uint64 keys, one sort per rank step, and ``lpf`` comes from
-    bounded numpy passes (:func:`_longest_previous_factor`); a prefix is at
-    most 2**32 - 1 symbols, so that a start fits in half a key. Symbols are
-    stored in the narrowest unsigned dtype for the alphabet.
+    them, which add no class. The windows are sorted by packed uint64 keys,
+    one sort per rank step, and ``lpf`` comes from bounded numpy passes
+    (:func:`_longest_previous_factor`); a prefix is at most 2**32 - 1
+    symbols, so that a start fits in half a key. Symbols are stored in the
+    narrowest unsigned dtype for the alphabet.
     """
 
     def __init__(self, symbols: Sequence[int], alphabet_size: int, n_max: int):
@@ -425,14 +424,13 @@ class AlternationPrefix:
         """Yield ``(ns, cut, fresh)`` for consecutive blocks of n = 1..n_max.
 
         The first ``cut`` of ``starts`` hold the first occurrences for every
-        n in the block; the first of them is start 0, which is one at every
-        n. ``fresh[i, j]`` says whether the window of the j-th at ``ns[i]``
+        n in the block, start 0 (one at every n) first. ``fresh[i, j]``, or
+        None when all True, says whether the window of the j-th at ``ns[i]``
         fits before the prefix end. Those that fit are the distinct length-n
         windows, each at least once: a start with lpf >= n repeats the
         window of an earlier first occurrence among the same ``cut``, so a
-        key taken there adds no class and moves neither extreme. ``fresh``
-        is None when it would be all True. A block has about ``budget``
-        entries, or one n when ``budget`` is 0.
+        key taken there adds no class and moves neither extreme. A block has
+        about ``budget`` entries, or one n when ``budget`` is 0.
         """
         n = 1
         while n <= self.n_max:
@@ -491,21 +489,23 @@ def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
     row = np.repeat(np.arange(rows), cut)
     order = np.lexsort([word.ravel() for word in words] + [row])
     # the rows come out in order, each with its keys sorted
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    np.not_equal(row[1:], row[:-1], out=new[1:])
+    new = np.zeros(len(order), dtype=bool)
+    new[::cut] = True
     for word in words:
         word = word.ravel()[order]
         new[1:] |= word[1:] != word[:-1]
     return np.bincount(row[new], minlength=rows).tolist()
 
 
-def _key_table(index: AlternationPrefix, key: Callable, summary: Callable = _distinct_per_row) -> dict:
+def _key_table(
+    index: AlternationPrefix, key: Callable, summary: Callable = _distinct_per_row, words: int = 1
+) -> dict:
     """One value per n = 1..n_max: ``summary`` of the rows of each block's
-    key words, ``key(ns, cut)``: matrices over the first ``cut`` starts of a
-    block of :meth:`AlternationPrefix.new_start_blocks`, a row per n."""
+    key words, ``key(ns, cut)``: ``words`` matrices over the first ``cut``
+    starts of a block of :meth:`AlternationPrefix.new_start_blocks`, a row
+    per n, which share the block's budget of entries."""
     values: dict = {}
-    for ns, cut, fresh in index.new_start_blocks(_BLOCK):
+    for ns, cut, fresh in index.new_start_blocks(_BLOCK // words):
         words = key(ns, cut)
         if fresh is not None:
             # a window past the prefix end takes the key of start 0, whose
@@ -521,28 +521,29 @@ def _runs(index: AlternationPrefix) -> np.ndarray:
 
 
 def _packed_counts(symbols: np.ndarray, low: int, bits: int) -> np.ndarray:
-    """Prefix sums of the counts of symbols ``low`` up to the largest present.
+    """Prefix sums of the counts of the symbols from ``low`` on, packed.
 
-    Entry ``[w, i]`` packs the counts among ``symbols[:i]`` of the symbols
-    that word w holds, ``bits`` bits each and 63 // bits to a word. The sums
-    wrap past 2**63, but the difference of two entries packs the counts
-    between them exactly while each count is below 2**bits.
+    Each such symbol present gets ``bits`` bits in one of as many int64
+    words as they need, 63 // bits to a word: ``[w, i]`` packs the counts
+    among ``symbols[:i]`` of the symbols of word w. The sums wrap past
+    2**63, but the difference of two entries packs the counts between them
+    exactly while each count is below 2**bits.
     """
     per_word = 63 // bits
-    slot = np.arange(max(int(symbols.max()) + 1 - low, 1))
-    weights = np.zeros((-(-len(slot) // per_word), low + len(slot)), dtype=np.int64)
-    weights[slot // per_word, low + slot] = np.left_shift(1, bits * (slot % per_word))
-    sums = np.zeros((len(weights), len(symbols) + 1), dtype=np.int64)
-    np.cumsum(weights[:, symbols], axis=1, out=sums[:, 1:])
-    return sums
+    present = np.unique(symbols)
+    present = present[present >= low]
+    at = np.flatnonzero(symbols >= low)
+    slot = np.searchsorted(present, symbols[at])
+    sums = np.zeros((max(1, -(-len(present) // per_word)), len(symbols) + 1), dtype=np.int64)
+    sums[slot // per_word, at + 1] = np.left_shift(1, bits * (slot % per_word))
+    return np.cumsum(sums, axis=1, out=sums)
 
 
 def _factor_names(symbols: np.ndarray, alphabet_size: int, cap: int) -> np.ndarray:
     """``[k, r]``: the dense uint32 rank of the :func:`_doubling_names` name of
     the length-2^k factor of ``symbols`` at r, for 2^k <= ``cap``."""
-    top = 1 << (cap.bit_length() - 1)
-    names = np.empty((top.bit_length(), len(symbols)), dtype=np.uint32)
-    for span, level, _ in _doubling_names(symbols, alphabet_size, top):
+    names = np.empty((cap.bit_length(), len(symbols)), dtype=np.uint32)
+    for span, level, _ in _doubling_names(symbols, alphabet_size, 1 << (cap.bit_length() - 1)):
         order, new = _name_order(level)
         names[span.bit_length() - 1, order] = np.cumsum(new, dtype=np.uint32)
     return names
@@ -559,7 +560,7 @@ def abelian_counts(index: AlternationPrefix) -> Counts:
         starts = index.starts[:cut]
         return sums[:, starts + ns[:, None]] - sums[:, None, starts]
 
-    return _key_table(index, key)
+    return _key_table(index, key, words=len(sums))
 
 
 def reduced_factor_counts(index: AlternationPrefix) -> Counts:
@@ -582,12 +583,16 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
     def key(ns, cut):
         a = index.block_alternations(ns, cut)
         r, k = index._start_alt[:cut], level[a]
-        head = names[k, r].astype(np.int64)
-        tail = names[k, r + a + 1 - (1 << k)].astype(np.int64)
-        a = a.astype(np.int64)
-        if one_word:
-            return [(a << 2 * bits) | (head << bits) | tail]
-        return [(a << bits) | head, tail]
+        tail = names[k, r + a + 1 - (1 << k)]
+        # packed in place, to hold few int64 blocks at once
+        key = a.astype(np.int64)
+        key <<= bits
+        key |= names[k, r]
+        if not one_word:
+            return [key, tail]
+        key <<= bits
+        key |= tail
+        return [key]
 
     return _key_table(index, key)
 
@@ -613,7 +618,7 @@ def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
         r = index._start_alt[:cut]
         return sums[:, r + index.block_alternations(ns, cut) + 1] - sums[:, None, r]
 
-    return _key_table(index, key)
+    return _key_table(index, key, words=len(sums))
 
 
 def extremes_counts(index: AlternationPrefix) -> dict[int, tuple[int, int]]:
