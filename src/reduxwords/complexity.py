@@ -506,12 +506,12 @@ def _key_table(
     per n, which share the block's budget of entries."""
     values: dict = {}
     for ns, cut, fresh in index.new_start_blocks(_BLOCK // words):
-        words = key(ns, cut)
+        keys = key(ns, cut)
         if fresh is not None:
             # a window past the prefix end takes the key of start 0, whose
             # window fits at every n, so it adds no class
-            words = [np.where(fresh, word, word[:, :1]) for word in words]
-        values.update(zip(ns.tolist(), summary(words)))
+            keys = [np.where(fresh, word, word[:, :1]) for word in keys]
+        values.update(zip(ns.tolist(), summary(keys)))
     return values
 
 
