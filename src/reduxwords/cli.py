@@ -46,7 +46,7 @@ from .complexity import (
 )
 from .errors import ConfigurationError, ReduxwordsError, StabilizationError
 from .sequences import BUILTIN_SEQUENCES, SequenceHandle, load_sequence_spec
-from .theorems import CLAIMS, profile_kernel_rank, verify
+from .theorems import CLAIMS, check_kernel_arguments, profile_kernel_rank, verify
 
 KIND_ENGINES = {
     "factor": factor_complexity,
@@ -270,7 +270,12 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     handle = _resolve_sequence(args.sequence)
     engine = KIND_ENGINES[args.kind]
-    profile = engine(handle, args.n_max, _policy_from_args(args))
+    policy = _policy_from_args(args)
+    if args.n_max >= 1:
+        # the profile holds one value per n <= n_max, so arguments it cannot
+        # fill are rejected before it is computed; a smaller n_max is the engine's error
+        check_kernel_arguments(args.n_max, args.base, args.depth, args.terms)
+    profile = engine(handle, args.n_max, policy)
     estimate = profile_kernel_rank(profile, base=args.base, depth=args.depth, terms=args.terms)
     if args.json:
         payload = {

@@ -1,14 +1,21 @@
 """Closed-form evaluators, the claim table, and conjecture scanners.
 
 Each statement the library can check is one row of ``CLAIMS``, under a
-stable claim id. A closed-form row names its sequence, profile kind, closed
-form and residue filter, and one runner compares it with the brute-force
-engines in :mod:`reduxwords.complexity`; the lemmas with a structural
-check and the conjecture scanners are their own runners, called as
-``runner(n_max, policy, profiles)``. :func:`verify` runs one row. Its
-``profiles`` dict is a store for one run: every profile a claim reads, the
-alternation extremes included, comes from it, keyed by (sequence, kind, n,
-policy), so claims that read the same data share one computation. Every
+stable claim id, and is run in one of three shapes:
+
+- a closed-form row names its sequence, profile kind, closed form and
+  residue filter, and one runner compares it with the brute-force engines
+  in :mod:`reduxwords.complexity`;
+- the two tm extremes lemmas and the two conjecture scanners check named
+  identities per length on one stored tm profile read at a scaled length,
+  all through one body;
+- ``mu_alternation`` and ``odd_len`` are structural checks of their own.
+
+Rows of the last two shapes carry a ``runner(n_max, policy, profiles)``.
+:func:`verify` runs one row. Its ``profiles`` dict is a store for one run:
+every profile a claim reads, the alternation extremes included, comes from
+it, keyed by (sequence, kind, n, policy), so claims that read the same data
+share one computation. Every
 claim that compares predicted with observed values per length collects
 its counterexamples by one rule, :func:`_mismatches`. Conjectures are
 only ever scanned, and their reports are evidence, never assertions.
@@ -275,67 +282,6 @@ def check_mu_alternation(max_len: int = 12) -> VerificationReport:
     return _report("mu_alternation", 1, max_len, counterexamples, details={"words_checked": checked})
 
 
-def _check_extremes_lemma(claim_id, n_lo, n_max, needed, policy, profiles, table, identities):
-    """Check a tm extremes lemma for n_lo <= n <= n_max on the table up to ``needed``,
-    ``table`` or else the one in ``profiles``. ``identities(m, big, n)`` are its
-    named identities (name, lhs, rhs) over the minima m and the maxima big."""
-    if n_max < n_lo:
-        raise ConfigurationError(f"n_max must be >= {n_lo}")
-    if table is None:
-        table = _stored(profiles, "tm", "extremes", needed, policy)
-    elif max(table.values) < needed:
-        raise ConfigurationError(f"supplied extremes table stops at {max(table.values)}, need {needed}")
-    m = {n: least for n, (least, _) in table.values.items()}
-    big = {n: greatest for n, (_, greatest) in table.values.items()}
-    counterexamples = _mismatches(
-        (n, name, rhs, lhs) for n in range(n_lo, n_max + 1) for name, lhs, rhs in identities(m, big, n)
-    )
-    return _report(
-        claim_id, n_lo, n_max, counterexamples,
-        details={"certified_window": table.certified_window},
-    )
-
-
-def check_extremes_halving(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    profiles: dict | None = None,
-    *,
-    table: ComplexityProfile | None = None,
-) -> VerificationReport:
-    """Check the four identities relating extremes at 2n and 2n+1 to n and n+1, on the
-    tm extremes table up to 2 n_max + 1: ``table``, or else the one in ``profiles``."""
-    return _check_extremes_lemma(
-        "tm_max_min", 2, n_max, 2 * n_max + 1, policy, profiles, table,
-        lambda m, big, n: (
-            ("min_at_2n", m[2 * n], 2 * n - 1 - big[n + 1]),
-            ("max_at_2n", big[2 * n], 2 * n - 1 - m[n]),
-            ("min_at_2n+1", m[2 * n + 1], 2 * n - big[n + 1]),
-            ("max_at_2n+1", big[2 * n + 1], 2 * n - m[n + 1]),
-        ),
-    )
-
-
-def check_extremes_mod4(
-    n_max: int = 512,
-    policy: WindowPolicy | None = None,
-    profiles: dict | None = None,
-    *,
-    table: ComplexityProfile | None = None,
-) -> VerificationReport:
-    """Check the four identities relating extremes at 4n and 4n+2 to n+1, on the
-    tm extremes table up to 4 n_max + 2: ``table``, or else the one in ``profiles``."""
-    return _check_extremes_lemma(
-        "tm_mod4", 1, n_max, 4 * n_max + 2, policy, profiles, table,
-        lambda m, big, n: (
-            ("min_at_4n", m[4 * n], 2 * n - 1 + m[n + 1]),
-            ("max_at_4n", big[4 * n], 2 * n + big[n + 1]),
-            ("min_at_4n+2", m[4 * n + 2], 2 * n + m[n + 1]),
-            ("max_at_4n+2", big[4 * n + 2], 2 * n + 1 + big[n + 1]),
-        ),
-    )
-
-
 def check_alternating_skeleton_runs(
     n_max: int = 129,
     policy: WindowPolicy | None = None,
@@ -392,7 +338,80 @@ def check_alternating_skeleton_runs(
     )
 
 
-# -- conjecture scanners -----------------------------------------------------------
+# -- per-length identities on one tm profile: the extremes lemmas and the scans ----
+
+def _check_identities(
+    claim_id, kind, n_lo, n_max, needed, identities, policy, profiles, table=None, details=None
+):
+    """Check named identities per n, for n_lo <= n <= n_max, on one tm profile.
+
+    The ``kind`` profile (``extremes`` or ``abred``) is read up to ``needed``:
+    ``table``, or else the one in ``profiles``. ``identities(*columns, n)``
+    yields (name, lhs, rhs) triples, the name ``None`` for a claim of one
+    identity; an extremes table gives the columns (minima, maxima), any other
+    profile its values. ``details(*columns)`` adds to the report's details.
+    """
+    least = max(n_lo, 1)  # the range n_lo..n_max holds some n >= 1
+    if n_max < least:
+        raise ConfigurationError(f"n_max must be >= {least}")
+    if table is None:
+        table = _stored(profiles, "tm", kind, needed, policy)
+    elif max(table.values) < needed:
+        raise ConfigurationError(f"supplied {kind} table stops at {max(table.values)}, need {needed}")
+    if kind == "extremes":
+        columns = tuple({n: pair[i] for n, pair in table.values.items()} for i in (0, 1))
+    else:
+        columns = (table.values,)
+    counterexamples = _mismatches(
+        (n, name, rhs, lhs) for n in range(n_lo, n_max + 1) for name, lhs, rhs in identities(*columns, n)
+    )
+    return _report(
+        claim_id, n_lo, n_max, counterexamples,
+        details={"certified_window": table.certified_window, **(details(*columns) if details else {})},
+    )
+
+
+def check_extremes_halving(
+    n_max: int = 512,
+    policy: WindowPolicy | None = None,
+    profiles: dict | None = None,
+    *,
+    table: ComplexityProfile | None = None,
+) -> VerificationReport:
+    """Check the four identities relating extremes at 2n and 2n+1 to n and n+1, on the
+    tm extremes table up to 2 n_max + 1: ``table``, or else the one in ``profiles``."""
+    return _check_identities(
+        "tm_max_min", "extremes", 2, n_max, 2 * n_max + 1,
+        lambda m, big, n: (
+            ("min_at_2n", m[2 * n], 2 * n - 1 - big[n + 1]),
+            ("max_at_2n", big[2 * n], 2 * n - 1 - m[n]),
+            ("min_at_2n+1", m[2 * n + 1], 2 * n - big[n + 1]),
+            ("max_at_2n+1", big[2 * n + 1], 2 * n - m[n + 1]),
+        ),
+        policy, profiles, table,
+    )
+
+
+def check_extremes_mod4(
+    n_max: int = 512,
+    policy: WindowPolicy | None = None,
+    profiles: dict | None = None,
+    *,
+    table: ComplexityProfile | None = None,
+) -> VerificationReport:
+    """Check the four identities relating extremes at 4n and 4n+2 to n+1, on the
+    tm extremes table up to 4 n_max + 2: ``table``, or else the one in ``profiles``."""
+    return _check_identities(
+        "tm_mod4", "extremes", 1, n_max, 4 * n_max + 2,
+        lambda m, big, n: (
+            ("min_at_4n", m[4 * n], 2 * n - 1 + m[n + 1]),
+            ("max_at_4n", big[4 * n], 2 * n + big[n + 1]),
+            ("min_at_4n+2", m[4 * n + 2], 2 * n + m[n + 1]),
+            ("max_at_4n+2", big[4 * n + 2], 2 * n + 1 + big[n + 1]),
+        ),
+        policy, profiles, table,
+    )
+
 
 def scan_odd_halving(
     n_max: int = 256,
@@ -404,14 +423,10 @@ def scan_odd_halving(
     Reports whether value(2n+1) = value(n+1) for 0 <= n <= n_max. This is an
     open statement: the scan gathers evidence and never asserts it.
     """
-    if n_max < 1:
-        raise ConfigurationError("n_max must be >= 1")
-    profile = _stored(profiles, "tm", "abred", 2 * n_max + 1, policy)
-    v = profile.values
-    counterexamples = _mismatches((n, None, v[n + 1], v[2 * n + 1]) for n in range(0, n_max + 1))
-    return _report(
-        "conj_odd_halving", 0, n_max, counterexamples,
-        details={"certified_window": profile.certified_window, "scanned": n_max + 1},
+    return _check_identities(
+        "conj_odd_halving", "abred", 0, n_max, 2 * n_max + 1,
+        lambda v, n: ((None, v[2 * n + 1], v[n + 1]),),
+        policy, profiles, details=lambda v: {"scanned": n_max + 1},
     )
 
 
@@ -427,24 +442,24 @@ def scan_mod4_gap(
     0, unequal symbols gap 1. The sign of each nonzero gap is genuinely open;
     the scanner records the pattern in details and draws no conclusion.
     """
-    if n_max < 1:
-        raise ConfigurationError("n_max must be >= 1")
-    profile = _stored(profiles, "tm", "abred", 4 * n_max + 2, policy)
-    gaps = {n: profile.values[4 * n + 2] - profile.values[4 * n] for n in range(1, n_max + 1)}
-    counterexamples = _mismatches(
-        (n, None, int(thue_morse_at(n + 1) != thue_morse_at(3 * n + 1)), abs(gap))
-        for n, gap in gaps.items()
-    )
-    pattern = "".join("0" if gap == 0 else ("+" if gap > 0 else "-") for gap in gaps.values())
-    return _report(
-        "conj_mod4_gap", 1, n_max, counterexamples,
-        details={
-            "certified_window": profile.certified_window,
+    def signs(v):
+        pattern = "".join(
+            "0" if gap == 0 else ("+" if gap > 0 else "-")
+            for gap in (v[4 * n + 2] - v[4 * n] for n in range(1, n_max + 1))
+        )
+        return {
             "sign_pattern": pattern,
             "zero": pattern.count("0"),
             "positive": pattern.count("+"),
             "negative": pattern.count("-"),
-        },
+        }
+
+    return _check_identities(
+        "conj_mod4_gap", "abred", 1, n_max, 4 * n_max + 2,
+        lambda v, n: (
+            (None, abs(v[4 * n + 2] - v[4 * n]), int(thue_morse_at(n + 1) != thue_morse_at(3 * n + 1))),
+        ),
+        policy, profiles, details=signs,
     )
 
 
@@ -485,6 +500,22 @@ def _fold_into_basis(basis: dict[int, list[int]], row: list[int]) -> bool:
     return False
 
 
+def check_kernel_arguments(available: int, base: int, depth: int, terms: int) -> None:
+    """Raise unless ``available`` values fill every row of a kernel rank with these arguments."""
+    if base < 2:
+        raise ConfigurationError("base must be >= 2")
+    if depth < 0:
+        raise ConfigurationError("depth must be >= 0")
+    if terms < 1:
+        raise ConfigurationError("terms must be >= 1")
+    needed = base**depth * terms
+    if available < needed:
+        raise ConfigurationError(
+            f"need at least {needed} values for base={base}, depth={depth}, "
+            f"terms={terms}; got {available}"
+        )
+
+
 def kernel_rank(
     values: Sequence[int],
     base: int = 2,
@@ -502,19 +533,8 @@ def kernel_rank(
 
     Requires len(values) >= base^depth * terms so every row is full length.
     """
-    if base < 2:
-        raise ConfigurationError("base must be >= 2")
-    if depth < 0:
-        raise ConfigurationError("depth must be >= 0")
-    if terms < 1:
-        raise ConfigurationError("terms must be >= 1")
+    check_kernel_arguments(len(values), base, depth, terms)
     values = [int(v) for v in values]
-    needed = base**depth * terms
-    if len(values) < needed:
-        raise ConfigurationError(
-            f"need at least {needed} values for base={base}, depth={depth}, "
-            f"terms={terms}; got {len(values)}"
-        )
     basis: dict[int, list[int]] = {}
     ranks = []
     for e in range(depth + 1):

@@ -389,6 +389,23 @@ class TestKernel:
         assert code == 2
         assert "need at least" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-max", "64", "--depth", "5"], "need at least 2048 values for base=2, depth=5, terms=64; got 64"),
+            (["--n-max", "16384", "--base", "1"], "base must be >= 2"),
+            (["--n-max", "16384", "--terms", "0"], "terms must be >= 1"),
+            (["--n-max", "16384", "--depth", "-1"], "depth must be >= 0"),
+        ],
+        ids=["short-n-max", "base", "terms", "depth"],
+    )
+    def test_arguments_checked_before_the_profile(self, capsys, monkeypatch, flags, message):
+        def engine(*args):
+            raise AssertionError("the profile was computed")
+
+        monkeypatch.setattr(cli, "KIND_ENGINES", dict.fromkeys(cli.KIND_ENGINES, engine))
+        assert run(capsys, "kernel", "tm", *flags) == (2, "", f"error: {message}\n")
+
 
 class TestSpecFileIntegration:
     def test_gen_from_spec_file(self, capsys, tmp_path):
@@ -526,6 +543,19 @@ class TestUsage:
 
     def test_bad_kind_exit_2(self, capsys):
         assert main(["complexity", "tm", "banana", "--n-max", "4"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, claim_id, least",
+        [
+            ("verify", "tm_max_min", 2),
+            ("verify", "tm_mod4", 1),
+            ("conjecture", "conj_odd_halving", 1),
+            ("conjecture", "conj_mod4_gap", 1),
+        ],
+    )
+    def test_identity_claims_below_range_exit_2(self, capsys, command, claim_id, least):
+        code, out, err = run(capsys, command, claim_id, "--n-max", str(least - 1))
+        assert (code, out, err) == (2, "", f"error: {claim_id}: n_max must be >= {least}\n")
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(case["argv"]) for case in GOLDEN])

@@ -234,8 +234,26 @@ class TestStructuralLemmas:
 
     def test_short_table_rejected(self, tm_handle):
         table = rw.alternation_extremes(tm_handle, 16)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^supplied extremes table stops at 16, need 129$"):
             rw.check_extremes_halving(64, table=table)
+
+    @pytest.mark.parametrize(
+        "check, claim_id, least",
+        [
+            (rw.check_extremes_halving, "tm_max_min", 2),
+            (rw.check_extremes_mod4, "tm_mod4", 1),
+            (rw.scan_odd_halving, "conj_odd_halving", 1),
+            (rw.scan_mod4_gap, "conj_mod4_gap", 1),
+        ],
+    )
+    def test_identity_claims_below_range(self, check, claim_id, least):
+        # conj_odd_halving scans from n = 0, yet its range must still reach n = 1
+        for n_max in (least - 1, -5):
+            with pytest.raises(ConfigurationError, match=f"^n_max must be >= {least}$"):
+                check(n_max)
+            with pytest.raises(ConfigurationError, match=f"^{claim_id}: n_max must be >= {least}$"):
+                rw.verify(claim_id, n_max)
+        assert rw.verify(claim_id, least).n_hi == least
 
     def test_bridge(self, tm_handle):
         assert rw.verify("tm_red", 64).details["bridge_status"] == "pass"
