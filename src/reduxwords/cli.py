@@ -79,12 +79,12 @@ def _policy_from_args(args: argparse.Namespace) -> WindowPolicy:
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--window-multiplier", type=int, default=32,
-        help="initial scan window is this many times n_max (default 32)",
+        "--window-multiplier", type=int, default=WindowPolicy.initial_multiplier,
+        help="initial scan window is this many times n_max (default %(default)s)",
     )
     parser.add_argument(
-        "--max-doublings", type=int, default=6,
-        help="window doublings to attempt before giving up (default 6)",
+        "--max-doublings", type=int, default=WindowPolicy.max_doublings,
+        help="window doublings to attempt before giving up (default %(default)s)",
     )
     parser.add_argument(
         "--fixed-window", type=int, default=None, metavar="LENGTH",
@@ -92,12 +92,10 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-# rows per slice: the writer holds one slice of digits and text at a time.
-# 2**13 runs faster, but when stdout is an in-memory buffer its many small
+# rows per slice: the writer holds one slice of text and its mask at a time.
+# 2**13 runs no faster, and when stdout is an in-memory buffer its many small
 # writes left the process peak 9 MiB higher in some heap layouts
 _SLICE_ROWS = 1 << 14
-# 10, 100, ..., 10**18: a value's decimal width is 1 + the count of these <= it
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def _int64(column) -> np.ndarray:
@@ -110,31 +108,30 @@ def _int64(column) -> np.ndarray:
 def _fill_rows(pieces: list[bytes], columns: list[np.ndarray]) -> np.ndarray:
     """ASCII rows ``pieces[0] c0 pieces[1] c1 ... pieces[-1]`` of nonnegative int64 ``columns``.
 
-    The row ends are the cumsum of the row lengths; each constant piece is
-    scattered byte by byte, and each column's digits one decimal place per
-    pass, right to left. A value narrower than its column's widest sends its
-    leading places to a spare byte past the end, which is cut off.
+    The rows are one byte matrix, a matrix row per output row: each constant
+    piece fills its own columns, and each value its column's widest width,
+    zero-padded, one decimal place per pass, right to left. The text is the
+    matrix read in row order without the leading zeros.
     """
-    widths = [1 + np.searchsorted(_POWERS_OF_TEN, column, side="right") for column in columns]
-    lengths = sum(widths) + sum(map(len, pieces))
-    ends = np.cumsum(lengths)
-    spare = int(ends[-1])
-    text = np.empty(spare + 1, dtype=np.uint8)
-    cursor = ends - lengths
+    widths = [len(str(int(column.max()))) for column in columns]
+    text = np.empty((len(columns[0]), sum(widths) + sum(map(len, pieces))), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    at = 0
     for index, piece in enumerate(pieces):
-        for byte in piece:
-            text[cursor] = byte
-            cursor += 1
+        text[:, at : at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
+        at += len(piece)
         if index == len(columns):
             break
-        width, rest = widths[index], columns[index]
-        cursor += width
-        for place in range(int(width.max())):
+        rest = columns[index]
+        at += widths[index]
+        for place in range(widths[index]):
             quotient = rest // 10
-            digit = (rest - 10 * quotient).astype(np.uint8) + ord("0")
-            text[np.where(place < width, cursor - 1 - place, spare)] = digit
+            text[:, at - 1 - place] = rest - 10 * quotient + ord("0")
+            if place:
+                # where the value has run out of digits, the place is a leading zero
+                keep[:, at - 1 - place] = rest != 0
             rest = quotient
-    return text[:spare]
+    return text[keep]
 
 
 def _emit_rows(columns, header: str, fmt: str, metadata: dict) -> None:

@@ -594,7 +594,7 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
         key |= tail
         return [key]
 
-    return _key_table(index, key)
+    return _key_table(index, key, words=1 if one_word else 2)
 
 
 def reduced_abelian_counts(index: AlternationPrefix) -> Counts:

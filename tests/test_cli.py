@@ -180,7 +180,7 @@ class TestRowWriter:
         column_count=st.integers(1, 3),
         rows=st.integers(1, 70_000),
         seed=st.integers(0, 2**32 - 1),
-        top=st.sampled_from([11, 101, 2**20, 2**40]),
+        top=st.sampled_from([11, 101, 2**20, 2**40, 2**63 - 1]),
         name=st.text(max_size=6),
         window=st.integers(0, 2**40),
     )
@@ -396,8 +396,9 @@ class TestKernel:
             (["--n-max", "16384", "--base", "1"], "base must be >= 2"),
             (["--n-max", "16384", "--terms", "0"], "terms must be >= 1"),
             (["--n-max", "16384", "--depth", "-1"], "depth must be >= 0"),
+            (["--n-max", "100", "--depth", "20000"], "need more than 100 values for base=2, depth=20000, terms=64; got 100"),
         ],
-        ids=["short-n-max", "base", "terms", "depth"],
+        ids=["short-n-max", "base", "terms", "depth", "huge-depth"],
     )
     def test_arguments_checked_before_the_profile(self, capsys, monkeypatch, flags, message):
         def engine(*args):

@@ -433,6 +433,22 @@ class TestKeyTables:
         ns = range(1, 41)
         index = AlternationPrefix(symbols, 3, 40)
         assert reduced_factor_counts(index) == oracle_counts(symbols, "reduced_factor", ns)
+        # a block of several lengths keeps both key words within the budget
+        monkeypatch.setattr(complexity, "_BLOCK", 1 << 10)
+        key_table, entries = complexity._key_table, []
+
+        def recording_key_table(index, key, *args, **kwargs):
+            def recorded(ns, cut):
+                keys = key(ns, cut)
+                if len(ns) > 1:
+                    entries.append(sum(word.size for word in keys))
+                return keys
+
+            return key_table(index, recorded, *args, **kwargs)
+
+        monkeypatch.setattr(complexity, "_key_table", recording_key_table)
+        assert reduced_factor_counts(index) == oracle_counts(symbols, "reduced_factor", ns)
+        assert entries and max(entries) <= complexity._BLOCK
 
     def test_distinct_per_row_split_keys(self):
         rng = np.random.default_rng(3)
