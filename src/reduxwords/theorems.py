@@ -508,8 +508,9 @@ def check_kernel_arguments(available: int, base: int, depth: int, terms: int) ->
         raise ConfigurationError("depth must be >= 0")
     if terms < 1:
         raise ConfigurationError("terms must be >= 1")
-    if depth >= available.bit_length():
-        # base**depth >= 2**depth > available: too many values to build or print
+    if depth * (base.bit_length() - 1) > available.bit_length():
+        # base**depth > 2**available.bit_length() > available: a count too
+        # large to build or print
         raise ConfigurationError(
             f"need more than {available} values for base={base}, depth={depth}, "
             f"terms={terms}; got {available}"
