@@ -487,7 +487,7 @@ class TestKernelRank:
     def test_insufficient_length(self):
         with pytest.raises(ConfigurationError, match="2048"):
             rw.kernel_rank([1] * 2047, base=2, depth=5, terms=64)
-        # rejected before base**depth, a 10**9-bit or 6000-digit integer, is built
+        # counts too large to build (2**10**9 * 64) or to print (10**6000 * 64)
         with pytest.raises(ConfigurationError, match="need more than 100"):
             rw.kernel_rank(range(100), depth=10**9)
         with pytest.raises(ConfigurationError, match="need more than 100"):
