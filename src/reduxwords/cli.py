@@ -135,7 +135,7 @@ def _fill_rows(pieces: list[bytes], columns: list[np.ndarray]) -> np.ndarray:
 
 
 def _emit_rows(columns, header: str, fmt: str, metadata: dict) -> None:
-    """Write the rows of nonempty equal-length integer ``columns`` as json, csv or bfile (``fmt``).
+    """Write the rows of equal-length integer ``columns`` as json, csv or bfile (``fmt``).
 
     Rows are formatted and written one slice at a time, each column converted
     to int64 only for its slice, so memory stays bounded by the slice, not
@@ -149,7 +149,7 @@ def _emit_rows(columns, header: str, fmt: str, metadata: dict) -> None:
         keys = [f"{json.dumps(field)}: " for field in fields]
         tail = "".join(f",\n    {json.dumps(k)}: {json.dumps(v)}" for k, v in metadata.items())
         pieces = ["  {\n    " + keys[0], *(",\n    " + key for key in keys[1:]), tail + "\n  },\n"]
-        sys.stdout.write("[\n")
+        sys.stdout.write("[\n" if rows else "[]\n")
     else:
         separator = "," if fmt == "csv" else " "
         pieces = ["", *[separator] * (len(fields) - 1), "\n"]
@@ -163,7 +163,7 @@ def _emit_rows(columns, header: str, fmt: str, metadata: dict) -> None:
             # the last record closes the list instead of continuing it
             text = text[:-2]
         sys.stdout.write(text.tobytes().decode("ascii"))
-    if fmt == "json":
+    if fmt == "json" and rows:
         sys.stdout.write("\n]\n")
 
 
@@ -175,7 +175,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--start must be >= 1, got {args.start}")
     if args.count < 0:
         raise ConfigurationError(f"--count must be >= 0, got {args.count}")
+    metadata = {"sequence": handle.name, "kind": "symbols"}
     if args.count == 0:
+        # no symbols to generate: raw and bfile are empty, json an empty
+        # list and csv its header alone
+        if args.format != "raw":
+            _emit_rows((range(0), range(0)), "n,value", args.format, metadata)
         return EXIT_OK
     upto = args.start + args.count - 1
     symbols = handle.prefix_symbols(upto)[args.start - 1 :]
@@ -186,7 +191,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             text = " ".join(map(str, symbols.tolist()))
         sys.stdout.write(text + "\n")
         return EXIT_OK
-    metadata = {"sequence": handle.name, "kind": "symbols"}
     _emit_rows((range(args.start, upto + 1), symbols), "n,value", args.format, metadata)
     return EXIT_OK
 

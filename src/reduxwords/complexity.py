@@ -474,17 +474,11 @@ _BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
 
 def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
     """Distinct keys per row of nonnegative integer matrices, a key being one
-    entry of every word: by one bincount over (row, key) for one word below
-    twice the row length, by row sorts for one word, else by one lexsort."""
+    entry of every word: by a sort of each row for one word, else by one
+    lexsort."""
     rows, cut = words[0].shape
     if len(words) == 1:
-        keys = words[0]
-        size = int(keys.max()) + 1
-        if size <= 2 * cut:
-            keys = keys + size * np.arange(rows)[:, None]
-            seen = np.bincount(keys.ravel(), minlength=size * rows).reshape(rows, size)
-            return np.count_nonzero(seen, axis=1).tolist()
-        keys = np.sort(keys, axis=1)
+        keys = np.sort(words[0], axis=1)
         return (1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)).tolist()
     row = np.repeat(np.arange(rows), cut)
     order = np.lexsort([word.ravel() for word in words] + [row])

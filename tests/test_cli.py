@@ -62,10 +62,10 @@ class TestGen:
         assert out.strip() == TM_PREFIX_54[2:6]
 
     def test_count_zero_empty_output(self, capsys):
-        code, out, err = run(capsys, "gen", "tm", "--count", "0")
-        assert code == 0
-        assert out == ""
-        assert err == ""
+        # no rows: json is still an empty list and csv still has its header
+        for fmt, out in (("raw", ""), ("bfile", ""), ("csv", "n,value\n"), ("json", "[]\n")):
+            assert run(capsys, "gen", "tm", "--count", "0", "--format", fmt) == (0, out, ""), fmt
+        assert json.loads(out) == []
 
     def test_bfile(self, capsys):
         code, out, _ = run(capsys, "gen", "pf", "--count", "3", "--format", "bfile")
@@ -326,9 +326,11 @@ class TestVerify:
         assert calls.count(("pf", 48)) == 1
 
     def test_configuration_error_names_the_claim(self, capsys):
-        code, _, err = run(capsys, "verify", "all", "--n-max", "2")
-        assert code == 2
-        assert err == "error: odd_len: n_max must be >= 3\n"
+        for claim_id, n_max, message in (
+            ("all", "2", "odd_len: n_max must be >= 3"),
+            ("mu_alternation", "0", "mu_alternation: max_len must be >= 1"),
+        ):
+            assert run(capsys, "verify", claim_id, "--n-max", n_max) == (2, "", f"error: {message}\n")
 
     def test_unknown_claim_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "bogus_claim")
@@ -383,6 +385,11 @@ class TestKernel:
         code, out, _ = run(capsys, "kernel", "tm", "--kind", "red", "--n-max", "512", "--depth", "3")
         assert code == 0
         assert "[1, 2, 4, 4]" in out
+        assert out.endswith("rank stopped growing at the deepest level scanned\n")
+        # one level is too few for the rank to stop growing
+        code, out, _ = run(capsys, "kernel", "tm", "--kind", "red", "--n-max", "128", "--depth", "1")
+        assert code == 0
+        assert out.endswith("rank still growing at the deepest level scanned\n")
 
     def test_insufficient_length_exit_2(self, capsys):
         code, _, err = run(capsys, "kernel", "tm", "--n-max", "64", "--depth", "5")
@@ -510,6 +517,28 @@ class TestSpecFileIntegration:
         assert run(capsys, "gen", str(path), "--count", "4") == (
             2, "", "error: alphabet_size must be positive\n"
         )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("kind = morphic\nseed = 0\nimage.0 = 01\nimage.1 = 10\n", "kind 'morphic' requires key 'alphabet_size'"),
+            ("kind = morphic\nalphabet_size = 2\nseed = 0\nimage.0 = 01\nimage.x = 10\n", "bad image key 'image.x'"),
+            (
+                "kind = morphic\nalphabet_size = 2\nseed = 0\nimage.0 = 0a\nimage.1 = 10\n",
+                "image.0: expected a digit string or comma-separated integers, got '0a'",
+            ),
+            (
+                "kind = morphic\nalphabet_size = 2\nseed = 0\nimage.0 = 01\nimage.1 = 10\nimage.5 = 0\n",
+                "morphism domain symbol 5 out of alphabet",
+            ),
+            ("kind = toeplitz\nalphabet_size = 2\nperiod = 02\n", "filler symbol 2 out of alphabet"),
+        ],
+        ids=["no-alphabet", "image-key", "image-value", "domain-symbol", "filler-symbol"],
+    )
+    def test_bad_spec_value_exit_2(self, capsys, tmp_path, body, message):
+        path = tmp_path / "bad.conf"
+        path.write_text(body)
+        assert run(capsys, "gen", str(path), "--count", "4") == (2, "", f"error: {message}\n")
 
     def test_missing_spec_file_exit_2(self, capsys):
         code, _, err = run(capsys, "gen", "/no/such/file.conf", "--count", "4")

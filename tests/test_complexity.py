@@ -452,12 +452,20 @@ class TestKeyTables:
 
     def test_distinct_per_row_split_keys(self):
         rng = np.random.default_rng(3)
-        for high in (40, 1 << 40):
-            keys = rng.integers(0, high, (5, 37))
+        # the binary kinds pass int32 keys, the others int64
+        for shape, high, dtype in (
+            ((5, 37), 40, np.int32),
+            ((5, 37), 40, np.int64),
+            ((5, 37), 1 << 40, np.int64),
+            ((1, 37), 40, np.int64),
+            ((5, 1), 40, np.int64),
+            ((1, 1), 40, np.int32),
+        ):
+            keys = rng.integers(0, high, shape).astype(dtype)
             want = [len(set(row)) for row in keys.tolist()]
-            assert complexity._distinct_per_row([keys]) == want, high
+            assert complexity._distinct_per_row([keys]) == want, (shape, high, dtype)
             split = [keys >> 20, keys & ((1 << 20) - 1)]
-            assert complexity._distinct_per_row(split) == want, high
+            assert complexity._distinct_per_row(split) == want, (shape, high, dtype)
 
 
 class TestProfileInvariants:
