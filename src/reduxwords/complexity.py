@@ -476,10 +476,10 @@ def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
     """Distinct keys per row of nonnegative integer matrices, a key being one
     entry of every word: by a sort of each row for one word, else by one
     lexsort."""
-    rows, cut = words[0].shape
     if len(words) == 1:
         keys = np.sort(words[0], axis=1)
         return (1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)).tolist()
+    rows, cut = words[0].shape
     row = np.repeat(np.arange(rows), cut)
     order = np.lexsort([word.ravel() for word in words] + [row])
     # the rows come out in order, each with its keys sorted

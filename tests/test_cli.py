@@ -65,7 +65,6 @@ class TestGen:
         # no rows: json is still an empty list and csv still has its header
         for fmt, out in (("raw", ""), ("bfile", ""), ("csv", "n,value\n"), ("json", "[]\n")):
             assert run(capsys, "gen", "tm", "--count", "0", "--format", fmt) == (0, out, ""), fmt
-        assert json.loads(out) == []
 
     def test_bfile(self, capsys):
         code, out, _ = run(capsys, "gen", "pf", "--count", "3", "--format", "bfile")
