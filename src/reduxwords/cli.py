@@ -9,7 +9,8 @@ All emitted indices are 1-based, matching the library convention and the
 "n a(n)" b-file format. Exit codes: 0 success / clean report, 1 a check
 found counterexamples, 2 usage or configuration error, 3 window
 certification failure (the partial results and the least window length
-that differed go to stderr as JSON).
+that differed go to stderr as JSON), 141 stdout closed before the output
+was written (nothing goes to stderr).
 
 Sequences are named ``tm`` or ``pf``, or given as a path to a spec file of
 ``key = value`` lines (``#`` comments allowed)::
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -234,38 +236,27 @@ def _summarize(report) -> str:
     return f"{report.claim_id}: {report.status} over n={report.n_lo}..{report.n_hi}{suffix}"
 
 
-def _run_claims(claim_ids, n_max, policy, as_json: bool) -> int:
+def _cmd_claims(args: argparse.Namespace, conjectures: bool) -> int:
+    """Run ``args.claim`` on one profile store; ``all`` is every claim of the
+    table, in its order, that is a conjecture exactly when ``conjectures`` is set."""
+    policy = _policy_from_args(args)
+    if args.claim == "all":
+        ids = [cid for cid, c in CLAIMS.items() if (c.kind == "conjecture") == conjectures]
+    elif conjectures and args.claim not in CONJECTURE_IDS:
+        raise ConfigurationError(
+            f"{args.claim!r} is not a conjecture id; choices: {', '.join(CONJECTURE_IDS)}, all"
+        )
+    else:
+        ids = [args.claim]
     profiles: dict = {}
-    reports = [verify(cid, n_max, policy, profiles) for cid in claim_ids]
-    if as_json:
+    reports = [verify(cid, args.n_max, policy, profiles) for cid in ids]
+    if args.json:
         payload = [_report_to_json(r) for r in reports]
         sys.stdout.write(json.dumps(payload if len(payload) > 1 else payload[0], indent=2) + "\n")
     else:
         for report in reports:
             sys.stdout.write(_summarize(report) + "\n")
     return EXIT_OK if all(r.ok for r in reports) else EXIT_COUNTEREXAMPLES
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    policy = _policy_from_args(args)
-    if args.claim == "all":
-        ids = [cid for cid, c in CLAIMS.items() if c.kind != "conjecture"]
-    else:
-        ids = [args.claim]
-    return _run_claims(ids, args.n_max, policy, args.json)
-
-
-def _cmd_conjecture(args: argparse.Namespace) -> int:
-    policy = _policy_from_args(args)
-    if args.claim == "all":
-        ids = CONJECTURE_IDS
-    elif args.claim in CONJECTURE_IDS:
-        ids = [args.claim]
-    else:
-        raise ConfigurationError(
-            f"{args.claim!r} is not a conjecture id; choices: {', '.join(CONJECTURE_IDS)}, all"
-        )
-    return _run_claims(ids, args.n_max, policy, args.json)
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
@@ -340,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, help="override the claim's default range")
     p.add_argument("--json", action="store_true", help="emit the structured report")
     _add_policy_flags(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=lambda args: _cmd_claims(args, conjectures=False))
 
     p = sub.add_parser("conjecture", help="scan an open statement and report evidence")
     p.add_argument("claim", help=f"conjecture id or 'all'; ids: {', '.join(CONJECTURE_IDS)}")
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--json", action="store_true")
     _add_policy_flags(p)
-    p.set_defaults(func=_cmd_conjecture)
+    p.set_defaults(func=lambda args: _cmd_claims(args, conjectures=True))
 
     p = sub.add_parser("kernel", help="exact rank of a profile's arithmetic subsequences")
     p.add_argument("sequence", help="tm, pf, or a spec-file path")
@@ -387,7 +378,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        # flushed here, so that a reader that closed stdout early (``| head``)
+        # is caught also at the last write
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull, so that the flush at interpreter exit stays
+        # silent, and the status is a shell's for a process killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 128 + 13
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@
 import ast
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -306,9 +308,9 @@ class TestVerify:
     def test_all_runs_non_conjecture_claims(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--n-max", "48")
         assert code == 0
-        lines = out.strip().split("\n")
-        assert len(lines) == 14  # 16 ids minus the two conjectures
-        assert not any(line.startswith("conj_") for line in lines)
+        ids = [line.partition(":")[0] for line in out.strip().split("\n")]
+        assert len(ids) == 14  # 16 ids minus the two conjectures
+        assert ids == [cid for cid, c in CLAIMS.items() if c.kind != "conjecture"]
 
     def test_all_computes_each_profile_once(self, capsys, monkeypatch):
         calls = []
@@ -362,7 +364,8 @@ class TestConjecture:
     def test_all(self, capsys):
         code, out, _ = run(capsys, "conjecture", "all", "--n-max", "16")
         assert code == 0
-        assert len(out.strip().split("\n")) == 2
+        ids = [line.partition(":")[0] for line in out.strip().split("\n")]
+        assert ids == ["conj_odd_halving", "conj_mod4_gap"]
 
     def test_rejects_theorem_ids(self, capsys):
         code, _, err = run(capsys, "conjecture", "tm_red")
@@ -585,6 +588,29 @@ class TestUsage:
     def test_identity_claims_below_range_exit_2(self, capsys, command, claim_id, least):
         code, out, err = run(capsys, command, claim_id, "--n-max", str(least - 1))
         assert (code, out, err) == (2, "", f"error: {claim_id}: n_max must be >= {least}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "tm", "--count", "1000000", "--format", "csv"],
+            ["gen", "tm", "--count", "1000000", "--format", "bfile"],
+            ["gen", "tm", "--count", "1000000", "--format", "json"],
+            ["complexity", "tm", "factor", "--n-max", "10000"],
+        ],
+        ids=" ".join,
+    )
+    def test_closed_stdout_exit_141(self, argv):
+        # each output is longer than a pipe holds, so a write fails once the
+        # reader has closed its end, as under ``| head -1``
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        with subprocess.Popen(
+            [sys.executable, "-m", "reduxwords.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT, env=env,
+        ) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(case["argv"]) for case in GOLDEN])
