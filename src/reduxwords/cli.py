@@ -335,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conjecture", help="scan an open statement and report evidence")
     p.add_argument("claim", help=f"conjecture id or 'all'; ids: {', '.join(CONJECTURE_IDS)}")
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--n-max", type=int, default=None, help="override the claim's default range")
+    p.add_argument("--json", action="store_true", help="emit the structured report")
     _add_policy_flags(p)
     p.set_defaults(func=lambda args: _cmd_claims(args, conjectures=True))
 

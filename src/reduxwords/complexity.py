@@ -27,7 +27,7 @@ a rank step's and the final one, is one in-place sort of a uint64 key with
 the name (or one 32-bit word of a wider name) above the start, so the
 first start of each name comes first among its equals. The index takes the
 common prefix of each such start with its sorted neighbour, one packed
-literal chunk at a time, and from these its longest previous factor
+chunk of literal symbols at a time, and from these its longest previous factor
 (Crochemore and Ilie): the longest prefix of its window that also starts
 earlier, which is its longer common prefix with the previous and the next
 smaller start in sorted order. Numpy passes over a tree of block minima
@@ -45,19 +45,32 @@ index takes log N packing passes and as many sorts over the L starts, and
 the counts evaluate sum_n rho(n) keys (rho the factor complexity, about
 1.5 N^2 for tm and pf) instead of N(L - N) for every start at every length.
 
-A finite scan can only undercount the infinite sequence, so counts are
-certified empirically: the window W doubles until the counts on the first
-W symbols equal those on the first 2W, and ``certified_window`` records
-W. Every count function takes one index and returns its counts, and each
-step counts on an index at 2W. The length-n windows of the first W
-symbols are those whose first occurrence ends within W, so when every
-first occurrence in that index does, the counts on W equal those on 2W
-for every kind, with no second index. For tm, pf and the tribonacci spec
-at the default W = 32n every first occurrence ends within the first 13%,
-22% and 19% of W. Otherwise the kind is counted again on an index of W
-itself. Each further doubling compares its counts with those of the step
-before. This is the verdict that scanning W and 2W separately gives; it
-is evidence, not proof, and proofs live in :mod:`reduxwords.theorems`.
+A finite scan can only undercount the infinite sequence. For a fixed
+point x of a morphism sigma, or a letter-to-letter coding of one (tm, pf
+and morphic spec files), the morphism proves a prefix long enough: with k
+least such that every letter of x has |sigma^k(c)| >= n_max - 1, every
+factor of length up to n_max lies in sigma^k(ab) for a 2-letter factor
+ab, so sigma^k of the least prefix x[0..p) that holds every 2-letter
+factor holds them all (Allouche and Shallit, Automatic Sequences, 2003,
+ch. 7 and 10). That prefix P is 7 * 2^k symbols for tm and 13 * 2^k for
+pf. When P is at most the initial window W, and 2W fits the handle's
+cap, the counts are taken on one index of P, and ``certified_window``
+records W, as doubling would, since W and 2W hold the same factors.
+
+Everywhere else (Toeplitz specs, a letter with bounded images, a window
+shorter than P, 2W past the cap) the counts are certified empirically:
+the window W doubles until the counts on the first W symbols equal those
+on the first 2W, and ``certified_window`` records W. Every count function
+takes one index and returns its counts, and each step counts on an index
+at 2W. The length-n windows of the first W symbols are those whose first
+occurrence ends within W, so when every first occurrence in that index
+does, the counts on W equal those on 2W for every kind, with no second
+index. For pf's Toeplitz spec at the default W = 32n every first
+occurrence ends within the first 22% of W. Otherwise the kind is counted
+again on an index of W itself. Each further doubling compares its counts
+with those of the step before. This is the verdict that scanning W and
+2W separately gives; it is evidence, not proof, and the paper's closed
+forms live in :mod:`reduxwords.theorems`.
 
 Window starts are 0-based internally; the public profile maps window length
 ``n`` (>= 1) to its count.
@@ -66,7 +79,7 @@ Window starts are 0-based internally; the public profile maps window length
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -206,6 +219,21 @@ def _doubling_names(arr, alphabet_size: int, n_max: int):
         literal = literal and shift == span
         span = new
         yield span, names, literal
+
+
+def _packed_windows(arr: np.ndarray, bits: int, span: int) -> np.ndarray:
+    """``packed[s]``: the ``span`` symbols at s, ``bits`` bits each, first
+    symbol highest, and 0s past the prefix end. Each step appends to the
+    window at s the first symbols of the window just after it."""
+    packed = arr.astype(_uint_dtype(span * bits))
+    width = 1
+    while width < span:
+        grow = min(width, span - width)
+        head = packed[width:] >> ((width - grow) * bits)
+        packed <<= grow * bits
+        packed[: len(head)] |= head
+        width += grow
+    return packed
 
 
 def _neighbour_lcp(ordered, room, literal, span: int, bits: int) -> np.ndarray:
@@ -390,21 +418,24 @@ class AlternationPrefix:
 
     def _index_windows(self, n_max: int) -> None:
         for span, names, literal in _doubling_names(self.arr, self.alphabet_size, n_max):
-            if literal:
-                chunk = span
+            pass
         # in name order, the first start of each name is its first occurrence;
         # a tail start's padded window occurs nowhere else
         order, new = _name_order(names)
         ordered = order[new]
         del order, new
         room = np.minimum(n_max, self.length - ordered)
-        if chunk < span:
-            # the widest literal names, made again rather than kept beside the
-            # final names through the sort above
+        bits = self.alphabet_size.bit_length()
+        if not literal:
+            # 32-bit chunks of the symbols themselves, made after the sort
+            # above rather than kept beside the final names through it. The
+            # 0s past the end need no mark of their own: room caps each
+            # common prefix before the end.
             del names
-            for span, names, _ in _doubling_names(self.arr, self.alphabet_size, chunk):
-                pass
-        lcp = _neighbour_lcp(ordered, room, names, chunk, self.alphabet_size.bit_length())
+            bits = max(1, (self.alphabet_size - 1).bit_length())
+            span = max(1, 32 // bits)
+            names = _packed_windows(self.arr, bits, span)
+        lcp = _neighbour_lcp(ordered, room, names, span, bits)
         del names
         lpf = _longest_previous_factor(ordered, lcp)
         # the starts that are a first occurrence for some n, by (lpf, start):
@@ -446,13 +477,19 @@ class AlternationPrefix:
             yield ns, cut, fresh
             n = last + 1
 
+    def block_ends(self, padded: np.ndarray, ns: np.ndarray, cut: int) -> np.ndarray:
+        """``padded`` at the last position of the windows at the first ``cut``
+        of ``starts``, a row per n in ``ns``; ``padded`` runs n_max past the
+        prefix end, for the windows that the block's ``fresh`` discards."""
+        return padded[self.starts[:cut] + (ns[:, None] - 1)]
+
     def block_alternations(self, ns: np.ndarray, cut: int) -> np.ndarray:
         """Alternation counts at the first ``cut`` of ``starts``, a row per n in ``ns``.
 
         A window that would run past the prefix end gets a count too, which
         the block's ``fresh`` marks to be discarded.
         """
-        return self._padded_alt[self.starts[:cut] + (ns[:, None] - 1)] - self._start_alt[:cut]
+        return self.block_ends(self._padded_alt, ns, cut) - self._start_alt[:cut]
 
 
 # -- distinct-window counting --------------------------------------------------
@@ -561,9 +598,11 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
     """Distinct window reductions of each length 1..n_max."""
     if index.alphabet_size == 2:
         # a binary reduction alternates, so its first symbol and its
-        # alternation count name it
-        first = index.arr[index.starts]
-        return _key_table(index, lambda ns, cut: [2 * index.block_alternations(ns, cut) + first[:cut]])
+        # alternation count a < n_max name it, as a + n_max * first: alt at
+        # the window's end, less a per-start offset
+        first = index.arr[index.starts].astype(index._start_alt.dtype)
+        offset = index._start_alt - first * index.n_max
+        return _key_table(index, lambda ns, cut: [index.block_ends(index._padded_alt, ns, cut) - offset[:cut]])
     # the reduction of m = a + 1 runs is the length-m factor of the run
     # symbols at run r = alt[s]; with 2^k <= m < 2^(k+1), its first and its
     # last 2^k run symbols cover it, so m and their names name it
@@ -594,16 +633,20 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
 def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the window reductions of each length 1..n_max."""
     if index.alphabet_size == 2:
-        # a binary reduction of r = a + 1 runs alternates: it holds r/2 of
-        # each symbol when r is even and one more of its first symbol when r
-        # is odd, so 2r + (first symbol if r is odd) names its count vector
-        first = index.arr[index.starts]
-
-        def binary(ns, cut):
-            runs = index.block_alternations(ns, cut) + 1
-            return [2 * runs + (runs & first[:cut])]
-
-        return _key_table(index, binary)
+        # a binary reduction of a + 1 runs alternates, so a and its count of
+        # 1s less its count of 0s, d in {-1, 0, 1}, name its count vector, as
+        # 3a + d. With R the prefix sum of +1 at each 1-run start and -1 at
+        # each 0-run start, d is R at the window's end, less R at its start,
+        # plus the sign of its first symbol; since the runs alternate, R is
+        # the sign of the prefix's first symbol where alt is even and 0
+        # where it is odd. So the key is G = 3 alt + R at the window's end,
+        # less a per-start offset. Cast first: 3 alt may not fit alt's dtype.
+        dtype = np.int32 if 4 * index.length < 2**31 else np.int64
+        alt = index._padded_alt.astype(dtype, copy=False)
+        sign = 2 * int(index.arr[0]) - 1
+        ends = 3 * alt + sign * (1 - (alt & 1))
+        offset = ends[index.starts] - (2 * index.arr[index.starts].astype(dtype) - 1)
+        return _key_table(index, lambda ns, cut: [index.block_ends(ends, ns, cut) - offset[:cut]])
     # the reduction of a window holds runs alt[s] through alt[s+n-1]; its
     # length varies, so its count of symbol 0 is part of the key
     sums = _packed_counts(_runs(index), 0, index.n_max.bit_length())
@@ -624,13 +667,94 @@ def extremes_counts(index: AlternationPrefix) -> dict[int, tuple[int, int]]:
     return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], summary)
 
 
+# -- proof windows ---------------------------------------------------------------
+
+# Letters of a fixed point searched for its 2-letter factors; a morphism
+# whose factors first appear later keeps the doubling.
+_PAIR_SEARCH = 1 << 16
+
+
+def _pair_prefix(image: Mapping[int, tuple[int, ...]], seed: int) -> list[int] | None:
+    """The shortest prefix of the fixed point of the morphism with images
+    ``image`` at ``seed`` that holds all of its 2-letter factors, or None if
+    it is longer than ``_PAIR_SEARCH``.
+
+    Those factors are a closure: x0 x1, and the 2-letter factors of
+    sigma(ab) for each factor ab, since every 2-letter factor of x =
+    sigma(x) lies in the image of the one at an earlier position.
+    """
+    x = list(image[seed])
+    pairs, todo = set(), [(x[0], x[1])]
+    while todo:
+        pair = todo.pop()
+        if pair not in pairs:
+            pairs.add(pair)
+            word = image[pair[0]] + image[pair[1]]
+            todo.extend(zip(word, word[1:]))
+    # x extends by sigma of its letters from x1 on, since x = sigma(x)
+    seen, consumed = set(), 1
+    for end in range(1, _PAIR_SEARCH):
+        if len(seen) == len(pairs):
+            return x[:end]
+        while len(x) <= end:
+            x.extend(image[x[consumed]])
+            consumed += 1
+        seen.add((x[end - 1], x[end]))
+    return None
+
+
+def _proof_window(handle: SequenceHandle, n_max: int, window: int) -> int | None:
+    """A prefix length P <= ``window`` that holds every factor of length up
+    to ``n_max``, or None when the handle's source morphism gives none.
+
+    For the fixed point x of a morphism sigma, let k be least with
+    |sigma^k(c)| >= n_max - 1 for every letter c of x. A window of length n
+    <= n_max of x = sigma^k(x) meets at most two consecutive blocks
+    sigma^k(x_i) sigma^k(x_i+1), and x_i x_i+1 occurs in the prefix x[0..p)
+    that holds every 2-letter factor, so the window occurs in sigma^k of
+    that prefix, of length P = sum |sigma^k(x_i)| for i < p (Allouche and
+    Shallit, Automatic Sequences, 2003, ch. 7 and 10). A coding maps the
+    prefix of x onto the same prefix of the coded word, whose factors are
+    the codings of those of x. If a letter of x has bounded images, no k
+    exists. While every letter grows, the least image length rises within
+    any run of as many steps as x has letters, so a run without a rise
+    shows a bounded letter.
+    """
+    if handle._source is None:
+        return None
+    morphism, seed, _ = handle._source
+    prefix = _pair_prefix(morphism.images, seed)
+    if prefix is None:
+        return None
+    letters = set(prefix)
+    lengths = dict.fromkeys(letters, 1)
+    least, stalled = 1, 0
+    while least < n_max - 1:
+        lengths = {c: sum(lengths[d] for d in morphism.images[c]) for c in letters}
+        # the prefix holds every letter, so P is at least the longest image
+        if max(lengths.values()) > window:
+            return None
+        stalled = stalled + 1 if min(lengths.values()) == least else 0
+        if stalled == len(letters):
+            return None
+        least = min(lengths.values())
+    proof = sum(lengths[c] for c in prefix)
+    return proof if proof <= window else None
+
+
 # -- certification driver ------------------------------------------------------
 
 def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy, table: Callable):
     """Double the window until the values on it equal those on twice it.
 
-    ``table(index)`` returns the values on the whole indexed prefix. Each
-    step indexes twice the window. The first step takes the values on the
+    ``table(index)`` returns the values on the whole indexed prefix. When
+    the handle's source morphism proves that a prefix P <= W holds every
+    factor of length up to ``n_max`` (:func:`_proof_window`), the window W
+    and twice it hold the same factors, so doubling would return the values
+    on P and W at its first step: those are counted on one index of P.
+    That holds while twice the window fits the handle's cap, so that
+    capacity errors stay those of doubling. Otherwise each step indexes
+    twice the window. The first step takes the values on the
     window from that index when every first occurrence in it ends within
     the window, and otherwise counts them on an index of the window itself;
     each later step compares with the step before. Returns ``(values,
@@ -646,6 +770,9 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     window = policy.initial_window(n_max)
     if policy.fixed_length is not None:
         return table(index(window)), window
+    proof = _proof_window(handle, n_max, window)
+    if proof is not None and 2 * window <= handle._cap:
+        return table(index(proof)), window
     # a view; asked for first so that a capacity error names the same prefix
     # length as a scan of the window itself would
     handle.prefix_symbols(window)

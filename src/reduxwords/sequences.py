@@ -29,6 +29,11 @@ spec file (``tests/data/tm_morphic.spec``: the fixed point of 0->01,
 and the tests cross-check the two. Arbitrary eventually periodic Toeplitz
 fillers are supported as an extension beyond the alternating 0/1 filler
 the paperfolding sequence needs.
+
+The builtins and every morphic fixed point also carry the morphism they
+are a fixed point of (for pf, a coding of one: a, b -> 0 and c, d -> 1 of
+the fixed point of a -> ab, b -> cb, c -> ad, d -> cd), from which the
+window scans bound the prefix that holds every factor.
 """
 
 from __future__ import annotations
@@ -100,6 +105,11 @@ class SequenceHandle:
         self._buf = np.empty(0, dtype=_uint_dtype(max(1, (alphabet_size - 1).bit_length())))
         self._buf.flags.writeable = False
         self._lock = threading.Lock()
+        # (morphism, seed, coding) when the sequence is the fixed point of
+        # the morphism at the seed, mapped letter by letter through the
+        # coding (None: the identity); the window scans read it to bound
+        # the prefix that holds every factor
+        self._source = None
 
     def _ensure(self, length: int) -> None:
         if len(self._buf) >= length:
@@ -208,11 +218,17 @@ def paperfolding_block(n: np.ndarray) -> np.ndarray:
 
 
 def thue_morse() -> SequenceHandle:
-    return _from_block_rule(thue_morse_block, 2, "tm")
+    handle = _from_block_rule(thue_morse_block, 2, "tm")
+    handle._source = (thue_morse_morphism(), 0, None)
+    return handle
 
 
 def paperfolding() -> SequenceHandle:
-    return _from_block_rule(paperfolding_block, 2, "pf")
+    handle = _from_block_rule(paperfolding_block, 2, "pf")
+    # pf is the coding a, b -> 0 and c, d -> 1 of the fixed point of
+    # a -> ab, b -> cb, c -> ad, d -> cd, with a..d as 0..3
+    handle._source = (Morphism({0: (0, 1), 1: (2, 1), 2: (0, 3), 3: (2, 3)}, 4), 0, (0, 0, 1, 1))
+    return handle
 
 
 # -- morphic fixed points -----------------------------------------------------
@@ -293,7 +309,9 @@ def morphic_fixed_point(m: Morphism, seed: Symbol, name: str | None = None) -> S
 
     if name is None:
         name = f"morphic(seed={seed})"
-    return SequenceHandle(name, m.alphabet_size, extend)
+    handle = SequenceHandle(name, m.alphabet_size, extend)
+    handle._source = (m, seed, None)
+    return handle
 
 
 # -- Toeplitz construction ----------------------------------------------------

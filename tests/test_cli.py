@@ -573,6 +573,19 @@ class TestUsage:
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_claim_commands_share_their_flag_help(self, capsys):
+        # conjecture's --n-max and --json read as verify's do
+        def flag_lines(command):
+            assert main([command, "--help"]) == 0
+            text = capsys.readouterr().out
+            return [line.strip() for line in text.splitlines() if line.strip().startswith(("--n-max", "--json"))]
+
+        assert flag_lines("conjecture") == flag_lines("verify")
+        assert flag_lines("verify") == [
+            "--n-max N_MAX         override the claim's default range",
+            "--json                emit the structured report",
+        ]
+
     def test_bad_kind_exit_2(self, capsys):
         assert main(["complexity", "tm", "banana", "--n-max", "4"]) == 2
 

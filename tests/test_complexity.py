@@ -27,6 +27,7 @@ from reduxwords.sequences import SequenceHandle
 from reduxwords.words import Word
 
 from conftest import (
+    DATA,
     RHO_AB_F_21,
     RHO_ABRED_F_22,
     RHO_ABRED_T_19,
@@ -219,6 +220,17 @@ def handled_words(draw):
     return handle, n_max, policy
 
 
+@st.composite
+def prolongable_morphisms(draw):
+    """(morphism, seed 0) over 2 to 4 letters, with images of 1 to 3 letters;
+    a letter whose images stay one letter long is bounded."""
+    sigma = draw(st.integers(2, 4))
+    letters = st.integers(0, sigma - 1)
+    images = {c: tuple(draw(st.lists(letters, min_size=1, max_size=3))) for c in range(1, sigma)}
+    images[0] = (0, *draw(st.lists(letters, min_size=1, max_size=2)))
+    return rw.Morphism(images, sigma), 0
+
+
 class TestRepresentativeIndex:
     @settings(max_examples=60, deadline=None)
     @given(indexed_words())
@@ -278,6 +290,24 @@ class TestRepresentativeIndex:
         assert set(fresh_tails) <= set(index.starts.tolist())
         counts = factor_counts(index)
         assert [counts[n] for n in (20, 48)] == [len(windows(symbols, n)) for n in (20, 48)]
+
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 5, 9, 300])
+    def test_packed_windows(self, sigma):
+        rng = random.Random(sigma)
+        bits = max(1, (sigma - 1).bit_length())
+        span = max(1, 32 // bits)
+        symbols = [rng.randrange(sigma) for _ in range(3 * span + 16)]
+        packed = complexity._packed_windows(np.array(symbols), bits, span)
+        padded = symbols + [0] * span
+        expected = [
+            sum(c << (bits * (span - 1 - j)) for j, c in enumerate(padded[s : s + span]))
+            for s in range(len(symbols))
+        ]
+        assert packed.tolist() == expected
+        # the common prefixes of the index read these chunks once names are ranks
+        ns = range(1, span + 9)
+        index = AlternationPrefix(symbols, sigma, span + 8)
+        assert factor_counts(index) == oracle_counts(symbols, "factor", ns)
 
     def test_symbols_must_fit_the_alphabet(self):
         with pytest.raises(ConfigurationError):
@@ -607,11 +637,15 @@ class TestWindowPolicy:
         word = [rng.randrange(3) for _ in range(200)] + [0, 1, 2] * 200
         head = SequenceHandle("head", 3, lambda buf, target: word[len(buf) : target])
         cases = [
-            (rw.thue_morse(), WindowPolicy(), 1),
-            (head, WindowPolicy(initial_multiplier=1), 2),
-            (head, WindowPolicy(initial_multiplier=1, max_doublings=2), 2),
+            # tm's morphism proves that its first 7 * 8 symbols hold every
+            # factor of length 8 or less, so that prefix is the one index
+            (rw.thue_morse(), WindowPolicy(), [56]),
+            # a Toeplitz spec carries no morphism, and doubles
+            (rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec")), WindowPolicy(), [512]),
+            (head, WindowPolicy(initial_multiplier=1), [16, 8]),
+            (head, WindowPolicy(initial_multiplier=1, max_doublings=2), [16, 8]),
         ]
-        for handle, policy, first_step in cases:
+        for handle, policy, first in cases:
             built.clear()
             certified, values, window, first_unstable_n = two_scan_reference(
                 handle, kind, 8, policy
@@ -630,8 +664,64 @@ class TestWindowPolicy:
             # the first step indexes twice the window, and the window itself
             # only when a first occurrence ends past it; each later step one
             w = policy.initial_window(8)
-            assert built[:first_step] == [2 * w, w][:first_step]
-            assert built[first_step:] == [w << k for k in range(2, (last // w).bit_length())]
+            assert built[: len(first)] == first
+            assert built[len(first) :] == [w << k for k in range(2, (last // w).bit_length())]
+
+    def test_proof_windows_of_the_builtins_and_the_tribonacci_spec(self):
+        tribonacci = rw.load_sequence_spec(str(DATA.parent.parent / "perfbench" / "data" / "tribonacci.spec"))
+        for n_max, tm, pf, trib in [(1, 7, 13, 8), (2, 7, 13, 8), (8, 56, 104, 94), (2048, 14336, 26624, 41658)]:
+            window = 32 * n_max
+            assert complexity._proof_window(rw.thue_morse(), n_max, window) == tm
+            assert complexity._proof_window(rw.paperfolding(), n_max, window) == pf
+            assert complexity._proof_window(tribonacci, n_max, window) == trib
+        # no proof past the window, nor for a Toeplitz spec
+        assert complexity._proof_window(rw.thue_morse(), 2048, 14335) is None
+        pf_toeplitz = rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec"))
+        assert complexity._proof_window(pf_toeplitz, 8, 256) is None
+
+    def test_a_bounded_letter_keeps_doubling(self, monkeypatch):
+        # 0 -> 01, 1 -> 1: the images of 1 never grow, so no k exists
+        handle = rw.morphic_fixed_point(rw.Morphism({0: (0, 1), 1: (1,)}, 2), 0)
+        assert complexity._proof_window(handle, 8, 1 << 20) is None
+        built = []
+
+        class CountedIndex(AlternationPrefix):
+            def __init__(self, symbols, alphabet_size, n_max):
+                built.append(len(symbols))
+                super().__init__(symbols, alphabet_size, n_max)
+
+        monkeypatch.setattr(complexity, "AlternationPrefix", CountedIndex)
+        profile = rw.factor_complexity(handle, 8)
+        assert (profile.values, profile.certified_window) == (dict.fromkeys(range(1, 9), 2), 256)
+        assert built == [512]
+
+    @settings(max_examples=60, deadline=None)
+    @given(prolongable_morphisms(), st.integers(1, 10))
+    def test_proof_window_matches_doubling_and_the_oracle(self, source, n_max):
+        morphism, seed = source
+        handle = rw.morphic_fixed_point(morphism, seed)
+        # the same sequence without its morphism, certified by doubling
+        plain = SequenceHandle(
+            "plain", morphism.alphabet_size, lambda buf, target: handle.prefix_symbols(target)[len(buf) :]
+        )
+        policy = WindowPolicy()
+        proof = complexity._proof_window(handle, n_max, policy.initial_window(n_max))
+        ns = range(1, n_max + 1)
+        for kind, engine in PROFILE_ENGINES.items():
+            outcomes = []
+            for h in (handle, plain):
+                try:
+                    profile = engine(h, n_max, policy)
+                    outcomes.append((profile.values, profile.certified_window))
+                except StabilizationError as exc:
+                    outcomes.append((exc.partial_values, exc.window, exc.first_unstable_n))
+            assert outcomes[0] == outcomes[1], kind
+            if proof is not None:
+                symbols = handle.prefix_symbols(8 * proof).tolist()
+                oracle = (
+                    oracle_extremes(symbols, ns) if kind == "extremes" else oracle_counts(symbols, kind, ns)
+                )
+                assert outcomes[0][0] == oracle, kind
 
     def test_capacity_error_names_the_same_prefix(self, monkeypatch):
         # the first scan asks for the window and certification for twice it;

@@ -85,6 +85,16 @@ class TestCrossConstruction:
         b = _second_construction("pf_toeplitz").prefix_symbols(1 << 14)
         assert a.tolist() == b.tolist()
 
+    @pytest.mark.parametrize("builtin", [rw.thue_morse, rw.paperfolding])
+    def test_builtin_is_the_coding_of_its_source_morphism(self, builtin):
+        # pf: a, b -> 0 and c, d -> 1 of the fixed point of a -> ab, b -> cb,
+        # c -> ad, d -> cd; tm: the fixed point of 0 -> 01, 1 -> 10
+        handle = builtin()
+        morphism, seed, coding = handle._source
+        source = rw.morphic_fixed_point(morphism, seed).prefix_symbols(1 << 16)
+        coded = source if coding is None else np.array(coding)[source]
+        assert np.array_equal(coded, handle.prefix_symbols(1 << 16))
+
 
 class TestMorphic:
     def test_tm_prefix_is_fixed_by_morphism(self, tm_handle):
