@@ -46,16 +46,13 @@ the counts evaluate sum_n rho(n) keys (rho the factor complexity, about
 1.5 N^2 for tm and pf) instead of N(L - N) for every start at every length.
 
 A finite scan can only undercount the infinite sequence. For a fixed
-point x of a morphism sigma, or a letter-to-letter coding of one (tm, pf
-and morphic spec files), the morphism proves a prefix long enough: with k
-least such that every letter of x has |sigma^k(c)| >= n_max - 1, every
-factor of length up to n_max lies in sigma^k(ab) for a 2-letter factor
-ab, so sigma^k of the least prefix x[0..p) that holds every 2-letter
-factor holds them all (Allouche and Shallit, Automatic Sequences, 2003,
-ch. 7 and 10). That prefix P is 7 * 2^k symbols for tm and 13 * 2^k for
-pf. When P is at most the initial window W, and 2W fits the handle's
-cap, the counts are taken on one index of P, and ``certified_window``
-records W, as doubling would, since W and 2W hold the same factors.
+point of a morphism, or a coding of one (tm, pf and morphic spec files),
+the morphism proves a prefix P that holds every factor of length up to
+n_max (:func:`_proof_window`): 7 * 2^k symbols for tm and 13 * 2^k for
+pf, with 2^k >= n_max - 1. When P is at most the initial window W, and
+2W fits the handle's cap, the counts are taken on one index of P, and
+``certified_window`` records W, as doubling would, since W and 2W hold
+the same factors.
 
 Everywhere else (Toeplitz specs, a letter with bounded images, a window
 shorter than P, 2W past the cap) the counts are certified empirically:
@@ -602,7 +599,8 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
         # the window's end, less a per-start offset
         first = index.arr[index.starts].astype(index._start_alt.dtype)
         offset = index._start_alt - first * index.n_max
-        return _key_table(index, lambda ns, cut: [index.block_ends(index._padded_alt, ns, cut) - offset[:cut]])
+        alt = index._padded_alt
+        return _key_table(index, lambda ns, cut: [index.block_ends(alt, ns, cut) - offset[:cut]])
     # the reduction of m = a + 1 runs is the length-m factor of the run
     # symbols at run r = alt[s]; with 2^k <= m < 2^(k+1), its first and its
     # last 2^k run symbols cover it, so m and their names name it

@@ -578,7 +578,8 @@ class TestUsage:
         def flag_lines(command):
             assert main([command, "--help"]) == 0
             text = capsys.readouterr().out
-            return [line.strip() for line in text.splitlines() if line.strip().startswith(("--n-max", "--json"))]
+            lines = [line.strip() for line in text.splitlines()]
+            return [line for line in lines if line.startswith(("--n-max", "--json"))]
 
         assert flag_lines("conjecture") == flag_lines("verify")
         assert flag_lines("verify") == [

@@ -669,7 +669,8 @@ class TestWindowPolicy:
 
     def test_proof_windows_of_the_builtins_and_the_tribonacci_spec(self):
         tribonacci = rw.load_sequence_spec(str(DATA.parent.parent / "perfbench" / "data" / "tribonacci.spec"))
-        for n_max, tm, pf, trib in [(1, 7, 13, 8), (2, 7, 13, 8), (8, 56, 104, 94), (2048, 14336, 26624, 41658)]:
+        cases = [(1, 7, 13, 8), (2, 7, 13, 8), (8, 56, 104, 94), (2048, 14336, 26624, 41658)]
+        for n_max, tm, pf, trib in cases:
             window = 32 * n_max
             assert complexity._proof_window(rw.thue_morse(), n_max, window) == tm
             assert complexity._proof_window(rw.paperfolding(), n_max, window) == pf
