@@ -1,11 +1,18 @@
 """Run the benchmark on two checkouts in alternating pairs and summarize it.
 
-    python scripts/bench.py --parent ../base --label index --pairs 10 --seed 14001
+    git clone -q <repository> runs/parent && git -C runs/parent checkout -q <parent commit>
+    git clone -q <repository> runs/change
+    python runs/change/scripts/bench.py --parent runs/parent --label index --pairs 10 --seed 14001
     python scripts/bench.py --parent . --smoke --pairs 1 --label smoke --out-dir /tmp
 
-The change is the checkout holding this script. Each checkout runs its own,
-unchanged ``perfbench/run.py`` in a new process, on every workload that
-this checkout's ``BENCHMARK.json`` declares, for its ``run_seconds``.
+The change is the checkout holding this script. Each checkout runs its
+own, unchanged ``perfbench/run.py`` in a new process, on every workload
+that this checkout's ``BENCHMARK.json`` declares, for its
+``run_seconds``. Clone both sides into one directory under names of equal
+length, as above: a run starts its worker by absolute path, and the
+length of that path alone moves the worker's heap layout, and with it
+``peak_rss_mb`` and ``wall_s``. The script warns on stderr when the two
+paths differ in length.
 Pair i runs both sides with seed ``--seed + i``, the parent first on even
 pairs and the change first on odd ones. The summary goes to
 ``BENCH_<label>.json`` in ``--out-dir`` (default: this checkout): the
@@ -95,6 +102,12 @@ def main() -> int:
     args = parser.parse_args()
 
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    if len(sides["parent"]) != len(sides["change"]):
+        sys.stderr.write(
+            f"warning: the checkouts' paths differ in length ({len(sides['parent'])} and "
+            f"{len(sides['change'])} characters), which moves the numbers of one side; "
+            "clone both into one directory under names of equal length\n"
+        )
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     declared = {m["name"]: m for m in benchmark["end_to_end"]}

@@ -48,6 +48,7 @@ from .theorems import (
     pf_factor_count,
     pf_reduced_abelian_count,
     pf_reduced_factor_count,
+    plan_claims,
     profile_kernel_rank,
     scan_mod4_gap,
     scan_odd_halving,
@@ -101,6 +102,7 @@ __all__ = [
     "pf_factor_count",
     "pf_reduced_abelian_count",
     "pf_reduced_factor_count",
+    "plan_claims",
     "profile_kernel_rank",
     "reduce",
     "reduced_abelian_complexity",

@@ -48,7 +48,7 @@ from .complexity import (
 )
 from .errors import ConfigurationError, ReduxwordsError, StabilizationError
 from .sequences import BUILTIN_SEQUENCES, SequenceHandle, load_sequence_spec
-from .theorems import CLAIMS, check_kernel_arguments, profile_kernel_rank, verify
+from .theorems import CLAIMS, check_kernel_arguments, plan_claims, profile_kernel_rank, verify
 
 KIND_ENGINES = {
     "factor": factor_complexity,
@@ -237,8 +237,9 @@ def _summarize(report) -> str:
 
 
 def _cmd_claims(args: argparse.Namespace, conjectures: bool) -> int:
-    """Run ``args.claim`` on one profile store; ``all`` is every claim of the
-    table, in its order, that is a conjecture exactly when ``conjectures`` is set."""
+    """Run ``args.claim`` on one profile store planned with the claims run;
+    ``all`` is every claim of the table, in its order, that is a conjecture
+    exactly when ``conjectures`` is set."""
     policy = _policy_from_args(args)
     if args.claim == "all":
         ids = [cid for cid, c in CLAIMS.items() if (c.kind == "conjecture") == conjectures]
@@ -248,7 +249,7 @@ def _cmd_claims(args: argparse.Namespace, conjectures: bool) -> int:
         )
     else:
         ids = [args.claim]
-    profiles: dict = {}
+    profiles = plan_claims(ids, args.n_max)
     reports = [verify(cid, args.n_max, policy, profiles) for cid in ids]
     if args.json:
         payload = [_report_to_json(r) for r in reports]

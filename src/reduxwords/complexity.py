@@ -52,7 +52,8 @@ n_max (:func:`_proof_window`): 7 * 2^k symbols for tm and 13 * 2^k for
 pf, with 2^k >= n_max - 1. When P is at most the initial window W, and
 2W fits the handle's cap, the counts are taken on one index of P, and
 ``certified_window`` records W, as doubling would, since W and 2W hold
-the same factors.
+the same factors. :func:`proven_counts` counts several kinds on one such
+index, each at only the lengths asked for.
 
 Everywhere else (Toeplitz specs, a letter with bounded images, a window
 shorter than P, 2W past the cap) the counts are certified empirically:
@@ -448,8 +449,9 @@ class AlternationPrefix:
         self._cut = np.searchsorted(self.lpf, np.arange(n_max + 1))
         self._least_room = np.minimum.accumulate(self.room)
 
-    def new_start_blocks(self, budget: int):
-        """Yield ``(ns, cut, fresh)`` for consecutive blocks of n = 1..n_max.
+    def new_start_blocks(self, budget: int, lengths: Sequence[int] | None = None):
+        """Yield ``(ns, cut, fresh)`` for consecutive blocks of ``lengths``,
+        increasing lengths in 1..n_max (by default all of them).
 
         The first ``cut`` of ``starts`` hold the first occurrences for every
         n in the block, start 0 (one at every n) first. ``fresh[i, j]``, or
@@ -460,19 +462,20 @@ class AlternationPrefix:
         key taken there adds no class and moves neither extreme. A block has
         about ``budget`` entries, or one n when ``budget`` is 0.
         """
-        n = 1
-        while n <= self.n_max:
-            size = max(1, budget // self._cut[n])
-            while size > 1 and size * self._cut[min(self.n_max, n + size - 1)] > budget:
+        lengths = np.arange(1, self.n_max + 1) if lengths is None else np.asarray(lengths, dtype=np.int64)
+        at = 0
+        while at < len(lengths):
+            size = max(1, budget // self._cut[lengths[at]])
+            while size > 1 and size * self._cut[lengths[min(len(lengths), at + size) - 1]] > budget:
                 size //= 2
-            last = min(self.n_max, n + size - 1)
-            ns = np.arange(n, last + 1)
+            ns = lengths[at : at + size]
+            last = int(ns[-1])
             cut = self._cut[last]
             fresh = None
             if self._least_room[cut - 1] < last:
                 fresh = self.room[:cut] >= ns[:, None]
             yield ns, cut, fresh
-            n = last + 1
+            at += size
 
     def block_ends(self, padded: np.ndarray, ns: np.ndarray, cut: int) -> np.ndarray:
         """``padded`` at the last position of the windows at the first ``cut``
@@ -493,14 +496,17 @@ class AlternationPrefix:
 #
 # Every count reads the first occurrences of the distinct length-n windows.
 
-def factor_counts(index: AlternationPrefix) -> Counts:
-    """Distinct windows of each length 1..n_max.
+# Every count function takes the lengths to count at, increasing lengths in
+# 1..n_max, and counts every length 1..n_max when they are None.
+
+def factor_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+    """Distinct windows of each length.
 
     Each start adds a new length-n window exactly for lpf < n <= its room,
     so the counts are the cumulative count of those intervals.
     """
     counts = _interval_counts(index.lpf, index.room, index.n_max)
-    return {n: int(counts[n]) for n in range(1, index.n_max + 1)}
+    return {n: int(counts[n]) for n in (range(1, index.n_max + 1) if lengths is None else lengths)}
 
 
 _BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
@@ -526,14 +532,18 @@ def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
 
 
 def _key_table(
-    index: AlternationPrefix, key: Callable, summary: Callable = _distinct_per_row, words: int = 1
+    index: AlternationPrefix,
+    key: Callable,
+    lengths: Sequence[int] | None,
+    summary: Callable = _distinct_per_row,
+    words: int = 1,
 ) -> dict:
-    """One value per n = 1..n_max: ``summary`` of the rows of each block's
+    """One value per n of ``lengths``: ``summary`` of the rows of each block's
     key words, ``key(ns, cut)``: ``words`` matrices over the first ``cut``
     starts of a block of :meth:`AlternationPrefix.new_start_blocks`, a row
     per n, which share the block's budget of entries."""
     values: dict = {}
-    for ns, cut, fresh in index.new_start_blocks(_BLOCK // words):
+    for ns, cut, fresh in index.new_start_blocks(_BLOCK // words, lengths):
         keys = key(ns, cut)
         if fresh is not None:
             # a window past the prefix end takes the key of start 0, whose
@@ -577,8 +587,8 @@ def _factor_names(symbols: np.ndarray, alphabet_size: int, cap: int) -> np.ndarr
     return names
 
 
-def abelian_counts(index: AlternationPrefix) -> Counts:
-    """Distinct symbol-count vectors of the windows of each length 1..n_max."""
+def abelian_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+    """Distinct symbol-count vectors of the windows of each length."""
     # a window's count of symbol 0 is n minus the others, so it adds nothing
     # to the key; the padding 0s give windows past the end a key too
     padded = np.concatenate((index.arr, np.zeros(index.n_max, dtype=index.arr.dtype)))
@@ -588,11 +598,11 @@ def abelian_counts(index: AlternationPrefix) -> Counts:
         starts = index.starts[:cut]
         return sums[:, starts + ns[:, None]] - sums[:, None, starts]
 
-    return _key_table(index, key, words=len(sums))
+    return _key_table(index, key, lengths, words=len(sums))
 
 
-def reduced_factor_counts(index: AlternationPrefix) -> Counts:
-    """Distinct window reductions of each length 1..n_max."""
+def reduced_factor_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+    """Distinct window reductions of each length."""
     if index.alphabet_size == 2:
         # a binary reduction alternates, so its first symbol and its
         # alternation count a < n_max name it, as a + n_max * first: alt at
@@ -600,7 +610,7 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
         first = index.arr[index.starts].astype(index._start_alt.dtype)
         offset = index._start_alt - first * index.n_max
         alt = index._padded_alt
-        return _key_table(index, lambda ns, cut: [index.block_ends(alt, ns, cut) - offset[:cut]])
+        return _key_table(index, lambda ns, cut: [index.block_ends(alt, ns, cut) - offset[:cut]], lengths)
     # the reduction of m = a + 1 runs is the length-m factor of the run
     # symbols at run r = alt[s]; with 2^k <= m < 2^(k+1), its first and its
     # last 2^k run symbols cover it, so m and their names name it
@@ -625,11 +635,11 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
         key |= tail
         return [key]
 
-    return _key_table(index, key, words=1 if one_word else 2)
+    return _key_table(index, key, lengths, words=1 if one_word else 2)
 
 
-def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
-    """Distinct symbol-count vectors of the window reductions of each length 1..n_max."""
+def reduced_abelian_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+    """Distinct symbol-count vectors of the window reductions of each length."""
     if index.alphabet_size == 2:
         # a binary reduction of a + 1 runs alternates, so a and its count of
         # 1s less its count of 0s, d in {-1, 0, 1}, name its count vector, as
@@ -644,7 +654,7 @@ def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
         sign = 2 * int(index.arr[0]) - 1
         ends = 3 * alt + sign * (1 - (alt & 1))
         offset = ends[index.starts] - (2 * index.arr[index.starts].astype(dtype) - 1)
-        return _key_table(index, lambda ns, cut: [index.block_ends(ends, ns, cut) - offset[:cut]])
+        return _key_table(index, lambda ns, cut: [index.block_ends(ends, ns, cut) - offset[:cut]], lengths)
     # the reduction of a window holds runs alt[s] through alt[s+n-1]; its
     # length varies, so its count of symbol 0 is part of the key
     sums = _packed_counts(_runs(index), 0, index.n_max.bit_length())
@@ -653,16 +663,18 @@ def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
         r = index._start_alt[:cut]
         return sums[:, r + index.block_alternations(ns, cut) + 1] - sums[:, None, r]
 
-    return _key_table(index, key, words=len(sums))
+    return _key_table(index, key, lengths, words=len(sums))
 
 
-def extremes_counts(index: AlternationPrefix) -> dict[int, tuple[int, int]]:
-    """(least, greatest) alternation count of the windows of each length 1..n_max."""
+def extremes_counts(
+    index: AlternationPrefix, lengths: Sequence[int] | None = None
+) -> dict[int, tuple[int, int]]:
+    """(least, greatest) alternation count of the windows of each length."""
 
     def summary(words) -> list[tuple[int, int]]:
         return list(zip(words[0].min(axis=1).tolist(), words[0].max(axis=1).tolist()))
 
-    return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], summary)
+    return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], lengths, summary)
 
 
 # -- proof windows ---------------------------------------------------------------
@@ -740,6 +752,45 @@ def _proof_window(handle: SequenceHandle, n_max: int, window: int) -> int | None
     return proof if proof <= window else None
 
 
+def _proven_prefix(handle: SequenceHandle, n_max: int, policy: WindowPolicy) -> int | None:
+    """The prefix P whose one index gives the profiles at ``n_max`` under
+    ``policy`` (:func:`_scan_until_stable`), or None when they double or
+    read a fixed window: P is the handle's proof window, when there is one
+    within the initial window W and twice W fits the handle's cap."""
+    if policy.fixed_length is not None:
+        return None
+    window = policy.initial_window(n_max)
+    proof = _proof_window(handle, n_max, window)
+    return proof if proof is not None and 2 * window <= handle._cap else None
+
+
+def proven_counts(
+    handle: SequenceHandle, policy: WindowPolicy, lengths: Mapping[str, Sequence[int]]
+) -> dict[str, dict] | None:
+    """Per kind (``factor``, ``red``, ``abred`` or ``extremes``),
+    its values at its ``lengths``, increasing lengths; or None.
+
+    All kinds are counted on one index of the prefix P that the handle's
+    morphism proves holds every factor up to the longest length N, as the
+    profiles at N under ``policy`` are; None when those profiles take
+    another path (:func:`_proven_prefix`). The counts on P are those of the
+    infinite sequence at every n <= N.
+    """
+    n_max = max(ns[-1] for ns in lengths.values())
+    proof = _proven_prefix(handle, n_max, policy)
+    if proof is None:
+        return None
+    index = AlternationPrefix(handle.prefix_symbols(proof), handle.alphabet_size, n_max)
+    # looked up per call, so a replaced count function in this module is the one that runs
+    counts = {
+        "factor": factor_counts,
+        "red": reduced_factor_counts,
+        "abred": reduced_abelian_counts,
+        "extremes": extremes_counts,
+    }
+    return {kind: counts[kind](index, ns) for kind, ns in lengths.items()}
+
+
 # -- certification driver ------------------------------------------------------
 
 def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy, table: Callable):
@@ -768,8 +819,8 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     window = policy.initial_window(n_max)
     if policy.fixed_length is not None:
         return table(index(window)), window
-    proof = _proof_window(handle, n_max, window)
-    if proof is not None and 2 * window <= handle._cap:
+    proof = _proven_prefix(handle, n_max, policy)
+    if proof is not None:
         return table(index(proof)), window
     # a view; asked for first so that a capacity error names the same prefix
     # length as a scan of the window itself would

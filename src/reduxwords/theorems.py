@@ -6,16 +6,18 @@ stable claim id, and is run in one of three shapes:
 - a closed-form row names its sequence, profile kind, closed form and
   residue filter, and one runner compares it with the brute-force engines
   in :mod:`reduxwords.complexity`;
-- the two tm extremes lemmas and the two conjecture scanners check named
-  identities per length on one stored tm profile read at a scaled length,
-  all through one body;
-- ``mu_alternation`` and ``odd_len`` are structural checks of their own.
+- an identity row (the two tm extremes lemmas and the two conjecture
+  scanners) names identities per length on one tm profile and the
+  lengths a n + b they read, and one body checks them;
+- ``mu_alternation`` and ``odd_len`` are structural checks of their own,
+  each with a ``runner(n_max, policy, profiles)``.
 
-Rows of the last two shapes carry a ``runner(n_max, policy, profiles)``.
-:func:`verify` runs one row. Its ``profiles`` dict is a store for one run:
-every profile a claim reads, the alternation extremes included, comes from
-it, keyed by (sequence, kind, n, policy), so claims that read the same data
-share one computation. Every
+Every row but the last two declares what it reads (:meth:`Claim.reads`):
+per profile, the lengths it looks at. :func:`verify` runs one row on a
+:class:`ProfileStore` that lasts one run: planned with the reads of the
+run's claims (:func:`plan_claims`), it indexes each sequence once, where
+its morphism proves the counts, and counts each kind once at the lengths
+the claims read; any other profile it computes once by its engine. Every
 claim that compares predicted with observed values per length collects
 its counterexamples by one rule, :func:`_mismatches`. Conjectures are
 only ever scanned, and their reports are evidence, never assertions.
@@ -31,15 +33,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .complexity import (
     ComplexityProfile,
     WindowPolicy,
+    _proven_prefix,
     alternation_extremes,
     factor_complexity,
+    proven_counts,
     reduced_abelian_complexity,
     reduced_complexity_from_extremes,
     reduced_factor_complexity,
@@ -187,35 +191,113 @@ def pf_reduced_abelian_count(n: int) -> int:
 
 # -- profile store and the closed-form runner -------------------------------------
 
-def _stored(
-    profiles: dict | None, sequence: str, kind: str, n: int, policy: WindowPolicy | None
-):
-    """The ``kind`` profile of a builtin sequence at exactly ``n``.
+class Read(NamedTuple):
+    """A claim's read: the ``kind`` profile of a builtin ``sequence`` at n,
+    read at ``lengths`` (increasing, all at most n)."""
 
-    ``profiles`` is a store that lasts one run, keyed by (sequence, kind, n,
-    policy) with ``policy=None`` read as ``WindowPolicy()``; each key is
-    computed once. A longer profile is never served for a shorter n: it was
-    certified at a different window.
+    sequence: str
+    kind: str
+    n: int
+    lengths: list[int]
+
+
+# the kind a profile of each read kind names itself by
+_PROFILE_KINDS = {
+    "factor": "factor",
+    "red": "reduced_factor",
+    "abred": "reduced_abelian",
+    "extremes": "alternation_extremes",
+}
+
+
+class ProfileStore:
+    """The profiles that one run of claims reads.
+
+    A claim asks for a :class:`Read` under a policy. The store computes each
+    (sequence, kind, n, policy) profile once, by its engine, and keeps it in
+    ``profiles``.
+
+    A planned store (:func:`plan_claims`) also holds in ``planned`` every
+    length the run's claims read, per (sequence, kind). A read of planned
+    lengths is served without the engine when the profile at n under the
+    read's policy would be counted on a prefix that the sequence's morphism
+    proves holds every factor. The first such read of a sequence counts
+    each of its planned kinds once, at only the planned lengths, on one
+    index of the prefix proven for the longest planned length N
+    (:func:`proven_counts`), and keeps the values in ``tables`` (None where
+    the profiles at N would not be counted so). Those values are the
+    sequence's own at every n <= N (Allouche and Shallit, Automatic
+    Sequences, 2003, ch. 7 and 10), so they are the profile's, and the read
+    reports the ``certified_window`` that profile reports, the policy's
+    initial window at n. Every other read runs the engine, so its values,
+    capacity errors and certification failures are those of the profile at
+    n.
     """
-    if profiles is None:
-        profiles = {}
-    policy = policy or WindowPolicy()
-    key = (sequence, kind, n, policy)
-    if key not in profiles:
+
+    def __init__(self):
+        self.planned: dict[tuple[str, str], set[int]] = {}
+        self.tables: dict[str, dict | None] = {}
+        self.profiles: dict = {}
+
+    def profile(self, read: Read, policy: WindowPolicy | None) -> ComplexityProfile:
+        policy = policy or WindowPolicy()
+        key = (read.sequence, read.kind, read.n, policy)
+        if key in self.profiles:
+            return self.profiles[key]
+        served = self._served(read, policy)
+        if served is not None:
+            return served
         # looked up per call, so a replaced engine name in this module is the one that runs
         engine = {
             "factor": factor_complexity,
             "red": reduced_factor_complexity,
             "abred": reduced_abelian_complexity,
             "extremes": alternation_extremes,
-        }[kind]
-        profiles[key] = engine(BUILTIN_SEQUENCES[sequence](), n, policy)
-    return profiles[key]
+        }[read.kind]
+        self.profiles[key] = engine(BUILTIN_SEQUENCES[read.sequence](), read.n, policy)
+        return self.profiles[key]
+
+    def _served(self, read: Read, policy: WindowPolicy) -> ComplexityProfile | None:
+        planned = self.planned.get((read.sequence, read.kind))
+        if read.n < 1 or planned is None or not planned.issuperset(read.lengths):
+            return None
+        handle = BUILTIN_SEQUENCES[read.sequence]()
+        if _proven_prefix(handle, read.n, policy) is None:
+            return None
+        if read.sequence not in self.tables:
+            lengths = {kind: sorted(ns) for (seq, kind), ns in self.planned.items() if seq == read.sequence}
+            self.tables[read.sequence] = proven_counts(handle, policy, lengths)
+        table = self.tables[read.sequence]
+        if table is None:
+            return None
+        values = table[read.kind]
+        return ComplexityProfile(
+            kind=_PROFILE_KINDS[read.kind],
+            sequence=handle.name,
+            values={n: values[n] for n in read.lengths},
+            certified_window=policy.initial_window(read.n),
+        )
 
 
-def _check_closed_form(claim: Claim, n_max: int, policy, profiles) -> VerificationReport:
+def plan_claims(claim_ids: Iterable[str], n_max: int | None = None) -> ProfileStore:
+    """A store planned with every length that the claims ``claim_ids`` read
+    at ``n_max`` (each claim's default when None). An unknown id reads
+    nothing."""
+    store = ProfileStore()
+    for claim_id in claim_ids:
+        claim = CLAIMS.get(claim_id)
+        if claim is None:
+            continue
+        for read in claim.reads(claim.default_n_max if n_max is None else n_max):
+            if read.lengths:
+                store.planned.setdefault((read.sequence, read.kind), set()).update(read.lengths)
+    return store
+
+
+def _check_closed_form(claim: Claim, n_max: int, policy, profiles: ProfileStore) -> VerificationReport:
     """Compare a closed-form row with its stored profile at the lengths its residues keep."""
-    profile = _stored(profiles, claim.sequence, claim.profile_kind, n_max, policy)
+    read, *bridge = claim.reads(n_max)
+    profile = profiles.profile(read, policy)
     exceptions: dict[int, int] = {}
 
     def expected(n: int) -> int:
@@ -225,11 +307,10 @@ def _check_closed_form(claim: Claim, n_max: int, policy, profiles) -> Verificati
             exceptions[exc.n] = exc.known_value
             return exc.known_value
 
-    ns = [n for n in range(1, n_max + 1) if claim.residues_mod8 is None or n % 8 in claim.residues_mod8]
-    counterexamples = _mismatches((n, None, expected(n), profile.values[n]) for n in ns)
-    details = {"checked": len(ns), "certified_window": profile.certified_window}
-    if claim.bridge:
-        table = _stored(profiles, claim.sequence, "extremes", n_max, policy)
+    counterexamples = _mismatches((n, None, expected(n), profile.values[n]) for n in read.lengths)
+    details = {"checked": len(read.lengths), "certified_window": profile.certified_window}
+    if bridge:
+        table = profiles.profile(bridge[0], policy)
         bridged = _mismatches(
             (n, None, reduced_complexity_from_extremes(table, n), profile.values[n])
             for n in range(1, n_max + 1)
@@ -248,6 +329,18 @@ def _check_closed_form(claim: Claim, n_max: int, policy, profiles) -> Verificati
 MU_CHECK_HARD_CAP = 18
 
 
+_POPCOUNT_BYTE = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each nonnegative int64, a byte at a time through a table."""
+    count = np.zeros(len(x), dtype=np.int64)
+    while x.any():
+        count += _POPCOUNT_BYTE[x & 255]
+        x = x >> 8
+    return count
+
+
 def check_mu_alternation(max_len: int = 12) -> VerificationReport:
     """Exhaustively confirm how the tm morphism transforms alternation counts.
 
@@ -264,18 +357,23 @@ def check_mu_alternation(max_len: int = 12) -> VerificationReport:
     images = [thue_morse_morphism().images[a] for a in (0, 1)]
     # the image of w alternates inside each letter's image and where the
     # image of one letter meets the image of the next
-    inner = np.array([alternations(Word(image)) for image in images])
-    first = np.array([image[0] for image in images])
-    last = np.array([image[-1] for image in images])
+    inner = [alternations(Word(image)) for image in images]
+    first = [image[0] for image in images]
+    last = [image[-1] for image in images]
     counterexamples = []
     checked = 0
     for length in range(1, max_len + 1):
-        # row b holds the word whose i-th symbol is bit i of b
-        words = (np.arange(1 << length)[:, None] >> np.arange(length)) & 1
-        expected = 2 * length - 1 - np.count_nonzero(words[:, 1:] != words[:, :-1], axis=1)
-        actual = inner[words].sum(axis=1) + np.count_nonzero(
-            last[words[:, :-1]] != first[words[:, 1:]], axis=1
-        )
+        # word b has bit i of b as its i-th symbol; bit i of a mask below
+        # stands for the pair of symbols i and i + 1
+        words = np.arange(1 << length, dtype=np.int64)
+        full, pairs = (1 << length) - 1, (1 << (length - 1)) - 1
+        # the words whose i-th symbol is the last, and the first, symbol of
+        # the image of symbol i of w
+        ends, starts = ((words & (full * t[1])) | (~words & (full * t[0])) for t in (last, first))
+        ones = _popcount(words)
+        expected = 2 * length - 1 - _popcount((words ^ (words >> 1)) & pairs)
+        actual = inner[1] * ones + inner[0] * (length - ones)
+        actual += _popcount((ends ^ (starts >> 1)) & pairs)
         checked += len(words)
         bad = np.flatnonzero(actual != expected)
         counterexamples += zip([length] * len(bad), expected[bad].tolist(), actual[bad].tolist())
@@ -298,10 +396,7 @@ def check_alternating_skeleton_runs(
     window = (policy or WindowPolicy()).initial_window(n_max)
     arr = paperfolding().prefix_symbols(window)
     length = len(arr)
-    # alt[i] counts the unequal adjacent pairs among positions 0..i
-    alt = np.zeros(length, dtype=np.int64)
-    np.cumsum(arr[1:] != arr[:-1], out=alt[1:])
-
+    longest = (n_max - 1) // 2  # windows 2k + 1 for k = 1..longest
     # skeleton[s] = length of the maximal strictly alternating stride-2 chain
     # starting at s: one more than the steps of 2 from s to the first t >= s
     # with arr[t] == arr[t + 2] (the last two positions end every chain)
@@ -312,22 +407,31 @@ def check_alternating_skeleton_runs(
         stop = np.minimum.accumulate(stops[parity::2][::-1])[::-1]
         skeleton[parity::2] = 1 + (stop - positions[parity::2]) // 2
 
+    # the window 2k + 1 at s qualifies for k < skeleton[s], and then fits
+    # before the end, since the chain does
+    qualifying = int(np.minimum(skeleton - 1, longest).sum())
+    # 0-based even start = 1-based odd position; at 2k + 1 the even starts
+    # below length - 2k all qualify when their least skeleton exceeds k
+    ks = np.arange(1, longest + 1)
+    least = np.minimum.accumulate(skeleton[0::2])
+    odd_start_misses = int(np.count_nonzero(least[(length - 2 * ks - 1) // 2] <= ks))
+
+    # a qualifying window is k chain steps p -> p + 2 with arr[p] != arr[p + 2],
+    # so it has k alternations unless some such step adds other than one
+    # (never in a binary word, whose middle symbol equals one of the two)
+    step = (arr[:-2] != arr[1:-1]).astype(np.int64) + (arr[1:-1] != arr[2:])
     counterexamples = []
-    qualifying = 0
-    odd_start_misses = 0
-    for k in range(1, (n_max - 1) // 2 + 1):
-        n = 2 * k + 1
-        starts = length - n + 1
-        mask = skeleton[:starts] >= k + 1
-        qualifying += int(mask.sum())
-        # 0-based even start = 1-based odd position
-        if not bool(mask[0::2].all()):
-            odd_start_misses += 1
-        d = alt[n - 1 :] - alt[:starts]
-        bad = np.nonzero(mask & (d != k))[0]
-        if bad.size:
-            s = int(bad[0])
-            counterexamples.append((n, k + 1, int(d[s]) + 1))
+    if np.any((arr[:-2] != arr[2:]) & (step != 1)):
+        # alt[i] counts the unequal adjacent pairs among positions 0..i
+        alt = np.zeros(length, dtype=np.int64)
+        np.cumsum(arr[1:] != arr[:-1], out=alt[1:])
+        for k in ks.tolist():
+            n = 2 * k + 1
+            starts = length - n + 1
+            d = alt[n - 1 :] - alt[:starts]
+            bad = np.nonzero((skeleton[:starts] >= k + 1) & (d != k))[0]
+            if bad.size:
+                counterexamples.append((n, k + 1, int(d[bad[0]]) + 1))
     return _report(
         "odd_len", 3, n_max, counterexamples,
         details={
@@ -340,100 +444,99 @@ def check_alternating_skeleton_runs(
 
 # -- per-length identities on one tm profile: the extremes lemmas and the scans ----
 
-def _check_identities(
-    claim_id, kind, n_lo, n_max, needed, identities, policy, profiles, table=None, details=None
-):
-    """Check named identities per n, for n_lo <= n <= n_max, on one tm profile.
+@dataclass(frozen=True)
+class Identities:
+    """Named identities checked per n, for n_lo <= n <= n_max, on one tm profile.
 
-    The ``kind`` profile (``extremes`` or ``abred``) is read up to ``needed``:
-    ``table``, or else the one in ``profiles``. ``identities(*columns, n)``
-    yields (name, lhs, rhs) triples, the name ``None`` for a claim of one
-    identity; an extremes table gives the columns (minima, maxima), any other
-    profile its values. ``details(*columns)`` adds to the report's details.
+    ``kind`` is the profile read (``extremes`` or ``abred``), at the lengths
+    a n + b for each pair (a, b) of ``at`` and each n, so up to the largest
+    a n_max + b. ``check(*columns, n)`` yields (name, lhs, rhs) triples, the
+    name ``None`` for a claim of one identity; an extremes table gives the
+    columns (minima, maxima), any other profile its values.
+    ``details(*columns, n_max)`` adds to the report's details.
     """
-    least = max(n_lo, 1)  # the range n_lo..n_max holds some n >= 1
+
+    kind: str
+    n_lo: int
+    at: tuple[tuple[int, int], ...]
+    check: Callable
+    details: Callable | None = None
+
+    def read(self, n_max: int) -> Read:
+        lengths = {a * n + b for n in range(self.n_lo, n_max + 1) for a, b in self.at}
+        return Read("tm", self.kind, max(a * n_max + b for a, b in self.at), sorted(lengths))
+
+
+def _check_identities(
+    claim: Claim, n_max: int, policy, profiles: ProfileStore | None, table=None
+) -> VerificationReport:
+    """Check the identities of ``claim`` per n on its tm profile: ``table``,
+    or else the one in ``profiles``."""
+    identities = claim.identities
+    least = max(identities.n_lo, 1)  # the range n_lo..n_max holds some n >= 1
     if n_max < least:
         raise ConfigurationError(f"n_max must be >= {least}")
+    read = identities.read(n_max)
     if table is None:
-        table = _stored(profiles, "tm", kind, needed, policy)
-    elif max(table.values) < needed:
-        raise ConfigurationError(f"supplied {kind} table stops at {max(table.values)}, need {needed}")
-    if kind == "extremes":
+        table = (profiles if profiles is not None else ProfileStore()).profile(read, policy)
+    elif max(table.values) < read.n:
+        raise ConfigurationError(f"supplied {read.kind} table stops at {max(table.values)}, need {read.n}")
+    if read.kind == "extremes":
         columns = tuple({n: pair[i] for n, pair in table.values.items()} for i in (0, 1))
     else:
         columns = (table.values,)
     counterexamples = _mismatches(
-        (n, name, rhs, lhs) for n in range(n_lo, n_max + 1) for name, lhs, rhs in identities(*columns, n)
+        (n, name, rhs, lhs)
+        for n in range(identities.n_lo, n_max + 1)
+        for name, lhs, rhs in identities.check(*columns, n)
     )
-    return _report(
-        claim_id, n_lo, n_max, counterexamples,
-        details={"certified_window": table.certified_window, **(details(*columns) if details else {})},
-    )
+    details = {"certified_window": table.certified_window}
+    if identities.details:
+        details.update(identities.details(*columns, n_max))
+    return _report(claim.claim_id, identities.n_lo, n_max, counterexamples, details=details)
 
 
 def check_extremes_halving(
     n_max: int = 512,
     policy: WindowPolicy | None = None,
-    profiles: dict | None = None,
+    profiles: ProfileStore | None = None,
     *,
     table: ComplexityProfile | None = None,
 ) -> VerificationReport:
     """Check the four identities relating extremes at 2n and 2n+1 to n and n+1, on the
     tm extremes table up to 2 n_max + 1: ``table``, or else the one in ``profiles``."""
-    return _check_identities(
-        "tm_max_min", "extremes", 2, n_max, 2 * n_max + 1,
-        lambda m, big, n: (
-            ("min_at_2n", m[2 * n], 2 * n - 1 - big[n + 1]),
-            ("max_at_2n", big[2 * n], 2 * n - 1 - m[n]),
-            ("min_at_2n+1", m[2 * n + 1], 2 * n - big[n + 1]),
-            ("max_at_2n+1", big[2 * n + 1], 2 * n - m[n + 1]),
-        ),
-        policy, profiles, table,
-    )
+    return _check_identities(CLAIMS["tm_max_min"], n_max, policy, profiles, table)
 
 
 def check_extremes_mod4(
     n_max: int = 512,
     policy: WindowPolicy | None = None,
-    profiles: dict | None = None,
+    profiles: ProfileStore | None = None,
     *,
     table: ComplexityProfile | None = None,
 ) -> VerificationReport:
     """Check the four identities relating extremes at 4n and 4n+2 to n+1, on the
     tm extremes table up to 4 n_max + 2: ``table``, or else the one in ``profiles``."""
-    return _check_identities(
-        "tm_mod4", "extremes", 1, n_max, 4 * n_max + 2,
-        lambda m, big, n: (
-            ("min_at_4n", m[4 * n], 2 * n - 1 + m[n + 1]),
-            ("max_at_4n", big[4 * n], 2 * n + big[n + 1]),
-            ("min_at_4n+2", m[4 * n + 2], 2 * n + m[n + 1]),
-            ("max_at_4n+2", big[4 * n + 2], 2 * n + 1 + big[n + 1]),
-        ),
-        policy, profiles, table,
-    )
+    return _check_identities(CLAIMS["tm_mod4"], n_max, policy, profiles, table)
 
 
 def scan_odd_halving(
     n_max: int = 256,
     policy: WindowPolicy | None = None,
-    profiles: dict | None = None,
+    profiles: ProfileStore | None = None,
 ) -> VerificationReport:
     """Scan the observed halving of the reduced abelian count of tm at odd lengths.
 
     Reports whether value(2n+1) = value(n+1) for 0 <= n <= n_max. This is an
     open statement: the scan gathers evidence and never asserts it.
     """
-    return _check_identities(
-        "conj_odd_halving", "abred", 0, n_max, 2 * n_max + 1,
-        lambda v, n: ((None, v[2 * n + 1], v[n + 1]),),
-        policy, profiles, details=lambda v: {"scanned": n_max + 1},
-    )
+    return _check_identities(CLAIMS["conj_odd_halving"], n_max, policy, profiles)
 
 
 def scan_mod4_gap(
     n_max: int = 256,
     policy: WindowPolicy | None = None,
-    profiles: dict | None = None,
+    profiles: ProfileStore | None = None,
 ) -> VerificationReport:
     """Scan the mod-4 gap law for the reduced abelian count of tm.
 
@@ -442,25 +545,25 @@ def scan_mod4_gap(
     0, unequal symbols gap 1. The sign of each nonzero gap is genuinely open;
     the scanner records the pattern in details and draws no conclusion.
     """
-    def signs(v):
-        pattern = "".join(
-            "0" if gap == 0 else ("+" if gap > 0 else "-")
-            for gap in (v[4 * n + 2] - v[4 * n] for n in range(1, n_max + 1))
-        )
-        return {
-            "sign_pattern": pattern,
-            "zero": pattern.count("0"),
-            "positive": pattern.count("+"),
-            "negative": pattern.count("-"),
-        }
+    return _check_identities(CLAIMS["conj_mod4_gap"], n_max, policy, profiles)
 
-    return _check_identities(
-        "conj_mod4_gap", "abred", 1, n_max, 4 * n_max + 2,
-        lambda v, n: (
-            (None, abs(v[4 * n + 2] - v[4 * n]), int(thue_morse_at(n + 1) != thue_morse_at(3 * n + 1))),
-        ),
-        policy, profiles, details=signs,
+
+def _gap_law(v, n: int):
+    gap = abs(v[4 * n + 2] - v[4 * n])
+    return ((None, gap, int(thue_morse_at(n + 1) != thue_morse_at(3 * n + 1))),)
+
+
+def _gap_signs(v, n_max: int) -> dict:
+    pattern = "".join(
+        "0" if gap == 0 else ("+" if gap > 0 else "-")
+        for gap in (v[4 * n + 2] - v[4 * n] for n in range(1, n_max + 1))
     )
+    return {
+        "sign_pattern": pattern,
+        "zero": pattern.count("0"),
+        "positive": pattern.count("+"),
+        "negative": pattern.count("-"),
+    }
 
 
 # -- empirical regularity estimate ----------------------------------------------
@@ -574,8 +677,9 @@ class Claim:
     reads (``factor``, ``red`` or ``abred``), the ``closed_form`` predicting
     each value, and optionally the residues mod 8 it is checked at; with
     ``bridge`` set, each value is also predicted from the sequence's
-    alternation extremes. One runner serves all of these rows. Any other
-    row carries its own ``runner(n_max, policy, profiles)``.
+    alternation extremes. An identity row carries its ``identities`` on one
+    tm profile. One runner serves each of these shapes. Any other row
+    carries its own ``runner(n_max, policy, profiles)``.
     """
 
     claim_id: str
@@ -588,6 +692,20 @@ class Claim:
     closed_form: Callable[[int], int] | None = None
     residues_mod8: tuple[int, ...] | None = None
     bridge: bool = False
+    identities: Identities | None = None
+
+    def reads(self, n_max: int) -> list[Read]:
+        """The profiles the row reads at ``n_max``, and the lengths it reads of each."""
+        if self.identities is not None:
+            return [self.identities.read(n_max)]
+        if self.closed_form is None:
+            return []
+        every = list(range(1, n_max + 1))
+        ns = every if self.residues_mod8 is None else [n for n in every if n % 8 in self.residues_mod8]
+        reads = [Read(self.sequence, self.profile_kind, n_max, ns)]
+        if self.bridge:
+            reads.append(Read(self.sequence, "extremes", n_max, every))
+        return reads
 
 
 _PF_RED = {"sequence": "pf", "profile_kind": "red", "closed_form": pf_reduced_factor_count}
@@ -631,12 +749,28 @@ CLAIMS: dict[str, Claim] = {
         Claim(
             "tm_max_min", "lemma",
             "alternation extremes of tm at 2n and 2n+1 reduce to n and n+1",
-            512, check_extremes_halving,
+            512, identities=Identities(
+                "extremes", 2, ((1, 0), (1, 1), (2, 0), (2, 1)),
+                lambda m, big, n: (
+                    ("min_at_2n", m[2 * n], 2 * n - 1 - big[n + 1]),
+                    ("max_at_2n", big[2 * n], 2 * n - 1 - m[n]),
+                    ("min_at_2n+1", m[2 * n + 1], 2 * n - big[n + 1]),
+                    ("max_at_2n+1", big[2 * n + 1], 2 * n - m[n + 1]),
+                ),
+            ),
         ),
         Claim(
             "tm_mod4", "lemma",
             "alternation extremes of tm at 4n and 4n+2 reduce to n+1",
-            512, check_extremes_mod4,
+            512, identities=Identities(
+                "extremes", 1, ((1, 1), (4, 0), (4, 2)),
+                lambda m, big, n: (
+                    ("min_at_4n", m[4 * n], 2 * n - 1 + m[n + 1]),
+                    ("max_at_4n", big[4 * n], 2 * n + big[n + 1]),
+                    ("min_at_4n+2", m[4 * n + 2], 2 * n + m[n + 1]),
+                    ("max_at_4n+2", big[4 * n + 2], 2 * n + 1 + big[n + 1]),
+                ),
+            ),
         ),
         Claim(
             "odd_len", "lemma",
@@ -671,12 +805,19 @@ CLAIMS: dict[str, Claim] = {
         Claim(
             "conj_odd_halving", "conjecture",
             "scan: reduced abelian count of tm at 2n+1 equals its value at n+1",
-            256, scan_odd_halving,
+            256, identities=Identities(
+                "abred", 0, ((2, 1), (1, 1)),
+                lambda v, n: ((None, v[2 * n + 1], v[n + 1]),),
+                lambda v, n_max: {"scanned": n_max + 1},
+            ),
         ),
         Claim(
             "conj_mod4_gap", "conjecture",
             "scan: |gap at 4n+2 vs 4n| of tm reduced abelian count matches a tm predicate",
-            256, scan_mod4_gap,
+            256, identities=Identities(
+                "abred", 1, ((4, 0), (4, 2)),
+                _gap_law, _gap_signs,
+            ),
         ),
     )
 }
@@ -686,13 +827,18 @@ def verify(
     claim_id: str,
     n_max: int | None = None,
     policy: WindowPolicy | None = None,
-    profiles: dict | None = None,
+    profiles: ProfileStore | None = None,
 ) -> VerificationReport:
     """Run one row of the claim table.
 
-    Pass the same ``profiles`` dict to every call of a run and each
-    (sequence, kind, n, policy) profile the claims need is computed once.
-    A configuration error raised by the claim carries its id.
+    Pass the same ``profiles`` store, planned with the run's claims
+    (:func:`plan_claims`), to every call of a run: each sequence is then
+    indexed once where its morphism proves the counts, each kind counted
+    once at the lengths the claims read, and every other profile computed
+    once. Without one, the call plans a store for this claim alone. The
+    reports are those of a computation of each profile at the length the
+    claim reads it. A configuration error raised by the claim carries its
+    id.
     """
     claim = CLAIMS.get(claim_id)
     if claim is None:
@@ -700,8 +846,12 @@ def verify(
             f"unknown claim id {claim_id!r}; known ids: {', '.join(sorted(CLAIMS))}"
         )
     bound = n_max if n_max is not None else claim.default_n_max
+    if profiles is None:
+        profiles = plan_claims([claim_id], bound)
     try:
-        if claim.runner is None:
+        if claim.identities is not None:
+            return _check_identities(claim, bound, policy, profiles)
+        if claim.closed_form is not None:
             return _check_closed_form(claim, bound, policy, profiles)
         return claim.runner(bound, policy, profiles)
     except ConfigurationError as exc:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reduxwords as rw
-from reduxwords import cli, theorems
+from reduxwords import cli, complexity
 from reduxwords.cli import main
 from reduxwords.theorems import CLAIMS, Claim, VerificationReport
 
@@ -314,17 +314,45 @@ class TestVerify:
 
     def test_all_computes_each_profile_once(self, capsys, monkeypatch):
         calls = []
-        engine = theorems.reduced_factor_complexity
+        counts = complexity.reduced_factor_counts
 
-        def counting(handle, n_max, policy=None):
-            calls.append((handle.name, n_max))
-            return engine(handle, n_max, policy)
+        def counting(index, lengths=None):
+            calls.append(index.arr[:16].tolist())
+            return counts(index, lengths)
 
-        monkeypatch.setattr(theorems, "reduced_factor_complexity", counting)
+        monkeypatch.setattr(complexity, "reduced_factor_counts", counting)
         code, _, _ = run(capsys, "verify", "all", "--n-max", "48")
         assert code == 0
-        # pf_red, f_2n and the four f_*mod8 claims read one pf red profile
-        assert calls.count(("pf", 48)) == 1
+        # tm_red reads one tm red table; pf_red, f_2n and the four f_*mod8
+        # claims read one pf red table
+        assert len(calls) == 2
+        assert calls.count(rw.paperfolding().prefix_symbols(16).tolist()) == 1
+
+    def test_one_index_per_sequence(self, capsys, monkeypatch):
+        # at the benchmark's sizes: tm's table holds every length the claims
+        # read, up to 4 * 512 + 2, and pf's up to 512; the conjectures read tm
+        # up to 4 * 256 + 2
+        built = []
+        init = complexity.AlternationPrefix.__init__
+
+        def counting(index, symbols, alphabet_size, n_max):
+            built.append(n_max)
+            init(index, symbols, alphabet_size, n_max)
+
+        monkeypatch.setattr(complexity.AlternationPrefix, "__init__", counting)
+        assert run(capsys, "verify", "all", "--n-max", "512", "--json")[0] == 0
+        assert built == [2050, 512]
+        built.clear()
+        assert run(capsys, "conjecture", "all", "--n-max", "256", "--json")[0] == 0
+        assert built == [1026]
+
+    def test_capacity_error_of_a_planned_run(self, capsys, monkeypatch):
+        # tm_red at 48 doubles past the cap, in a planned run as alone
+        monkeypatch.setenv("REDUXWORDS_MAX_PREFIX", "3000")
+        alone = run(capsys, "verify", "tm_red", "--n-max", "48")
+        assert run(capsys, "verify", "all", "--n-max", "48") == alone
+        assert alone == (2, "", "error: sequence 'tm': prefix of 3072 symbols exceeds the cap of 3000 "
+                         "(raise REDUXWORDS_MAX_PREFIX or max_prefix)\n")
 
     def test_configuration_error_names_the_claim(self, capsys):
         for claim_id, n_max, message in (

@@ -440,6 +440,20 @@ class TestKeyTables:
             assert engine(index) == oracle_counts(symbols, kind, ns), kind
         assert extremes_counts(index) == oracle_extremes(symbols, ns)
 
+    @settings(max_examples=60, deadline=None)
+    @given(lpf_words(), st.data())
+    def test_counts_at_some_lengths_are_those_at_every_length(self, case, data):
+        symbols, sigma, n_max = case
+        index = AlternationPrefix(symbols, sigma, n_max)
+        lengths = sorted(data.draw(st.sets(st.integers(1, n_max), min_size=1)))
+        # a budget of 0 gives a block per length, the default blocks of several
+        for budget in (0, complexity._BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(complexity, "_BLOCK", budget)
+                for engine in (*INDEX_ENGINES.values(), extremes_counts):
+                    every = engine(index)
+                    assert engine(index, lengths) == {n: every[n] for n in lengths}, engine
+
     def test_packed_counts_that_wrap_and_span_several_words(self):
         # 3 bits per symbol at n_max = 7 and 23 symbols past 0 take two
         # words, and the prefix sums of the top slots pass 2**63
@@ -723,6 +737,27 @@ class TestWindowPolicy:
                     oracle_extremes(symbols, ns) if kind == "extremes" else oracle_counts(symbols, kind, ns)
                 )
                 assert outcomes[0][0] == oracle, kind
+
+    @settings(max_examples=40, deadline=None)
+    @given(prolongable_morphisms(), st.integers(2, 24), st.data())
+    def test_proven_counts_are_the_profiles_at_each_length(self, source, n_max, data):
+        # one index at the longest length gives each kind, at each n that the
+        # morphism also proves, what the profile at n gives
+        morphism, seed = source
+        handle = rw.morphic_fixed_point(morphism, seed)
+        policy = WindowPolicy()
+        kinds = {"factor": "factor", "red": "reduced_factor", "abred": "reduced_abelian", "extremes": "extremes"}
+        lengths = {
+            kind: sorted(data.draw(st.sets(st.integers(1, n_max), min_size=1)) | {n_max})
+            for kind in data.draw(st.sets(st.sampled_from(sorted(kinds)), min_size=1))
+        }
+        counts = complexity.proven_counts(handle, policy, lengths)
+        if complexity._proven_prefix(handle, n_max, policy) is None:
+            assert counts is None
+            return
+        for kind, ns in lengths.items():
+            profile = PROFILE_ENGINES[kinds[kind]](handle, n_max, policy)
+            assert counts[kind] == {n: profile.values[n] for n in ns}, kind
 
     def test_capacity_error_names_the_same_prefix(self, monkeypatch):
         # the first scan asks for the window and certification for twice it;

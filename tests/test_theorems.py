@@ -11,6 +11,7 @@ import pytest
 import reduxwords as rw
 from reduxwords import theorems
 from reduxwords.complexity import ComplexityProfile
+from reduxwords.theorems import ProfileStore
 from reduxwords.errors import ConfigurationError, SmallCaseException
 from reduxwords.sequences import SequenceHandle
 
@@ -125,8 +126,11 @@ def fake_profile(kind, values):
 
 
 def store_with(sequence, kind, n, profile):
-    """A profile store prefilled with one entry under the default policy."""
-    return {(sequence, kind, n, rw.WindowPolicy()): profile}
+    """A profile store holding one profile, as if its engine had computed it
+    under the default policy."""
+    store = ProfileStore()
+    store.profiles[(sequence, kind, n, rw.WindowPolicy())] = profile
+    return store
 
 
 class TestHarnessFailurePaths:
@@ -155,33 +159,141 @@ class TestProfileStore:
     def test_shared_store_gives_the_same_reports(self):
         ids = [cid for cid, claim in rw.CLAIMS.items() if claim.kind != "conjecture"]
         assert len(ids) == 14
-        profiles = {}
+        profiles = ProfileStore()
         shared = [rw.verify(cid, 48, profiles=profiles) for cid in ids]
         assert shared == [rw.verify(cid, 48) for cid in ids]
         # pf red is read by six claims and stored once
-        assert sum(1 for key in profiles if key[:2] == ("pf", "red")) == 1
+        assert sum(1 for key in profiles.profiles if key[:2] == ("pf", "red")) == 1
 
     def test_policies_are_kept_apart(self):
         fixed = rw.WindowPolicy(fixed_length=4096)
-        profiles = {}
+        profiles = ProfileStore()
         default_report = rw.verify("pf_red", 48, profiles=profiles)
         fixed_report = rw.verify("pf_red", 48, fixed, profiles)
-        assert set(profiles) == {("pf", "red", 48, rw.WindowPolicy()), ("pf", "red", 48, fixed)}
+        assert set(profiles.profiles) == {("pf", "red", 48, rw.WindowPolicy()), ("pf", "red", 48, fixed)}
         assert fixed_report.details["certified_window"] == 4096
         assert default_report.details["certified_window"] != 4096
         assert default_report == rw.verify("pf_red", 48)
         assert fixed_report == rw.verify("pf_red", 48, fixed)
+        # a planned store serves each policy whose own profile is proven, with
+        # that policy's window, and computes the others
+        planned = rw.plan_claims(["pf_red"], 48)
+        wide = rw.WindowPolicy(initial_multiplier=64)
+        assert rw.verify("pf_red", 48, profiles=planned) == default_report
+        assert rw.verify("pf_red", 48, fixed, planned) == fixed_report
+        assert rw.verify("pf_red", 48, wide, planned) == rw.verify("pf_red", 48, wide, ProfileStore())
+        assert set(planned.profiles) == {("pf", "red", 48, fixed)}
 
     def test_exact_n_keys(self):
-        # a longer stored profile is not served for a shorter n
-        profiles = {}
+        # a store without a plan keys each profile on its exact n
+        profiles = ProfileStore()
         rw.verify("pf_red", 64, profiles=profiles)
-        assert rw.verify("pf_red", 48, profiles=profiles) == rw.verify("pf_red", 48)
-        assert {key[2] for key in profiles} == {48, 64}
+        assert rw.verify("pf_red", 48, profiles=profiles) == rw.verify("pf_red", 48, profiles=ProfileStore())
+        assert {key[2] for key in profiles.profiles} == {48, 64}
+        # a planned store serves the shorter n from the table counted at the
+        # longer one, with the report of a fresh computation at that n
+        planned = rw.plan_claims(["pf_red"], 64)
+        rw.verify("pf_red", 64, profiles=planned)
+        assert rw.verify("pf_red", 48, profiles=planned) == rw.verify("pf_red", 48, profiles=ProfileStore())
+        assert (list(planned.tables), planned.profiles) == (["pf"], {})
 
     def test_configuration_error_names_the_claim(self):
         with pytest.raises(ConfigurationError, match="^odd_len: n_max must be >= 3$"):
             rw.verify("odd_len", 2)
+
+
+def outcome(run):
+    """What running a claim gives: its report, or the fields of the error it raised."""
+    try:
+        return run()
+    except rw.StabilizationError as exc:
+        return ("stabilization", str(exc), exc.window, exc.first_unstable_n, exc.partial_values)
+    except rw.ReduxwordsError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def claim_outcomes(n_max, policy=None):
+    """Per claim of the table: the outcome on one store planned with them all,
+    alone with the store ``verify`` plans for it, and on a store without a
+    plan, where every profile comes from its engine."""
+    ids = list(rw.CLAIMS)
+    store = rw.plan_claims(ids, n_max)
+    planned = [outcome(lambda: rw.verify(cid, n_max, policy, store)) for cid in ids]
+    alone = [outcome(lambda: rw.verify(cid, n_max, policy)) for cid in ids]
+    engines = [outcome(lambda: rw.verify(cid, n_max, policy, ProfileStore())) for cid in ids]
+    return store, planned, alone, engines
+
+
+POLICIES = {
+    "default": None,
+    "multiplier-13": rw.WindowPolicy(initial_multiplier=13),
+    "one-doubling": rw.WindowPolicy(initial_multiplier=1, max_doublings=1),
+    "fixed-4096": rw.WindowPolicy(fixed_length=4096),
+}
+
+
+class TestPlannedRuns:
+    """A run planned over every claim gives, claim for claim, what each claim
+    gives alone and what the engines give at each read's own length."""
+
+    @pytest.mark.parametrize("n_max", [34, 48, 130])
+    @pytest.mark.parametrize("policy", list(POLICIES.values()), ids=list(POLICIES))
+    def test_planned_runs_equal_per_claim_runs(self, n_max, policy):
+        store, planned, alone, engines = claim_outcomes(n_max, policy)
+        assert planned == alone == engines
+        if policy is None:
+            # every read is served from one table per sequence
+            assert store.profiles == {}
+            assert set(store.tables) == {"tm", "pf"} and None not in store.tables.values()
+        if policy == POLICIES["one-doubling"]:
+            assert any(isinstance(o, tuple) and o[0] == "stabilization" for o in planned)
+
+    def test_proof_holds_at_some_lengths_and_not_others(self):
+        # at multiplier 13 the tm table proves n <= 138 in 13 * 138 symbols,
+        # and so do the extremes reads at 69 and 138; the red read at 34 needs
+        # 448 > 13 * 34 symbols, so it doubles
+        policy = POLICIES["multiplier-13"]
+        store, planned, alone, engines = claim_outcomes(34, policy)
+        assert planned == alone == engines
+        assert store.tables["tm"] is not None
+        assert ("tm", "red", 34, policy) in store.profiles
+        assert ("tm", "extremes", 138, policy) not in store.profiles
+
+    @pytest.mark.parametrize("n_max", [40, 48, 64, 130])
+    def test_capacity_errors_are_those_of_the_claim(self, monkeypatch, n_max):
+        monkeypatch.setenv("REDUXWORDS_MAX_PREFIX", "3000")
+        _, planned, alone, engines = claim_outcomes(n_max)
+        assert planned == alone == engines
+        assert any(isinstance(o, tuple) and o[0] == "CapacityError" for o in planned)
+
+    def test_an_injected_table_is_read(self):
+        # a wrong extremes table in a planned store fails tm_red's bridge
+        store = rw.plan_claims(["tm_red"], 64)
+        assert rw.verify("tm_red", 64, profiles=store).status == "pass"
+        extremes = store.tables["tm"]["extremes"]
+        least, greatest = extremes[20]
+        extremes[20] = (least, greatest + 1)
+        report = rw.verify("tm_red", 64, profiles=store)
+        assert (report.details["recursion_status"], report.details["bridge_status"]) == ("pass", "fail")
+        actual = rw.tm_reduced_factor_count(20)
+        assert report.counterexamples == ((20, actual + 2, actual),)
+
+    def test_reads_are_the_lengths_the_identities_index(self):
+        reads = {cid: claim.reads(8) for cid, claim in rw.CLAIMS.items()}
+        assert reads["tm_max_min"] == [theorems.Read("tm", "extremes", 17, list(range(2, 18)))]
+        assert reads["tm_mod4"] == [
+            theorems.Read("tm", "extremes", 34, [*range(2, 10), *range(10, 35, 2)])
+        ]
+        assert reads["conj_odd_halving"] == [
+            theorems.Read("tm", "abred", 17, [*range(1, 10), *range(11, 18, 2)])
+        ]
+        assert reads["conj_mod4_gap"] == [theorems.Read("tm", "abred", 34, list(range(4, 35, 2)))]
+        assert reads["f_3mod8"] == [theorems.Read("pf", "red", 8, [3])]
+        assert reads["tm_red"] == [
+            theorems.Read("tm", "red", 8, list(range(1, 9))),
+            theorems.Read("tm", "extremes", 8, list(range(1, 9))),
+        ]
+        assert reads["mu_alternation"] == reads["odd_len"] == []
 
 
 def random_ternary():
