@@ -31,6 +31,7 @@ will materialize (default 2**26).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -355,10 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that :func:`main` reuses; its subcommands look their
+    engines up in ``KIND_ENGINES`` when they run."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -10,7 +10,7 @@ of a long finite prefix, for every n up to ``n_max``. The class keys are
 
 The alternation extremes are a profile too, whose value at n is the pair
 (least, greatest) of the alternation counts of the length-n windows. All
-five read one index, :class:`AlternationPrefix`, of a prefix of length L
+five can read one index, :class:`AlternationPrefix`, of a prefix of length L
 and the largest window N. It holds the starts that are a first occurrence
 for some n: those whose length-n window, for some n <= N that fits before
 the prefix end, occurs nowhere earlier. Every distinct length-n window has
@@ -54,6 +54,19 @@ pf, with 2^k >= n_max - 1. When P is at most the initial window W, and
 ``certified_window`` records W, as doubling would, since W and 2W hold
 the same factors. :func:`proven_counts` counts several kinds on one such
 index, each at only the lengths asked for.
+
+On that same path, a binary word that is the coding of the fixed point of
+a k-uniform morphism passing the check of :func:`_recursive_codes` (tm, pf,
+a binary uniform spec; not period-doubling or Rudin-Shapiro) builds no
+index for ``reduced_factor``, ``reduced_abelian`` and the extremes. A
+window's reduction is fixed by its first symbol and alternation count, and
+the morphism gives those of the length-n windows by table lookups on those
+of length about n / k (the closure of k-regular sequences under such
+recursions: Allouche and Shallit, "The ring of k-regular sequences", TCS
+98, 1992). So a profile to N takes O(log N) levels of numpy passes, where
+the index evaluates about 1.5 N^2 keys, and ``certified_window`` is still
+W. The claims keep the index (:func:`proven_counts`), so they do not rest
+on the recursion.
 
 Everywhere else (Toeplitz specs, a letter with bounded images, a window
 shorter than P, 2W past the cap) the counts are certified empirically:
@@ -684,10 +697,10 @@ def extremes_counts(
 _PAIR_SEARCH = 1 << 16
 
 
-def _pair_prefix(image: Mapping[int, tuple[int, ...]], seed: int) -> list[int] | None:
+def _pair_prefix(image: Mapping[int, tuple[int, ...]], seed: int) -> tuple[list[int], set] | None:
     """The shortest prefix of the fixed point of the morphism with images
-    ``image`` at ``seed`` that holds all of its 2-letter factors, or None if
-    it is longer than ``_PAIR_SEARCH``.
+    ``image`` at ``seed`` that holds all of its 2-letter factors, with the
+    set of those factors; or None if it is longer than ``_PAIR_SEARCH``.
 
     Those factors are a closure: x0 x1, and the 2-letter factors of
     sigma(ab) for each factor ab, since every 2-letter factor of x =
@@ -705,7 +718,7 @@ def _pair_prefix(image: Mapping[int, tuple[int, ...]], seed: int) -> list[int] |
     seen, consumed = set(), 1
     for end in range(1, _PAIR_SEARCH):
         if len(seen) == len(pairs):
-            return x[:end]
+            return x[:end], pairs
         while len(x) <= end:
             x.extend(image[x[consumed]])
             consumed += 1
@@ -733,9 +746,10 @@ def _proof_window(handle: SequenceHandle, n_max: int, window: int) -> int | None
     if handle._source is None:
         return None
     morphism, seed, _ = handle._source
-    prefix = _pair_prefix(morphism.images, seed)
-    if prefix is None:
+    found = _pair_prefix(morphism.images, seed)
+    if found is None:
         return None
+    prefix = found[0]
     letters = set(prefix)
     lengths = dict.fromkeys(letters, 1)
     least, stalled = 1, 0
@@ -789,6 +803,172 @@ def proven_counts(
         "extremes": extremes_counts,
     }
     return {kind: counts[kind](index, ns) for kind, ns in lengths.items()}
+
+
+# -- morphic recursion -----------------------------------------------------------
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a nonempty array, sorted (by a sort and a diff,
+    which numpy's hashing ``unique`` is slower than here)."""
+    values.sort()
+    keep = np.empty(len(values), dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _moore_classes(output: list, successors: np.ndarray) -> np.ndarray:
+    """Class ids of the coarsest partition of states with equal ``output``
+    whose successors ``successors[i, j]`` under each input j lie in equal
+    classes (Moore's refinement)."""
+    classes = output
+    while True:
+        signatures = [(c, *(classes[j] for j in row)) for c, row in zip(classes, successors.tolist())]
+        ids = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        if len(ids) == len(set(classes)):
+            return np.array([ids[sig] for sig in signatures])
+        classes = [ids[sig] for sig in signatures]
+
+
+def _recursive_codes(handle: SequenceHandle, n_max: int):
+    """``(n, c)``, sorted: the distinct c = 2a + t over the length-n windows
+    for n = 1..n_max, with a a window's alternation count and t its first
+    symbol; or None unless the binary word is the coding tau of the fixed
+    point x = sigma(x) of a k-uniform morphism that passes this check: some
+    p, q give alt(tau sigma(x)) + [tau sigma(x) ends unlike tau sigma(y)
+    starts] = p + q [tau x != tau y] for every 2-letter factor xy of x (tm:
+    2, -1; pf's source: 1, 0). Summed over a factor u of x of length M,
+    alt(tau sigma(u)) = (M - 1) p + q alt(tau u) + alt(tau sigma(u_M-1)).
+
+    The window of length n at s = kj + r (r < k) is sigma(u)[r : r + n] for
+    u = x[j : j + M], M = ceil((n + r) / k), and since x = sigma(x) every
+    such cut of every factor u is a window. The cut drops the alternations
+    in the first r + 1 letters of tau sigma(u_0) and in the last e + 1 of
+    tau sigma(u_M-1), e = kM - r - n < k. So keyed by (first pair u_0 u_1,
+    last pair u_M-2 u_M-1, a = alt(tau u)), the cut's key is a lookup on
+    (r, e, u's key): its a is (M - 1) p + q a plus terms of (r, u_0) and
+    (e, u_M-1), its pairs are letters r, r + 1 of sigma(u_0 u_1) and the
+    last e + 2, e + 1 of sigma(u_M-2 u_M-1). First pairs with the same first
+    symbol, cut terms and successor classes at every r are one class, and
+    so are last pairs at every e (Moore); merging them changes no (t, a).
+    tm keeps a class per first symbol and one last class, pf 4 x 4.
+
+    For n >= 2k + 2, 3 <= M < n, so the keys at n follow from shorter
+    lengths: the n in [b, k(b - 2) + 1] read only lengths below b, a level
+    of numpy passes. The keys at n <= 2k + 1 are read off sigma^2 of the
+    least prefix of x that holds every 2-letter factor: a window of at most
+    k^2 + 1 letters of x = sigma^2(x) lies in sigma^2(ab) for such a factor
+    ab (:func:`_proof_window`).
+    """
+    morphism, seed, coding = handle._source
+    found = _pair_prefix(morphism.images, seed)
+    if found is None:
+        return None
+    image, (x, pairs) = morphism.images, found
+    k = len(image[seed])
+    pairs = sorted(pairs)
+    if any(len(image[c]) != k for pair in pairs for c in pair):
+        return None
+    tau = (lambda c: c) if coding is None else coding.__getitem__
+
+    def alt(word) -> int:
+        return sum(tau(u) != tau(v) for u, v in zip(word, word[1:]))
+
+    sums: dict = {}
+    for u, v in pairs:
+        total = alt(image[u] + image[v][:1])
+        if sums.setdefault(tau(u) != tau(v), total) != total:
+            return None
+    p = sums.get(False, 0)
+    q = sums.get(True, p) - p
+    at = {pair: i for i, pair in enumerate(pairs)}
+    joined = [image[u] + image[v] for u, v in pairs]
+    front = np.array([[alt(image[u][: r + 1]) for u, _ in pairs] for r in range(k)])
+    gain = np.array([[alt(image[v]) - alt(image[v][k - e - 1 :]) for _, v in pairs] for e in range(k)])
+    s_next = np.array([[at[w[r], w[r + 1]] for w in joined] for r in range(k)])
+    e_next = np.array([[at[w[-e - 2], w[-e - 1]] for w in joined] for e in range(k)])
+    start = _moore_classes([(tau(u), *col) for (u, _), col in zip(pairs, front.T.tolist())], s_next.T)
+    end = _moore_classes([tuple(col) for col in gain.T.tolist()], e_next.T)
+    sb, eb = int(start.max()).bit_length(), int(end.max()).bit_length()
+
+    def per_class(values, classes, bits) -> np.ndarray:
+        """Rows of per-pair values as rows of per-class values, 2**bits classes wide."""
+        table = np.zeros((len(values), 1 << bits), dtype=np.int64)
+        table[:, classes] = values
+        return table
+
+    first = per_class([[tau(u) for u, _ in pairs]], start, sb)[0]
+    front, s_next = per_class(front, start, sb), per_class(start[s_next], start, sb)
+    gain, e_next = per_class(gain, end, eb), per_class(end[e_next], end, eb)
+    # a key packs n, then c = 2a + t in cb bits, then the first and the last
+    # class in sb + eb = shift bits
+    shift, cb = sb + eb, (2 * n_max - 1).bit_length()
+    if n_max.bit_length() + cb + shift > 62:
+        return None
+    # per (r, cut, first class, last class) of u: the cut's key less its n
+    # and (M - 1) p + q a, added in its a
+    s, e = s_next[:, None, :, None], e_next[None, :, None, :]
+    cuts = (gain[None, :, None, :] - front[:, None, :, None]) * (1 << (shift + 1))
+    table = (cuts + (first[s] << shift) + (s << eb) + e).ravel()
+    for _ in range(2):
+        x = [c for d in x for c in image[d]]
+    ids = [at[pair] for pair in zip(x, x[1:])]
+    firsts, lasts = start[ids], end[ids]
+    t = np.array([tau(c) for c in x])
+    alts = np.concatenate(([0], np.cumsum(t[1:] != t[:-1])))
+    rows = []
+    for n in range(1, min(n_max, 2 * k + 1) + 1):
+        i = np.arange(len(x) - max(n, 2) + 1)
+        s, e = firsts[i], lasts[i + max(n, 2) - 2]
+        rows.append((n << (cb + shift)) + ((2 * (alts[i + n - 1] - alts[i]) + first[s]) << shift) + (s << eb) + e)
+    known = _sorted_distinct(np.concatenate(rows))
+    b = 2 * k + 2
+    while b <= n_max:
+        hi = min(k * (b - 2) + 1, n_max)
+        n = np.repeat(np.arange(b, hi + 1), k)
+        r = np.tile(np.arange(k), hi - b + 1)
+        m = (n + r + k - 1) // k
+        offsets = np.searchsorted(known, np.arange(b + 1) << (cb + shift))
+        size = offsets[m + 1] - offsets[m]
+        key = known[np.arange(size.sum()) + np.repeat(offsets[m] - np.cumsum(size) + size, size)]
+        a = (key >> (shift + 1)) & ((1 << (cb - 1)) - 1)
+        cut = table[np.repeat((r * k + k * m - r - n) << shift, size) + (key & ((1 << shift) - 1))]
+        new = np.repeat((n << (cb + shift)) + ((m - 1) * p << (shift + 1)), size) + a * (q << (shift + 1)) + cut
+        known = np.concatenate((known, _sorted_distinct(new)))
+        b = hi + 1
+    codes = _sorted_distinct(known >> shift)
+    return codes >> cb, codes & ((1 << cb) - 1)
+
+
+def _recursive_values(handle: SequenceHandle, n_max: int, policy: WindowPolicy, kind: str) -> dict | None:
+    """The ``reduced_factor``, ``reduced_abelian`` or ``alternation_extremes``
+    profile values from :func:`_recursive_codes`, where the profile would be
+    counted on a proven prefix (:func:`_proven_prefix`); otherwise None.
+
+    A binary reduction alternates, so (t, a) names it. Its count vector is
+    named by a alone when a is odd, and by (t, a) when a is even.
+    """
+    if (
+        kind not in ("reduced_factor", "reduced_abelian", "alternation_extremes")
+        or handle.alphabet_size != 2
+        or handle._source is None
+        or _proven_prefix(handle, n_max, policy) is None
+    ):
+        return None
+    found = _recursive_codes(handle, n_max)
+    if found is None:
+        return None
+    n, c = found
+    lengths = range(1, n_max + 1)
+    if kind == "alternation_extremes":
+        least, greatest = np.searchsorted(n, lengths), np.searchsorted(n, lengths, side="right") - 1
+        return dict(zip(lengths, zip((c[least] >> 1).tolist(), (c[greatest] >> 1).tolist())))
+    if kind == "reduced_abelian":
+        # t = 1 at an odd a, where t = 0 comes just before it
+        twin = np.zeros(len(c), dtype=bool)
+        twin[1:] = (c[1:] & 3 == 3) & (c[:-1] == c[1:] - 1) & (n[:-1] == n[1:])
+        n = n[~twin]
+    return dict(zip(lengths, np.bincount(n, minlength=n_max + 1)[1:].tolist()))
 
 
 # -- certification driver ------------------------------------------------------
@@ -853,7 +1033,11 @@ def _profile(handle, n_max, policy, kind, table) -> ComplexityProfile:
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     policy = policy or WindowPolicy()
-    values, window = _scan_until_stable(handle, n_max, policy, table)
+    values = _recursive_values(handle, n_max, policy, kind)
+    if values is None:
+        values, window = _scan_until_stable(handle, n_max, policy, table)
+    else:
+        window = policy.initial_window(n_max)
     return ComplexityProfile(kind=kind, sequence=handle.name, values=values, certified_window=window)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reduxwords as rw
@@ -652,8 +652,9 @@ class TestWindowPolicy:
         head = SequenceHandle("head", 3, lambda buf, target: word[len(buf) : target])
         cases = [
             # tm's morphism proves that its first 7 * 8 symbols hold every
-            # factor of length 8 or less, so that prefix is the one index
-            (rw.thue_morse(), WindowPolicy(), [56]),
+            # factor of length 8 or less, so that prefix is the one index;
+            # the binary kinds take tm's recursion and build none
+            (rw.thue_morse(), WindowPolicy(), [56] if kind in ("factor", "abelian") else []),
             # a Toeplitz spec carries no morphism, and doubles
             (rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec")), WindowPolicy(), [512]),
             (head, WindowPolicy(initial_multiplier=1), [16, 8]),
@@ -784,6 +785,91 @@ class TestWindowPolicy:
     def test_n_max_must_be_positive(self, tm_handle):
         with pytest.raises(ConfigurationError):
             rw.factor_complexity(tm_handle, 0)
+
+
+# the profile kinds that a uniform morphism's recursion serves, by their read kind
+RECURSIVE_KINDS = {"red": "reduced_factor", "abred": "reduced_abelian", "extremes": "extremes"}
+
+
+def coded_fixed_point(morphism, coding, name="coded"):
+    """The binary coding of the fixed point of ``morphism`` at 0, carrying its
+    source as :func:`reduxwords.paperfolding` does."""
+    source = rw.morphic_fixed_point(morphism, 0)
+    table = np.array(coding, dtype=np.uint8)
+    handle = SequenceHandle(name, 2, lambda buf, target: table[source.prefix_symbols(target)[len(buf) :]])
+    handle._source = (morphism, 0, tuple(coding))
+    return handle
+
+
+@st.composite
+def coded_uniform_morphisms(draw):
+    """(handle, n_max): a random binary coding of the fixed point at 0 of a
+    random k-uniform morphism, k in {2, 3}, on 2 to 4 letters."""
+    k, sigma = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    image = st.lists(st.integers(0, sigma - 1), min_size=k, max_size=k)
+    images = {c: tuple(draw(image)) for c in range(sigma)}
+    images[0] = (0, *images[0][1:])
+    coding = draw(st.lists(st.integers(0, 1), min_size=sigma, max_size=sigma))
+    return coded_fixed_point(rw.Morphism(images, sigma), coding), draw(st.integers(1, 32))
+
+
+class TestMorphicRecursion:
+    """Binary profiles of a uniform morphism's coding, from its recursion."""
+
+    @staticmethod
+    def count_indexes(monkeypatch) -> list:
+        built = []
+
+        class CountedIndex(AlternationPrefix):
+            def __init__(self, symbols, alphabet_size, n_max):
+                built.append(len(symbols))
+                super().__init__(symbols, alphabet_size, n_max)
+
+        monkeypatch.setattr(complexity, "AlternationPrefix", CountedIndex)
+        return built
+
+    @pytest.mark.parametrize("make", [rw.thue_morse, rw.paperfolding], ids=["tm", "pf"])
+    def test_builtins_equal_the_index_at_every_length(self, monkeypatch, make):
+        # 1, 2 and 3 fall in the base cases and 5 = 2k + 1 is the last of them
+        policy = WindowPolicy()
+        index = complexity.proven_counts(make(), policy, dict.fromkeys(RECURSIVE_KINDS, range(1, 4097)))
+        built = self.count_indexes(monkeypatch)
+        for n_max in (1, 2, 3, 5, 6, 4096):
+            for kind, name in RECURSIVE_KINDS.items():
+                profile = PROFILE_ENGINES[name](make(), n_max, policy)
+                assert profile.values == {n: index[kind][n] for n in range(1, n_max + 1)}, (kind, n_max)
+                assert profile.certified_window == 32 * n_max
+        assert built == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(coded_uniform_morphisms())
+    def test_uniform_morphisms_that_pass_the_check_equal_the_oracle(self, case):
+        handle, n_max = case
+        policy = WindowPolicy()
+        assume(complexity._proven_prefix(handle, n_max, policy) is not None)
+        assume(complexity._recursive_codes(handle, n_max) is not None)
+        symbols = handle.prefix_symbols(complexity._proof_window(handle, n_max, 32 * n_max)).tolist()
+        ns = range(1, n_max + 1)
+        for kind, name in RECURSIVE_KINDS.items():
+            profile = PROFILE_ENGINES[name](handle, n_max, policy)
+            oracle = oracle_extremes(symbols, ns) if kind == "extremes" else oracle_counts(symbols, name, ns)
+            assert (profile.values, profile.certified_window) == (oracle, 32 * n_max), kind
+
+    def test_other_morphisms_keep_the_index(self, monkeypatch):
+        # period-doubling and the Rudin-Shapiro coding are uniform but fail
+        # the check; the tribonacci spec is neither binary nor uniform
+        period_doubling = rw.morphic_fixed_point(rw.Morphism({0: (0, 1), 1: (0, 0)}, 2), 0)
+        rudin_shapiro = coded_fixed_point(rw.Morphism({0: (0, 1), 1: (0, 2), 2: (3, 1), 3: (3, 2)}, 4), (0, 0, 1, 1))
+        tribonacci = rw.load_sequence_spec(str(DATA.parent.parent / "perfbench" / "data" / "tribonacci.spec"))
+        assert complexity._recursive_codes(period_doubling, 64) is None
+        assert complexity._recursive_codes(rudin_shapiro, 64) is None
+        policy = WindowPolicy()
+        for handle in (period_doubling, rudin_shapiro, tribonacci):
+            index = complexity.proven_counts(handle, policy, dict.fromkeys(RECURSIVE_KINDS, range(1, 65)))
+            built = self.count_indexes(monkeypatch)
+            for kind, name in RECURSIVE_KINDS.items():
+                assert PROFILE_ENGINES[name](handle, 64, policy).values == index[kind], (handle.name, kind)
+            assert len(built) == 3
 
 
 class TestNonBinaryEndToEnd:
