@@ -65,8 +65,8 @@ of length about n / k (the closure of k-regular sequences under such
 recursions: Allouche and Shallit, "The ring of k-regular sequences", TCS
 98, 1992). So a profile to N takes O(log N) levels of numpy passes, where
 the index evaluates about 1.5 N^2 keys, and ``certified_window`` is still
-W. The claims keep the index (:func:`proven_counts`), so they do not rest
-on the recursion.
+W. The claims' tables (:func:`proven_counts`) take these kinds from the
+same recursion, and count only the others on an index.
 
 Everywhere else (Toeplitz specs, a letter with bounded images, a window
 shorter than P, 2W past the cap) the counts are certified empirically:
@@ -784,25 +784,39 @@ def proven_counts(
     """Per kind (``factor``, ``red``, ``abred`` or ``extremes``),
     its values at its ``lengths``, increasing lengths; or None.
 
-    All kinds are counted on one index of the prefix P that the handle's
-    morphism proves holds every factor up to the longest length N, as the
-    profiles at N under ``policy`` are; None when those profiles take
-    another path (:func:`_proven_prefix`). The counts on P are those of the
-    infinite sequence at every n <= N.
+    None when the profiles at the longest length N under ``policy`` are not
+    counted on a prefix that the handle's morphism proves holds every factor
+    up to N (:func:`_proven_prefix`). Otherwise the values are those of the
+    infinite sequence at every n <= N. A binary word whose morphism passes
+    the check of :func:`_recursive_codes` takes ``red``, ``abred`` and
+    ``extremes`` from one run of that recursion, to the longest of their
+    lengths. The other kinds, or all of them when the check fails, are
+    counted on one index of the prefix proven for the longest of their own
+    lengths, which fits within the initial window at N.
     """
     n_max = max(ns[-1] for ns in lengths.values())
-    proof = _proven_prefix(handle, n_max, policy)
-    if proof is None:
+    if _proven_prefix(handle, n_max, policy) is None:
         return None
-    index = AlternationPrefix(handle.prefix_symbols(proof), handle.alphabet_size, n_max)
-    # looked up per call, so a replaced count function in this module is the one that runs
-    counts = {
-        "factor": factor_counts,
-        "red": reduced_factor_counts,
-        "abred": reduced_abelian_counts,
-        "extremes": extremes_counts,
-    }
-    return {kind: counts[kind](index, ns) for kind, ns in lengths.items()}
+    values = {}
+    recursive = [kind for kind in ("red", "abred", "extremes") if kind in lengths]
+    if recursive:
+        found = _recursive_codes(handle, max(lengths[kind][-1] for kind in recursive))
+        if found is not None:
+            values = {kind: _code_values(*found, kind, lengths[kind]) for kind in recursive}
+    rest = {kind: ns for kind, ns in lengths.items() if kind not in values}
+    if rest:
+        n_rest = max(ns[-1] for ns in rest.values())
+        proof = _proof_window(handle, n_rest, policy.initial_window(n_max))
+        index = AlternationPrefix(handle.prefix_symbols(proof), handle.alphabet_size, n_rest)
+        # looked up per call, so a replaced count function in this module is the one that runs
+        counts = {
+            "factor": factor_counts,
+            "red": reduced_factor_counts,
+            "abred": reduced_abelian_counts,
+            "extremes": extremes_counts,
+        }
+        values.update({kind: counts[kind](index, ns) for kind, ns in rest.items()})
+    return values
 
 
 # -- morphic recursion -----------------------------------------------------------
@@ -860,6 +874,8 @@ def _recursive_codes(handle: SequenceHandle, n_max: int):
     k^2 + 1 letters of x = sigma^2(x) lies in sigma^2(ab) for such a factor
     ab (:func:`_proof_window`).
     """
+    if handle.alphabet_size != 2:
+        return None
     morphism, seed, coding = handle._source
     found = _pair_prefix(morphism.images, seed)
     if found is None:
@@ -940,35 +956,34 @@ def _recursive_codes(handle: SequenceHandle, n_max: int):
     return codes >> cb, codes & ((1 << cb) - 1)
 
 
-def _recursive_values(handle: SequenceHandle, n_max: int, policy: WindowPolicy, kind: str) -> dict | None:
-    """The ``reduced_factor``, ``reduced_abelian`` or ``alternation_extremes``
-    profile values from :func:`_recursive_codes`, where the profile would be
-    counted on a proven prefix (:func:`_proven_prefix`); otherwise None.
+def _code_values(n: np.ndarray, c: np.ndarray, kind: str, lengths: Sequence[int]) -> dict:
+    """The ``red``, ``abred`` or ``extremes`` values at ``lengths``
+    (increasing) from the codes ``(n, c)`` of :func:`_recursive_codes`.
 
     A binary reduction alternates, so (t, a) names it. Its count vector is
     named by a alone when a is odd, and by (t, a) when a is even.
     """
-    if (
-        kind not in ("reduced_factor", "reduced_abelian", "alternation_extremes")
-        or handle.alphabet_size != 2
-        or handle._source is None
-        or _proven_prefix(handle, n_max, policy) is None
-    ):
-        return None
-    found = _recursive_codes(handle, n_max)
-    if found is None:
-        return None
-    n, c = found
-    lengths = range(1, n_max + 1)
-    if kind == "alternation_extremes":
+    lengths = np.asarray(lengths)
+    if kind == "extremes":
         least, greatest = np.searchsorted(n, lengths), np.searchsorted(n, lengths, side="right") - 1
-        return dict(zip(lengths, zip((c[least] >> 1).tolist(), (c[greatest] >> 1).tolist())))
-    if kind == "reduced_abelian":
+        return dict(zip(lengths.tolist(), zip((c[least] >> 1).tolist(), (c[greatest] >> 1).tolist())))
+    if kind == "abred":
         # t = 1 at an odd a, where t = 0 comes just before it
         twin = np.zeros(len(c), dtype=bool)
         twin[1:] = (c[1:] & 3 == 3) & (c[:-1] == c[1:] - 1) & (n[:-1] == n[1:])
         n = n[~twin]
-    return dict(zip(lengths, np.bincount(n, minlength=n_max + 1)[1:].tolist()))
+    return dict(zip(lengths.tolist(), np.bincount(n, minlength=lengths[-1] + 1)[lengths].tolist()))
+
+
+def _recursive_values(handle: SequenceHandle, n_max: int, policy: WindowPolicy, kind: str) -> dict | None:
+    """The ``reduced_factor``, ``reduced_abelian`` or ``alternation_extremes``
+    profile values from :func:`_recursive_codes`, where the profile would be
+    counted on a proven prefix (:func:`_proven_prefix`); otherwise None."""
+    read = {"reduced_factor": "red", "reduced_abelian": "abred", "alternation_extremes": "extremes"}.get(kind)
+    if read is None or _proven_prefix(handle, n_max, policy) is None:
+        return None
+    found = _recursive_codes(handle, n_max)
+    return None if found is None else _code_values(*found, read, range(1, n_max + 1))
 
 
 # -- certification driver ------------------------------------------------------

@@ -15,9 +15,10 @@ stable claim id, and is run in one of three shapes:
 Every row but the last two declares what it reads (:meth:`Claim.reads`):
 per profile, the lengths it looks at. :func:`verify` runs one row on a
 :class:`ProfileStore` that lasts one run: planned with the reads of the
-run's claims (:func:`plan_claims`), it indexes each sequence once, where
-its morphism proves the counts, and counts each kind once at the lengths
-the claims read; any other profile it computes once by its engine. Every
+run's claims (:func:`plan_claims`), it takes each kind of a sequence once,
+at the lengths the claims read, where its morphism proves the counts:
+tm's and pf's binary kinds from the morphism's recursion and the rest on
+at most one index; any other profile it computes once by its engine. Every
 claim that compares predicted with observed values per length collects
 its counterexamples by one rule, :func:`_mismatches`. Conjectures are
 only ever scanned, and their reports are evidence, never assertions.
@@ -221,11 +222,13 @@ class ProfileStore:
     length the run's claims read, per (sequence, kind). A read of planned
     lengths is served without the engine when the profile at n under the
     read's policy would be counted on a prefix that the sequence's morphism
-    proves holds every factor. The first such read of a sequence counts
-    each of its planned kinds once, at only the planned lengths, on one
-    index of the prefix proven for the longest planned length N
-    (:func:`proven_counts`), and keeps the values in ``tables`` (None where
-    the profiles at N would not be counted so). Those values are the
+    proves holds every factor; ``proofs`` keeps that prefix per (sequence,
+    n, policy). The first such read of a sequence takes each of its planned
+    kinds once, at only the planned lengths, up to the longest planned
+    length N (:func:`proven_counts`): tm's and pf's ``red``, ``abred`` and
+    ``extremes`` from their morphism's recursion, and every other kind on
+    one index of a proven prefix. It keeps the values in ``tables`` (None
+    where the profiles at N would not be counted so). Those values are the
     sequence's own at every n <= N (Allouche and Shallit, Automatic
     Sequences, 2003, ch. 7 and 10), so they are the profile's, and the read
     reports the ``certified_window`` that profile reports, the policy's
@@ -237,6 +240,7 @@ class ProfileStore:
     def __init__(self):
         self.planned: dict[tuple[str, str], set[int]] = {}
         self.tables: dict[str, dict | None] = {}
+        self.proofs: dict[tuple, int | None] = {}
         self.profiles: dict = {}
 
     def profile(self, read: Read, policy: WindowPolicy | None) -> ComplexityProfile:
@@ -262,7 +266,10 @@ class ProfileStore:
         if read.n < 1 or planned is None or not planned.issuperset(read.lengths):
             return None
         handle = BUILTIN_SEQUENCES[read.sequence]()
-        if _proven_prefix(handle, read.n, policy) is None:
+        proof = (read.sequence, read.n, policy)
+        if proof not in self.proofs:
+            self.proofs[proof] = _proven_prefix(handle, read.n, policy)
+        if self.proofs[proof] is None:
             return None
         if read.sequence not in self.tables:
             lengths = {kind: sorted(ns) for (seq, kind), ns in self.planned.items() if seq == read.sequence}
@@ -832,10 +839,10 @@ def verify(
     """Run one row of the claim table.
 
     Pass the same ``profiles`` store, planned with the run's claims
-    (:func:`plan_claims`), to every call of a run: each sequence is then
-    indexed once where its morphism proves the counts, each kind counted
-    once at the lengths the claims read, and every other profile computed
-    once. Without one, the call plans a store for this claim alone. The
+    (:func:`plan_claims`), to every call of a run: where a sequence's
+    morphism proves the counts, each of its kinds is then taken once at the
+    lengths the claims read, and every other profile is computed once.
+    Without one, the call plans a store for this claim alone. The
     reports are those of a computation of each profile at the length the
     claim reads it. A configuration error raised by the claim carries its
     id.

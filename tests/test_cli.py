@@ -314,24 +314,25 @@ class TestVerify:
 
     def test_all_computes_each_profile_once(self, capsys, monkeypatch):
         calls = []
-        counts = complexity.reduced_factor_counts
+        codes = complexity._recursive_codes
 
-        def counting(index, lengths=None):
-            calls.append(index.arr[:16].tolist())
-            return counts(index, lengths)
+        def counting(handle, n_max):
+            calls.append(handle.prefix_symbols(16).tolist())
+            return codes(handle, n_max)
 
-        monkeypatch.setattr(complexity, "reduced_factor_counts", counting)
+        monkeypatch.setattr(complexity, "_recursive_codes", counting)
         code, _, _ = run(capsys, "verify", "all", "--n-max", "48")
         assert code == 0
-        # tm_red reads one tm red table; pf_red, f_2n and the four f_*mod8
-        # claims read one pf red table
+        # tm_red and the tm extremes identities read one tm recursion; pf_red,
+        # abred_f, f_2n and the four f_*mod8 claims read one pf recursion
         assert len(calls) == 2
         assert calls.count(rw.paperfolding().prefix_symbols(16).tolist()) == 1
 
     def test_one_index_per_sequence(self, capsys, monkeypatch):
-        # at the benchmark's sizes: tm's table holds every length the claims
-        # read, up to 4 * 512 + 2, and pf's up to 512; the conjectures read tm
-        # up to 4 * 256 + 2
+        # at the benchmark's sizes: tm's and pf's factor counts up to 512
+        # take an index each, and every other kind the claims read, up to
+        # 4 * 512 + 2, the morphism's recursion; the conjectures read only
+        # tm's recursion, up to 4 * 256 + 2
         built = []
         init = complexity.AlternationPrefix.__init__
 
@@ -341,10 +342,10 @@ class TestVerify:
 
         monkeypatch.setattr(complexity.AlternationPrefix, "__init__", counting)
         assert run(capsys, "verify", "all", "--n-max", "512", "--json")[0] == 0
-        assert built == [2050, 512]
+        assert built == [512, 512]
         built.clear()
         assert run(capsys, "conjecture", "all", "--n-max", "256", "--json")[0] == 0
-        assert built == [1026]
+        assert built == []
 
     def test_capacity_error_of_a_planned_run(self, capsys, monkeypatch):
         # tm_red at 48 doubles past the cap, in a planned run as alone

@@ -753,8 +753,8 @@ class TestWindowPolicy:
             for kind in data.draw(st.sets(st.sampled_from(sorted(kinds)), min_size=1))
         }
         counts = complexity.proven_counts(handle, policy, lengths)
-        if complexity._proven_prefix(handle, n_max, policy) is None:
-            assert counts is None
+        assert counts == index_counts(handle, policy, lengths)
+        if counts is None:
             return
         for kind, ns in lengths.items():
             profile = PROFILE_ENGINES[kinds[kind]](handle, n_max, policy)
@@ -789,6 +789,25 @@ class TestWindowPolicy:
 
 # the profile kinds that a uniform morphism's recursion serves, by their read kind
 RECURSIVE_KINDS = {"red": "reduced_factor", "abred": "reduced_abelian", "extremes": "extremes"}
+
+
+def index_counts(handle, policy, lengths):
+    """Per kind (``factor``, ``red``, ``abred`` or ``extremes``), its counts at
+    its lengths on one window index of the prefix that the morphism proves
+    holds every factor up to the longest length; None where no such prefix
+    is counted. The reference that the morphism's recursion is held to."""
+    n_max = max(ns[-1] for ns in lengths.values())
+    proof = complexity._proven_prefix(handle, n_max, policy)
+    if proof is None:
+        return None
+    index = AlternationPrefix(handle.prefix_symbols(proof), handle.alphabet_size, n_max)
+    counts = {
+        "factor": factor_counts,
+        "red": reduced_factor_counts,
+        "abred": reduced_abelian_counts,
+        "extremes": extremes_counts,
+    }
+    return {kind: counts[kind](index, ns) for kind, ns in lengths.items()}
 
 
 def coded_fixed_point(morphism, coding, name="coded"):
@@ -832,7 +851,7 @@ class TestMorphicRecursion:
     def test_builtins_equal_the_index_at_every_length(self, monkeypatch, make):
         # 1, 2 and 3 fall in the base cases and 5 = 2k + 1 is the last of them
         policy = WindowPolicy()
-        index = complexity.proven_counts(make(), policy, dict.fromkeys(RECURSIVE_KINDS, range(1, 4097)))
+        index = index_counts(make(), policy, dict.fromkeys(RECURSIVE_KINDS, range(1, 4097)))
         built = self.count_indexes(monkeypatch)
         for n_max in (1, 2, 3, 5, 6, 4096):
             for kind, name in RECURSIVE_KINDS.items():
@@ -840,6 +859,22 @@ class TestMorphicRecursion:
                 assert profile.values == {n: index[kind][n] for n in range(1, n_max + 1)}, (kind, n_max)
                 assert profile.certified_window == 32 * n_max
         assert built == []
+
+    def test_planned_claim_tables_equal_the_index(self):
+        # every length that `verify all --n-max 2048` and `conjecture all
+        # --n-max 1024` read; tm's extremes reach 4 * 2048 + 2
+        policy = WindowPolicy()
+        read = set()
+        for conjectures, n_max in ((False, 2048), (True, 1024)):
+            ids = [cid for cid, claim in rw.CLAIMS.items() if (claim.kind == "conjecture") == conjectures]
+            store = rw.plan_claims(ids, n_max)
+            for name, make in (("tm", rw.thue_morse), ("pf", rw.paperfolding)):
+                lengths = {kind: sorted(ns) for (seq, kind), ns in store.planned.items() if seq == name}
+                if lengths:
+                    read.update((name, kind) for kind in lengths)
+                    counts = complexity.proven_counts(make(), policy, lengths)
+                    assert counts == index_counts(make(), policy, lengths), (name, n_max)
+        assert {kind for _, kind in read} == {"factor", "red", "abred", "extremes"}
 
     @settings(max_examples=100, deadline=None)
     @given(coded_uniform_morphisms())
@@ -865,8 +900,13 @@ class TestMorphicRecursion:
         assert complexity._recursive_codes(rudin_shapiro, 64) is None
         policy = WindowPolicy()
         for handle in (period_doubling, rudin_shapiro, tribonacci):
-            index = complexity.proven_counts(handle, policy, dict.fromkeys(RECURSIVE_KINDS, range(1, 65)))
+            lengths = dict.fromkeys(RECURSIVE_KINDS, range(1, 65))
+            index = index_counts(handle, policy, lengths)
             built = self.count_indexes(monkeypatch)
+            assert complexity.proven_counts(handle, policy, lengths) == index
+            # the check fails, so all three kinds take one index
+            assert len(built) == 1
+            built.clear()
             for kind, name in RECURSIVE_KINDS.items():
                 assert PROFILE_ENGINES[name](handle, 64, policy).values == index[kind], (handle.name, kind)
             assert len(built) == 3
