@@ -802,7 +802,9 @@ def proven_counts(
     if recursive:
         found = _recursive_codes(handle, max(lengths[kind][-1] for kind in recursive))
         if found is not None:
-            values = {kind: _code_values(*found, kind, lengths[kind]) for kind in recursive}
+            for kind in recursive:
+                at = _code_values(*found, kind, lengths[kind][-1])
+                values[kind] = {n: at[n - 1] for n in lengths[kind]}
     rest = {kind: ns for kind, ns in lengths.items() if kind not in values}
     if rest:
         n_rest = max(ns[-1] for ns in rest.values())
@@ -956,23 +958,23 @@ def _recursive_codes(handle: SequenceHandle, n_max: int):
     return codes >> cb, codes & ((1 << cb) - 1)
 
 
-def _code_values(n: np.ndarray, c: np.ndarray, kind: str, lengths: Sequence[int]) -> dict:
-    """The ``red``, ``abred`` or ``extremes`` values at ``lengths``
-    (increasing) from the codes ``(n, c)`` of :func:`_recursive_codes`.
+def _code_values(n: np.ndarray, c: np.ndarray, kind: str, n_max: int) -> list:
+    """The ``red``, ``abred`` or ``extremes`` values at n = 1..n_max, in
+    order, from the codes ``(n, c)`` of :func:`_recursive_codes`.
 
     A binary reduction alternates, so (t, a) names it. Its count vector is
     named by a alone when a is odd, and by (t, a) when a is even.
     """
-    lengths = np.asarray(lengths)
     if kind == "extremes":
+        lengths = np.arange(1, n_max + 1)
         least, greatest = np.searchsorted(n, lengths), np.searchsorted(n, lengths, side="right") - 1
-        return dict(zip(lengths.tolist(), zip((c[least] >> 1).tolist(), (c[greatest] >> 1).tolist())))
+        return list(zip((c[least] >> 1).tolist(), (c[greatest] >> 1).tolist()))
     if kind == "abred":
         # t = 1 at an odd a, where t = 0 comes just before it
         twin = np.zeros(len(c), dtype=bool)
         twin[1:] = (c[1:] & 3 == 3) & (c[:-1] == c[1:] - 1) & (n[:-1] == n[1:])
         n = n[~twin]
-    return dict(zip(lengths.tolist(), np.bincount(n, minlength=lengths[-1] + 1)[lengths].tolist()))
+    return np.bincount(n, minlength=n_max + 1)[1 : n_max + 1].tolist()
 
 
 def _recursive_values(handle: SequenceHandle, n_max: int, policy: WindowPolicy, kind: str) -> dict | None:
@@ -983,7 +985,7 @@ def _recursive_values(handle: SequenceHandle, n_max: int, policy: WindowPolicy, 
     if read is None or _proven_prefix(handle, n_max, policy) is None:
         return None
     found = _recursive_codes(handle, n_max)
-    return None if found is None else _code_values(*found, read, range(1, n_max + 1))
+    return None if found is None else dict(zip(range(1, n_max + 1), _code_values(*found, read, n_max)))
 
 
 # -- certification driver ------------------------------------------------------
