@@ -101,47 +101,67 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
 _SLICE_ROWS = 1 << 14
 
 
-def _int64(column) -> np.ndarray:
-    """``column`` (a range, an array or a sequence of ints) as an int64 array."""
+def _digit_column(column) -> tuple[np.ndarray, int, int]:
+    """``column`` (an increasing range, an array or a sequence of nonnegative
+    ints) as an array for the digit passes, with the decimal widths of its
+    least and greatest values. The array is uint32 when every value has at
+    most 9 digits, whose passes run several times faster than int64's."""
     if isinstance(column, range):
-        return np.arange(column.start, column.stop, column.step, dtype=np.int64)
-    return np.asarray(column, dtype=np.int64)
+        least, top = column[0], column[-1]
+        dtype = np.uint32 if top < 10**9 else np.int64
+        values = np.arange(column.start, column.stop, column.step, dtype=dtype)
+    else:
+        values = column if isinstance(column, np.ndarray) else np.asarray(column, dtype=np.int64)
+        least, top = int(values.min()), int(values.max())
+        values = values.astype(np.uint32 if top < 10**9 else np.int64, copy=False)
+    return values, len(str(least)), len(str(top))
 
 
-def _fill_rows(pieces: list[bytes], columns: list[np.ndarray]) -> np.ndarray:
-    """ASCII rows ``pieces[0] c0 pieces[1] c1 ... pieces[-1]`` of nonnegative int64 ``columns``.
+def _fill_rows(pieces: list[bytes], columns: list) -> np.ndarray:
+    """ASCII rows ``pieces[0] c0 pieces[1] c1 ... pieces[-1]`` of ``columns``
+    (each as :func:`_digit_column` takes it), as a flat uint8 array.
 
     The rows are one byte matrix, a matrix row per output row: each constant
     piece fills its own columns, and each value its column's widest width,
-    zero-padded, one decimal place per pass, right to left. The text is the
-    matrix read in row order without the leading zeros.
+    zero-padded, one decimal place per pass, right to left, on uint32 when
+    the column's values have at most 9 digits and on int64 otherwise. The
+    text is the matrix read in row order without the leading zeros. Only a
+    column whose least value is narrower than its widest can hold leading
+    zeros, so only such a column fills a mask of the places to keep; with
+    none (as in a stretch of consecutive indices that crosses no power of
+    ten), the matrix is the text as it is.
     """
-    widths = [len(str(int(column.max()))) for column in columns]
-    text = np.empty((len(columns[0]), sum(widths) + sum(map(len, pieces))), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
+    columns = [_digit_column(column) for column in columns]
+    text = np.empty((len(columns[0][0]), sum(c[2] for c in columns) + sum(map(len, pieces))), dtype=np.uint8)
+    keep = None
     at = 0
     for index, piece in enumerate(pieces):
         text[:, at : at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
         at += len(piece)
         if index == len(columns):
             break
-        rest = columns[index]
-        at += widths[index]
-        for place in range(widths[index]):
+        rest, least, width = columns[index]
+        if least < width and keep is None:
+            keep = np.ones(text.shape, dtype=bool)
+        at += width
+        for place in range(width):
             quotient = rest // 10
-            text[:, at - 1 - place] = rest - 10 * quotient + ord("0")
-            if place:
+            digit = quotient * 10
+            np.subtract(rest, digit, out=digit)
+            digit += ord("0")
+            text[:, at - 1 - place] = digit
+            if least <= place:
                 # where the value has run out of digits, the place is a leading zero
                 keep[:, at - 1 - place] = rest != 0
             rest = quotient
-    return text[keep]
+    return text.ravel() if keep is None else text[keep]
 
 
 def _emit_rows(columns, header: str, fmt: str, metadata: dict) -> None:
     """Write the rows of equal-length integer ``columns`` as json, csv or bfile (``fmt``).
 
     Rows are formatted and written one slice at a time, each column converted
-    to int64 only for its slice, so memory stays bounded by the slice, not
+    to an array only for its slice, so memory stays bounded by the slice, not
     the output. The text equals ``str.format`` per csv/bfile row, and
     ``json.dumps(records, indent=2)`` for json records of the ``header``
     fields followed by the scalar ``metadata``.
@@ -161,7 +181,7 @@ def _emit_rows(columns, header: str, fmt: str, metadata: dict) -> None:
     pieces = [piece.encode("ascii") for piece in pieces]
     for lo in range(0, rows, _SLICE_ROWS):
         hi = min(lo + _SLICE_ROWS, rows)
-        text = _fill_rows(pieces, [_int64(column[lo:hi]) for column in columns])
+        text = _fill_rows(pieces, [column[lo:hi] for column in columns])
         if fmt == "json" and hi == rows:
             # the last record closes the list instead of continuing it
             text = text[:-2]

@@ -24,26 +24,30 @@ padded past the prefix end. Names are packed integers (literal windows at
 first) while they fit in 32 bits, and are compressed to dense ranks only
 when they no longer do; either way they sort as the windows do. Each sort,
 a rank step's and the final one, is one in-place sort of a uint64 key with
-the name (or one 32-bit word of a wider name) above the start, so the
-first start of each name comes first among its equals. The index takes the
-common prefix of each such start with its sorted neighbour, one packed
-chunk of literal symbols at a time, and from these its longest previous factor
-(Crochemore and Ilie): the longest prefix of its window that also starts
-earlier, which is its longer common prefix with the previous and the next
-smaller start in sorted order. Numpy passes over a tree of block minima
-find those, at most 2 log2(m) + 2 passes each way for m starts, whatever
-the word. The length-n window at a start is a first occurrence exactly
-for lpf < n <= its room (its window length), so it keeps the starts with
-lpf < room, ordered by lpf, and the first occurrences of the distinct
-length-n windows are a prefix of them. ``factor`` counts those intervals;
-the other kinds and the extremes evaluate one key matrix per block of
-lengths over a prefix of those rows, each key a few gathers from prefix
-sums, alternation counts or factor names. A start with lpf >= n repeats,
-at n, a window that starts earlier among the same rows, so its key is
-there already; only windows that run past the prefix end are dropped. The
-index takes log N packing passes and as many sorts over the L starts, and
-the counts evaluate sum_n rho(n) keys (rho the factor complexity, about
-1.5 N^2 for tm and pf) instead of N(L - N) for every start at every length.
+the name (or one 32-bit word of a wider name) above the start, so the first
+start of each name comes first among its equals. When every final name is
+below the prefix length, as for short windows over a long prefix, the final
+sort is replaced by one scatter-min of the starts into a table indexed by
+name, whose filled entries are those first starts in name order
+(:func:`_first_starts`). The index takes the common prefix of each such
+start with its sorted neighbour, one packed chunk of literal symbols at a
+time, and from these its longest previous factor (Crochemore and Ilie): the
+longest prefix of its window that also starts earlier, which is its longer
+common prefix with the previous and the next smaller start in sorted order.
+Numpy passes over a tree of block minima find those, at most 2 log2(m) + 2
+passes each way for m starts, whatever the word. The length-n window at a
+start is a first occurrence exactly for lpf < n <= its room (its window
+length), so it keeps the starts with lpf < room, ordered by lpf, and the
+first occurrences of the distinct length-n windows are a prefix of them.
+``factor`` counts those intervals; the other kinds and the extremes
+evaluate one key matrix per block of lengths over a prefix of those rows,
+each key a few gathers from prefix sums, alternation counts or factor
+names. A start with lpf >= n repeats, at n, a window that starts earlier
+among the same rows, so its key is there already; only windows that run
+past the prefix end are dropped. The index takes log N packing passes and
+as many sorts over the L starts, and the counts evaluate sum_n rho(n) keys
+(rho the factor complexity, about 1.5 N^2 for tm and pf) instead of
+N(L - N) for every start at every length.
 
 A finite scan can only undercount the infinite sequence. For a fixed
 point of a morphism, or a coding of one (tm, pf and morphic spec files),
@@ -192,7 +196,39 @@ def _name_order(names: np.ndarray):
     return order, new
 
 
-def _doubling_names(arr, alphabet_size: int, n_max: int):
+def _first_starts(names: np.ndarray, table_size: int) -> np.ndarray:
+    """The least start of each distinct name, as uint32, in name order.
+
+    When every name is below ``table_size`` (a prefix length, so that the
+    table is no larger than the sort keys it saves), the least starts come
+    from one scatter-min into a table indexed by name, whose filled entries
+    are in name order; otherwise from the first start of each name in a
+    :func:`_name_order` sort.
+    """
+    size = int(names.max()) + 1
+    if size > table_size:
+        order, new = _name_order(names)
+        return order[new]
+    empty = len(names)  # above every start
+    table = np.full(size, empty, dtype=np.uint32)
+    np.minimum.at(table, names, np.arange(len(names), dtype=np.uint32))
+    return table[table != empty]
+
+
+def _dense_ranks(names: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank from 1 of each name among the distinct names, from one
+    :func:`_name_order` sort, in the narrowest unsigned dtype, and its bit width."""
+    order, new = _name_order(names)
+    order = np.ascontiguousarray(order)  # so the sort key is freed
+    ranks = np.cumsum(new, dtype=np.uint32)
+    del new
+    width = int(ranks[-1]).bit_length()
+    dense = np.empty(len(order), dtype=_uint_dtype(width))
+    dense[order] = ranks
+    return dense, width
+
+
+def _doubling_names(arr, alphabet_size: int, n_max: int, ranked: bool = False):
     """Yield ``(span, names, literal)`` for span = 1, 2, 4, ... and finally ``n_max``.
 
     ``names[s]`` names the length-``span`` window at ``s``, padded past the
@@ -200,25 +236,22 @@ def _doubling_names(arr, alphabet_size: int, n_max: int):
     and names sort as their windows do. Doubling names the length-``new``
     window at s by the pair of names at s and at s + new - span, whose
     windows cover it. Pairs pack into one integer; once a pair would need
-    more than 32 bits, the names are first replaced by their dense ranks,
-    from one :func:`_name_order` sort. Name 0 is the empty window past the
-    end. ``literal`` says the names still pack the window itself, symbol +
-    1 in ``alphabet_size.bit_length()`` bits each, first symbol highest.
+    more than 32 bits, the names are first replaced by their dense ranks
+    (:func:`_dense_ranks`). With ``ranked``, every level's names are
+    replaced by their dense ranks before it is yielded, so each level is
+    sorted once. Name 0 is the empty window past the end. ``literal`` says
+    the names still pack the window itself, symbol + 1 in
+    ``alphabet_size.bit_length()`` bits each, first symbol highest.
     """
     width = alphabet_size.bit_length()
     names = arr.astype(_uint_dtype(width)) + 1
-    span, literal = 1, True
+    span, literal = 1, not ranked
+    if ranked:
+        names, width = _dense_ranks(names)
     yield span, names, literal
     while span < n_max:
-        if 2 * width > 32:
-            order, new = _name_order(names)
-            order = np.ascontiguousarray(order)  # so the sort key is freed
-            ranks = np.cumsum(new, dtype=np.uint32)
-            del new
-            width = int(ranks[-1]).bit_length()
-            names = np.empty(len(order), dtype=_uint_dtype(width))
-            names[order] = ranks
-            del order, ranks
+        if 2 * width > 32 and not ranked:
+            names, width = _dense_ranks(names)
             literal = False
         new = min(2 * span, n_max)
         shift = new - span
@@ -226,9 +259,12 @@ def _doubling_names(arr, alphabet_size: int, n_max: int):
         names = halves.astype(_uint_dtype(2 * width))
         names <<= width
         names[: len(names) - shift] |= halves[shift:]
+        del halves
         width *= 2
         literal = literal and shift == span
         span = new
+        if ranked:
+            names, width = _dense_ranks(names)
         yield span, names, literal
 
 
@@ -389,8 +425,10 @@ class AlternationPrefix:
     occurrences at n are a prefix of them, less the starts whose room ends
     before n; :meth:`new_start_blocks` gives them with the repeats among
     them, which add no class. The windows are sorted by packed uint64 keys,
-    one sort per rank step, and ``lpf`` comes from bounded numpy passes
-    (:func:`_longest_previous_factor`); a prefix is at most 2**32 - 1
+    one sort per rank step and a final one, which a table indexed by name
+    replaces when every final name is below the prefix length
+    (:func:`_first_starts`); ``lpf`` comes from bounded numpy passes
+    (:func:`_longest_previous_factor`). A prefix is at most 2**32 - 1
     symbols, so that a start fits in half a key. Symbols are stored in the
     narrowest unsigned dtype for the alphabet.
     """
@@ -432,9 +470,7 @@ class AlternationPrefix:
             pass
         # in name order, the first start of each name is its first occurrence;
         # a tail start's padded window occurs nowhere else
-        order, new = _name_order(names)
-        ordered = order[new]
-        del order, new
+        ordered = _first_starts(names, self.length)
         room = np.minimum(n_max, self.length - ordered)
         bits = self.alphabet_size.bit_length()
         if not literal:
@@ -594,9 +630,8 @@ def _factor_names(symbols: np.ndarray, alphabet_size: int, cap: int) -> np.ndarr
     """``[k, r]``: the dense uint32 rank of the :func:`_doubling_names` name of
     the length-2^k factor of ``symbols`` at r, for 2^k <= ``cap``."""
     names = np.empty((cap.bit_length(), len(symbols)), dtype=np.uint32)
-    for span, level, _ in _doubling_names(symbols, alphabet_size, 1 << (cap.bit_length() - 1)):
-        order, new = _name_order(level)
-        names[span.bit_length() - 1, order] = np.cumsum(new, dtype=np.uint32)
+    for span, level, _ in _doubling_names(symbols, alphabet_size, 1 << (cap.bit_length() - 1), ranked=True):
+        names[span.bit_length() - 1] = level
     return names
 
 

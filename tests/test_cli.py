@@ -173,24 +173,42 @@ def per_row_reference(columns, header, fmt, metadata):
     return header + "\n" + text if fmt == "csv" else text
 
 
+# values at a change of decimal width
+WIDTH_EDGES = (0, 9, 10, 99, 100)
+
+
 class TestRowWriter:
     @settings(max_examples=30, deadline=None)
     # at least one draw spans several slices in every run
-    @example(column_count=3, rows=70_000, seed=0, top=2**40, name="\u00e9", window=4096)
+    @example(
+        column_count=3, rows=70_000, seed=0, low=0, top=2**40, edges=WIDTH_EDGES, name="\u00e9", window=4096,
+    )
+    # every value six digits wide: no slice needs a mask of leading zeros
+    @example(column_count=2, rows=20_000, seed=1, low=10**5, top=10**6, edges=(), name="", window=0)
+    # the widest 9 and 10 digit values, where the digit passes switch from uint32 to int64
+    @example(
+        column_count=3, rows=300, seed=2, low=0, top=1,
+        edges=(999_999_999, 1_000_000_000, 2**32 - 1, 2**32), name="", window=2**32,
+    )
+    # a column of zeros
+    @example(column_count=1, rows=300, seed=3, low=0, top=1, edges=(), name="", window=0)
     @given(
         column_count=st.integers(1, 3),
         rows=st.integers(1, 70_000),
         seed=st.integers(0, 2**32 - 1),
+        low=st.just(0),
         top=st.sampled_from([11, 101, 2**20, 2**40, 2**63 - 1]),
+        edges=st.just(WIDTH_EDGES),
         name=st.text(max_size=6),
         window=st.integers(0, 2**40),
     )
-    def test_matches_per_row_reference(self, column_count, rows, seed, top, name, window):
+    def test_matches_per_row_reference(self, column_count, rows, seed, low, top, edges, name, window):
         rng = np.random.default_rng(seed)
-        values = rng.integers(0, top, size=(column_count, rows), dtype=np.int64)
-        # about a third of the values sit at a change of decimal width
-        edges = rng.random(size=values.shape) < 0.3
-        values[edges] = rng.choice([0, 9, 10, 99, 100], size=int(edges.sum()))
+        values = rng.integers(low, top, size=(column_count, rows), dtype=np.int64)
+        if edges:
+            # about a third of the values are drawn from ``edges``
+            at = rng.random(size=values.shape) < 0.3
+            values[at] = rng.choice(edges, size=int(at.sum()))
         columns = [column.tolist() for column in values]
         header = ",".join(("n", "min", "max")[:column_count])
         metadata = {"sequence": "Thue\u2013Morse " + name, "kind": "red", "certified_window": window}
@@ -199,6 +217,21 @@ class TestRowWriter:
             with redirect_stdout(out):
                 cli._emit_rows(columns, header, fmt, metadata)
             assert_same_text(out.getvalue(), per_row_reference(columns, header, fmt, metadata), fmt)
+
+    # as gen passes them: the indices as a range, the symbols as a uint8 array.
+    # The last start puts the first slice below 10**9, the second across it
+    @pytest.mark.parametrize("start", [1, 99_990, 10**9 - cli._SLICE_ROWS - 5])
+    def test_index_range_and_symbol_array(self, start):
+        rows = 2 * cli._SLICE_ROWS + 10
+        symbols = np.random.default_rng(start).integers(0, 3, rows).astype(np.uint8)
+        columns = (range(start, start + rows), symbols)
+        reference = [list(columns[0]), symbols.tolist()]
+        metadata = {"sequence": "word", "kind": "symbols"}
+        for fmt in ("csv", "bfile", "json"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                cli._emit_rows(columns, "n,value", fmt, metadata)
+            assert_same_text(out.getvalue(), per_row_reference(reference, "n,value", fmt, metadata), fmt)
 
 
 class TestComplexity:

@@ -1,6 +1,7 @@
 """Window engines: golden values, oracle agreement, structural invariants,
 and the certification policy."""
 
+import functools
 import json
 import random
 from itertools import permutations
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import reduxwords as rw
@@ -401,6 +402,83 @@ class TestLongestPreviousFactor:
                 j = next((j for j in range(i - 1, -1, -1) if values[j] < values[i]), None)
                 want.append(0 if j is None else int(lcp[j + 1 : i + 1].min()))
             assert complexity._previous_smaller_lcp(values, lcp).tolist() == want, values
+
+
+@st.composite
+def fresh_tail_words(draw):
+    """(symbols, alphabet size, n_max): a random word whose last few symbols
+    may hold a letter that the rest lacks, so that some tail starts are
+    first occurrences; n_max is short, so that the names often fit a table."""
+    sigma = draw(st.integers(1, 4))
+    head = draw(st.lists(st.integers(0, max(0, sigma - 2)), max_size=1000))
+    tail = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=8))
+    symbols = head + tail
+    return symbols, sigma, draw(st.integers(1, min(8, len(symbols))))
+
+
+def index_and_sorted_index(symbols, sigma, n_max):
+    """The index as built, and the index built with its first starts taken
+    by the sort only; and whether the first took them from a table."""
+    first_starts = complexity._first_starts
+    sizes = []
+
+    def recorded(names, table_size):
+        sizes.append((int(names.max()) + 1, table_size))
+        return first_starts(names, table_size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexity, "_first_starts", recorded)
+        index = AlternationPrefix(symbols, sigma, n_max)
+        patch.setattr(complexity, "_first_starts", lambda names, table_size: first_starts(names, 0))
+        sorted_index = AlternationPrefix(symbols, sigma, n_max)
+    ((size, table_size),) = sizes
+    return index, sorted_index, size <= table_size
+
+
+def five_kinds(index):
+    counts = {kind: engine(index) for kind, engine in INDEX_ENGINES.items()}
+    counts["extremes"] = extremes_counts(index)
+    return counts
+
+
+@functools.cache
+def prefix_oracle(name):
+    """The oracle's counts and extremes at n = 1..8 on 2^16 symbols of tm or pf."""
+    symbols = BUILTINS[name]().prefix_symbols(1 << 16).tolist()
+    ns = range(1, 9)
+    counts = {kind: oracle_counts(symbols, kind, ns) for kind in INDEX_ENGINES}
+    counts["extremes"] = oracle_extremes(symbols, ns)
+    return counts
+
+
+BUILTINS = {"tm": rw.thue_morse, "pf": rw.paperfolding}
+
+
+class TestFirstStarts:
+    """A table indexed by name gives the first starts that the sort gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @example((np.random.default_rng(3).integers(0, 2, 4096).tolist(), 2, 5))
+    @example(([0] * 600 + [1], 2, 8))
+    @given(fresh_tail_words())
+    def test_table_and_sort_agree(self, case):
+        index, sorted_index, by_table = index_and_sorted_index(*case)
+        for name in ("starts", "lpf", "room"):
+            got, want = getattr(index, name), getattr(sorted_index, name)
+            assert got.dtype == want.dtype, name
+            assert got.tolist() == want.tolist(), name
+        assert five_kinds(index) == five_kinds(sorted_index)
+        event("table" if by_table else "sort")
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.sampled_from(sorted(BUILTINS)), st.integers(1, 8))
+    def test_long_builtin_prefixes_take_the_table(self, name, n_max):
+        symbols = BUILTINS[name]().prefix_symbols(1 << 16)
+        index, sorted_index, by_table = index_and_sorted_index(symbols, 2, n_max)
+        assert by_table
+        assert index.starts.tolist() == sorted_index.starts.tolist()
+        want = prefix_oracle(name)
+        assert five_kinds(index) == {kind: {n: want[kind][n] for n in range(1, n_max + 1)} for kind in want}
 
 
 class TestRoomMasks:
