@@ -132,7 +132,8 @@ def _fill_rows(pieces: list[bytes], columns: list) -> np.ndarray:
     ten), the matrix is the text as it is.
     """
     columns = [_digit_column(column) for column in columns]
-    text = np.empty((len(columns[0][0]), sum(c[2] for c in columns) + sum(map(len, pieces))), dtype=np.uint8)
+    widths = sum(width for _, _, width in columns)
+    text = np.empty((len(columns[0][0]), widths + sum(map(len, pieces))), dtype=np.uint8)
     keep = None
     at = 0
     for index, piece in enumerate(pieces):

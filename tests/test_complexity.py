@@ -441,6 +441,9 @@ def five_kinds(index):
     return counts
 
 
+BUILTINS = {"tm": rw.thue_morse, "pf": rw.paperfolding}
+
+
 @functools.cache
 def prefix_oracle(name):
     """The oracle's counts and extremes at n = 1..8 on 2^16 symbols of tm or pf."""
@@ -449,9 +452,6 @@ def prefix_oracle(name):
     counts = {kind: oracle_counts(symbols, kind, ns) for kind in INDEX_ENGINES}
     counts["extremes"] = oracle_extremes(symbols, ns)
     return counts
-
-
-BUILTINS = {"tm": rw.thue_morse, "pf": rw.paperfolding}
 
 
 class TestFirstStarts:
