@@ -12,28 +12,31 @@ the block against the alphabet, and replaces the buffer with a fresh
 read-only array, so the views that :meth:`SequenceHandle.prefix_symbols`
 hands out are never copied and never change.
 
-Three constructions are provided:
+Two constructions are provided:
 
-* direct arithmetic rules (the generators of the two builtin sequences
-  ``tm`` and ``pf``, evaluated on whole blocks of indices),
-* fixed points of prolongable morphisms,
+* fixed points of prolongable morphisms, optionally mapped letter by letter
+  through a coding, grown a level at a time by numpy gathers through a
+  table of the images. They generate the two builtin sequences: ``tm`` is
+  the fixed point of 0 -> 01, 1 -> 10, and ``pf`` the coding a, b -> 0 and
+  c, d -> 1 of the fixed point of a -> ab, b -> cb, c -> ad, d -> cd, which
+  the table of its last level applies;
 * iterated gap-filling with an eventually periodic filler (the Toeplitz
   construction; each pass writes the filler, restarted from its beginning,
   into every other remaining gap). Pass k fills the indices n of 2-adic
   valuation k, so symbol n is the filler's entry n >> (k + 1), and the
-  handle evaluates that rule on blocks of indices like the builtins.
+  handle evaluates that rule on blocks of indices.
 
 Each builtin sequence has a second, independent construction written as a
 spec file (``tests/data/tm_morphic.spec``: the fixed point of 0->01,
 1->10; ``tests/data/pf_toeplitz.spec``: the Toeplitz word with filler 01),
-and the tests cross-check the two. Arbitrary eventually periodic Toeplitz
-fillers are supported as an extension beyond the alternating 0/1 filler
-the paperfolding sequence needs.
+and the tests cross-check the two, and hold the builtins to the arithmetic
+rules :func:`thue_morse_at` and :func:`paperfolding_at`. Arbitrary
+eventually periodic Toeplitz fillers are supported as an extension beyond
+the alternating 0/1 filler the paperfolding sequence needs.
 
 The builtins and every morphic fixed point also carry the morphism they
-are a fixed point of (for pf, a coding of one: a, b -> 0 and c, d -> 1 of
-the fixed point of a -> ab, b -> cb, c -> ad, d -> cd), from which the
-window scans bound the prefix that holds every factor.
+are a fixed point of, and the coding, from which the window scans bound
+the prefix that holds every factor.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -134,9 +138,10 @@ class SequenceHandle:
                     f"symbols, got shape {block.shape} of {block.dtype}"
                 )
             # checked before the cast, which would wrap or raise on a symbol
-            # outside the dtype's range
-            bad = np.flatnonzero((block < 0) | (block >= self.alphabet_size))
-            if len(bad):
+            # outside the dtype's range; the extremes first, and the scan for
+            # the first bad symbol only when they fail
+            if block.max() >= self.alphabet_size or (block.dtype.kind in "iO" and block.min() < 0):
+                bad = np.flatnonzero((block < 0) | (block >= self.alphabet_size))
                 raise ConfigurationError(
                     f"sequence {self.name!r}: symbol {block[bad[0]]} at n={old + bad[0] + 1} "
                     f"is outside the alphabet 0..{self.alphabet_size - 1}"
@@ -184,7 +189,7 @@ def _from_block_rule(
     return SequenceHandle(name, alphabet_size, extend)
 
 
-# -- builtin arithmetic rules -------------------------------------------------
+# -- builtin sequences --------------------------------------------------------
 
 def thue_morse_at(n: int) -> Symbol:
     """Bit-count parity of n-1; the n-th symbol (1-based) of the tm sequence."""
@@ -201,34 +206,15 @@ def paperfolding_at(n: int) -> Symbol:
     return (odd >> 1) & 1
 
 
-def thue_morse_block(n: np.ndarray) -> np.ndarray:
-    """:func:`thue_morse_at` on an int64 array of indices in 1..2**63-1."""
-    x = n - 1
-    for shift in (32, 16, 8, 4, 2, 1):
-        x ^= x >> shift
-    return (x & 1).astype(np.uint8)
-
-
-def paperfolding_block(n: np.ndarray) -> np.ndarray:
-    """:func:`paperfolding_at` on an int64 array of positive indices.
-
-    Bit 1 of the odd part of n is the bit of n just above its lowest set bit.
-    """
-    return ((n & ((n & -n) << 1)) != 0).astype(np.uint8)
-
-
 def thue_morse() -> SequenceHandle:
-    handle = _from_block_rule(thue_morse_block, 2, "tm")
-    handle._source = (thue_morse_morphism(), 0, None)
-    return handle
+    return _fixed_point(thue_morse_morphism(), 0, "tm")
 
 
 def paperfolding() -> SequenceHandle:
-    handle = _from_block_rule(paperfolding_block, 2, "pf")
     # pf is the coding a, b -> 0 and c, d -> 1 of the fixed point of
     # a -> ab, b -> cb, c -> ad, d -> cd, with a..d as 0..3
-    handle._source = (Morphism({0: (0, 1), 1: (2, 1), 2: (0, 3), 3: (2, 3)}, 4), 0, (0, 0, 1, 1))
-    return handle
+    source = Morphism({0: (0, 1), 1: (2, 1), 2: (0, 3), 3: (2, 3)}, 4)
+    return _fixed_point(source, 0, "pf", coding=(0, 0, 1, 1), alphabet_size=2)
 
 
 # -- morphic fixed points -----------------------------------------------------
@@ -275,7 +261,168 @@ def morphic_fixed_point(m: Morphism, seed: Symbol, name: str | None = None) -> S
     Requires the morphism to be prolongable at the seed (the seed's image
     starts with the seed and has length >= 2) and to have an image for every
     symbol reachable from the seed.
+
+    The prefix grows by levels, x <- sigma(x) over the stretch of x not yet
+    expanded: the letters of the prefix whose images are not yet in it are
+    expanded by one numpy gather through a table of the images (whole rows
+    when the images have one length, else positions of one flat array), and
+    the gathered symbols are the next level's letters. A morphism whose
+    images have one length expands by its power whose images fill up to 4
+    bytes (0 -> 0110, 1 -> 1001 for tm), which has the same fixed point. A
+    level of fewer than 64 letters, as at the start and at every level of a
+    morphism with a letter whose images stay bounded (0 -> 01, 1 -> 1 adds
+    one symbol per level), is expanded one symbol at a time: there a gather
+    per level would cost a few numpy calls per symbol. A growth that ends
+    inside an image takes that image up again from the buffer, which is the
+    fixed point's prefix, so the handle keeps no other state.
     """
+    return _fixed_point(m, seed, f"morphic(seed={seed})" if name is None else name)
+
+
+# Sources below which a level is expanded one symbol at a time: a gather
+# costs a few numpy calls whatever its length, and a morphism with a
+# bounded letter can add as few as one symbol per level.
+_GATHER_MIN = 64
+
+
+class _ImageTable:
+    """A morphism's images, mapped through a coding, as gather tables."""
+
+    def __init__(self, images: list, dtype):
+        # letters outside the fixed point get an image that is never read
+        filler = next(image for image in images if image is not None)
+        images = [filler if image is None else image for image in images]
+        widths = {len(image) for image in images}
+        self.width = widths.pop() if len(widths) == 1 else None
+        if self.width is not None:
+            self.rows = np.array(images, dtype=dtype)
+        else:
+            self.lens = np.array([len(image) for image in images], dtype=np.int64)
+            self.offsets = np.cumsum(self.lens) - self.lens
+            self.flat = np.array([s for image in images for s in image], dtype=dtype)
+
+    def level(self, src: np.ndarray, start: int, lo: int, target: int) -> tuple[np.ndarray, int]:
+        """Positions ``lo`` up to ``min(end, target)`` of the image of ``src``,
+        which begins at position ``start`` <= ``lo`` and ends before ``end``,
+        by one gather over the letters that reach them; returns them and ``end``."""
+        if self.width is not None:
+            k = self.width
+            end = start + k * len(src)
+            hi = min(end, target)
+            first = (lo - start) // k
+            rows = self.rows.take(src[first : -(-(hi - start) // k)], axis=0).ravel()
+            skip = lo - start - first * k
+            return rows[skip : skip + hi - lo], end
+        lens = self.lens.take(src)
+        ends = np.cumsum(lens)
+        ends += start
+        end = int(ends[-1])
+        hi = min(end, target)
+        # letters a..b-1 of src: the first whose image passes lo, the last
+        # whose image reaches hi
+        a = int(np.searchsorted(ends, lo, side="right"))
+        b = int(np.searchsorted(ends, hi)) + 1
+        lens, begins = lens[a:b], ends[a:b] - lens[a:b]
+        index = np.repeat(self.offsets.take(src[a:b]) - begins, lens)
+        index += np.arange(begins[0], ends[b - 1])
+        return self.flat.take(index[lo - begins[0] : hi - begins[0]]), end
+
+
+class _FixedPointExtender:
+    """Extender of the fixed point of a morphism at a seed, mapped through
+    a coding when one is given."""
+
+    def __init__(self, m: Morphism, seed: Symbol, reachable: set, coding, alphabet_size: int):
+        dtype = _uint_dtype(max(1, (m.alphabet_size - 1).bit_length()))
+        base = [m.images[c] if c in reachable else None for c in range(m.alphabet_size)]
+        self.images = base
+        widths = {len(image) for image in base if image is not None}
+        if len(widths) == 1:
+            # numpy's take costs about the same per row for rows of a few
+            # bytes, so a uniform morphism expands by its power with the
+            # longest images that fit in 4 bytes, which has the same fixed
+            # point; longer rows measured no faster, as a level's allocations
+            # then dominate
+            k = widths.pop()
+            while len(self.images[seed]) * k * np.dtype(dtype).itemsize <= 4:
+                self.images = [
+                    None if image is None else tuple(s for t in image for s in self.images[t])
+                    for image in base
+                ]
+        self.seed_image = np.array(self.images[seed], dtype=dtype)
+        self.table = _ImageTable(self.images, dtype)
+        self.coded = None
+        if coding is not None:
+            coded = [None if image is None else tuple(coding[s] for s in image) for image in self.images]
+            self.coded = _ImageTable(coded, _uint_dtype(max(1, (alphabet_size - 1).bit_length())))
+            # the fixed point's prefix whose image reaches the coded prefix
+            self.source = np.empty(0, dtype=dtype)
+
+    def __call__(self, buf: np.ndarray, target: int) -> np.ndarray:
+        if self.coded is None:
+            return self._grow(buf, target)
+        k = self.table.width
+        if k is not None and len(self.source) * k < target:
+            self.source = np.concatenate((self.source, self._grow(self.source, -(-target // k))))
+        # x <- sigma(x) until the image of the source reaches the target
+        while k is None and (reach := int(self.table.lens.take(self.source).sum())) < target:
+            self.source = np.concatenate((self.source, self._grow(self.source, max(reach, 2))))
+        return self.coded.level(self.source, 0, len(buf), target)[0]
+
+    def _grow(self, known: np.ndarray, target: int) -> np.ndarray:
+        """Symbols ``len(known)`` up to ``target`` of the fixed point, given
+        its first ``len(known)`` symbols."""
+        old = len(known)
+        if old < len(self.seed_image):
+            known = self.seed_image
+        p = len(known)
+        pieces = [known[old:target]]
+        if p >= target:
+            return pieces[0]
+        # the first c letters have their images inside the known prefix,
+        # which ends inside the image of letter c, begun at ``start``
+        table = self.table
+        if table.width is not None:
+            c = p // table.width
+            start = c * table.width
+        else:
+            ends = np.cumsum(table.lens.take(known))
+            c = int(np.searchsorted(ends, p, side="right"))
+            start = int(ends[c - 1])
+        src = known[c:]
+        if p - c < _GATHER_MIN:
+            # work holds the fixed point from position c, and its letters
+            # before ``done`` are expanded
+            images, stop = self.images, target - c
+            work = src.tolist()
+            work += images[work[0]][p - start :]
+            done = 1
+            # the iterator sees the symbols appended while it runs
+            for letter in islice(work, 1, None):
+                if len(work) >= stop or len(work) - done >= _GATHER_MIN:
+                    break
+                work += images[letter]
+                done += 1
+            pieces.append(np.array(work[p - c : target - c], dtype=known.dtype))
+            src, start = np.array(work[done:], dtype=known.dtype), c + len(work)
+            p = start
+        while p < target:
+            src, start = table.level(src, start, p, target)
+            pieces.append(src)
+            p += len(src)
+        return np.concatenate(pieces)
+
+
+def _fixed_point(
+    m: Morphism,
+    seed: Symbol,
+    name: str,
+    coding: Sequence[Symbol] | None = None,
+    alphabet_size: int | None = None,
+) -> SequenceHandle:
+    """Handle for the fixed point of ``m`` at ``seed``, mapped letter by
+    letter through ``coding`` onto ``alphabet_size`` letters when given, that
+    carries its source for the window scans."""
     if not m.is_prolongable_at(seed):
         raise ConfigurationError(
             f"morphism is not prolongable at seed {seed}: its image must "
@@ -292,25 +439,13 @@ def morphic_fixed_point(m: Morphism, seed: Symbol, name: str | None = None) -> S
             if s not in reachable:
                 reachable.add(s)
                 frontier.append(s)
-
-    state = {"consumed": 1, "overshoot": list(m.images[seed])}
-
-    def extend(buf: np.ndarray, target: int) -> list[int]:
-        # buf + overshoot is the image of the first ``consumed`` symbols of
-        # the fixed point; ``work`` holds its positions from ``base`` on.
-        consumed = state["consumed"]
-        base = min(consumed, len(buf))
-        work = buf[base:].tolist() + state["overshoot"]
-        while base + len(work) < target:
-            work.extend(m.images[work[consumed - base]])
-            consumed += 1
-        state["consumed"], state["overshoot"] = consumed, work[target - base :]
-        return work[len(buf) - base : target - base]
-
-    if name is None:
-        name = f"morphic(seed={seed})"
-    handle = SequenceHandle(name, m.alphabet_size, extend)
-    handle._source = (m, seed, None)
+    if coding is None:
+        alphabet_size = m.alphabet_size
+    else:
+        coding = tuple(coding)
+    extender = _FixedPointExtender(m, seed, reachable, coding, alphabet_size)
+    handle = SequenceHandle(name, alphabet_size, extender)
+    handle._source = (m, seed, coding)
     return handle
 
 

@@ -24,7 +24,7 @@ from reduxwords.complexity import (
     reduced_factor_counts,
 )
 from reduxwords.errors import CapacityError, ConfigurationError, StabilizationError
-from reduxwords.sequences import SequenceHandle
+from reduxwords.sequences import SequenceHandle, _fixed_point
 from reduxwords.words import Word
 
 from conftest import (
@@ -891,11 +891,7 @@ def index_counts(handle, policy, lengths):
 def coded_fixed_point(morphism, coding, name="coded"):
     """The binary coding of the fixed point of ``morphism`` at 0, carrying its
     source as :func:`reduxwords.paperfolding` does."""
-    source = rw.morphic_fixed_point(morphism, 0)
-    table = np.array(coding, dtype=np.uint8)
-    handle = SequenceHandle(name, 2, lambda buf, target: table[source.prefix_symbols(target)[len(buf) :]])
-    handle._source = (morphism, 0, tuple(coding))
-    return handle
+    return _fixed_point(morphism, 0, name, coding, 2)
 
 
 @st.composite

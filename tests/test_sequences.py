@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 import reduxwords as rw
 from reduxwords.errors import CapacityError, ConfigurationError, SpecFileError
-from reduxwords.sequences import (
-    ToeplitzSpec,
-    paperfolding_block,
-    thue_morse_block,
-    toeplitz,
-)
+from reduxwords.sequences import ToeplitzSpec, _fixed_point, toeplitz
 
 from conftest import DATA, PF_PREFIX_55, TM_PREFIX_54, pointwise_handle
 
@@ -39,6 +34,64 @@ def _toeplitz_fill(spec: ToeplitzSpec, length: int) -> list[int]:
             buf[pos] = spec.filler_at(j)
         gaps = gaps[1::2]
     return buf
+
+
+def thue_morse_block(n: np.ndarray) -> np.ndarray:
+    """:func:`reduxwords.thue_morse_at` on an int64 array of indices in 1..2**63-1."""
+    x = n - 1
+    for shift in (32, 16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return (x & 1).astype(np.uint8)
+
+
+def paperfolding_block(n: np.ndarray) -> np.ndarray:
+    """:func:`reduxwords.paperfolding_at` on an int64 array of positive indices.
+
+    Bit 1 of the odd part of n is the bit of n just above its lowest set bit.
+    """
+    return ((n & ((n & -n) << 1)) != 0).astype(np.uint8)
+
+
+def iterated_fixed_point(m: rw.Morphism, seed: int) -> rw.SequenceHandle:
+    """Reference handle for the fixed point of ``m`` at ``seed``, grown one
+    symbol at a time."""
+    state = {"consumed": 1, "overshoot": list(m.images[seed])}
+
+    def extend(buf, target):
+        # buf + overshoot is the image of the first ``consumed`` symbols of
+        # the fixed point; ``work`` holds its positions from ``base`` on.
+        consumed = state["consumed"]
+        base = min(consumed, len(buf))
+        work = buf[base:].tolist() + state["overshoot"]
+        while base + len(work) < target:
+            work.extend(m.images[work[consumed - base]])
+            consumed += 1
+        state["consumed"], state["overshoot"] = consumed, work[target - base :]
+        return work[len(buf) - base : target - base]
+
+    return rw.SequenceHandle("iterated", m.alphabet_size, extend)
+
+
+@st.composite
+def prolongable_morphisms(draw):
+    """(morphism, coding): a random morphism prolongable at 0, on up to five
+    letters of an alphabet of 2 to 300, with images of one length or of
+    lengths 1 to 4 (so letters may stay bounded), and a random binary
+    coding of its letters or None."""
+    sigma = draw(st.sampled_from([2, 3, 5, 300]))
+    letters = [0] + draw(st.lists(st.integers(1, sigma - 1), min_size=1, max_size=4, unique=True))
+    width = draw(st.none() | st.integers(2, 4))
+    images = {}
+    for c in letters:
+        size = width or draw(st.integers(2 if c == 0 else 1, 4))
+        images[c] = tuple(draw(st.lists(st.sampled_from(letters), min_size=size, max_size=size)))
+    images[0] = (0, *images[0][1:])
+    coding = None
+    if draw(st.booleans()):
+        coding = [0] * sigma
+        for c in letters:
+            coding[c] = draw(st.integers(0, 1))
+    return rw.Morphism(images, sigma), coding
 
 
 @st.composite
@@ -127,6 +180,36 @@ class TestMorphic:
     def test_rejects_empty_image(self):
         with pytest.raises(ConfigurationError):
             rw.Morphism({0: ()}, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(prolongable_morphisms(), st.lists(st.integers(1, 3000), min_size=1, max_size=5))
+    def test_gather_matches_per_symbol_reference(self, drawn, lengths):
+        morphism, coding = drawn
+        expected = iterated_fixed_point(morphism, 0).prefix_symbols(max(lengths))
+        if coding is not None:
+            expected = np.array(coding)[expected]
+
+        def gathered():
+            return _fixed_point(morphism, 0, "gathered", coding, None if coding is None else 2)
+
+        # the extender called at any targets, so that growth stops mid-image
+        extend = gathered()._extend
+        buf = np.empty(0, dtype=expected.dtype)
+        for target in sorted(set(lengths)):
+            buf = np.concatenate((buf, extend(buf, target)))
+            assert buf.tolist() == expected[:target].tolist()
+        # the handle, grown in several steps and in one
+        handle = gathered()
+        for length in lengths:
+            assert handle.prefix_symbols(length).tolist() == expected[:length].tolist()
+        assert gathered().prefix_symbols(max(lengths)).tolist() == expected.tolist()
+
+    def test_bounded_letter_matches_per_symbol_reference(self):
+        # 0 -> 01, 1 -> 1 adds one symbol per level
+        m = rw.Morphism({0: (0, 1), 1: (1,)}, 2)
+        length = 1 << 14
+        expected = iterated_fixed_point(m, 0).prefix_symbols(length)
+        assert np.array_equal(rw.morphic_fixed_point(m, 0).prefix_symbols(length), expected)
 
     def test_rejects_out_of_alphabet_image(self):
         with pytest.raises(ConfigurationError):
@@ -236,13 +319,23 @@ class TestSymbolBuffer:
         assert view.dtype == np.uint16
         assert view.tolist() == [0, 299, 299, 0, 299, 0, 0, 299]
 
-    @pytest.mark.parametrize("bad", [300, -1, 2, 2**70])
+    @pytest.mark.parametrize("bad", [300, -1, 2, 2**70, -(2**70)])
     def test_rule_leaving_the_alphabet_is_rejected(self, bad):
         h = pointwise_handle(lambda n: bad if n == 70 else 0, 2, "bad")
         assert h.prefix_symbols(64).tolist() == [0] * 64
         with pytest.raises(ConfigurationError, match="n=70"):
             h.prefix_symbols(65)
         assert len(h.prefix_symbols(64)) == 64
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_object_block_leaving_the_alphabet_is_rejected(self, bad):
+        def extend(buf, target):
+            return np.array([bad if n == 70 else 0 for n in range(len(buf) + 1, target + 1)], dtype=object)
+
+        h = rw.SequenceHandle("bad", 2, extend)
+        assert h.prefix_symbols(64).tolist() == [0] * 64
+        with pytest.raises(ConfigurationError, match=f"symbol {bad} at n=70"):
+            h.prefix_symbols(65)
 
     def test_non_integer_rule_is_rejected(self):
         h = pointwise_handle(lambda n: 0.5, 2, "float")
@@ -297,6 +390,13 @@ class TestBlockRules:
         pf = rw.paperfolding().prefix_symbols(length).tolist()
         assert tm == [rw.thue_morse_at(n) for n in range(1, length + 1)]
         assert pf == [rw.paperfolding_at(n) for n in range(1, length + 1)]
+
+    def test_handles_match_block_rules(self):
+        tm_length, pf_length = 1 << 20, (1 << 21) + 3
+        tm = rw.thue_morse().prefix_symbols(tm_length)
+        pf = rw.paperfolding().prefix_symbols(pf_length)
+        assert np.array_equal(tm, thue_morse_block(np.arange(1, tm_length + 1, dtype=np.int64)))
+        assert np.array_equal(pf, paperfolding_block(np.arange(1, pf_length + 1, dtype=np.int64)))
 
     @pytest.mark.parametrize("centre", [1 << 10, 1 << 26, 1 << 40, 1 << 62, (1 << 63) - 300])
     def test_block_rules_far_out(self, centre):
