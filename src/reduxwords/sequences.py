@@ -268,38 +268,57 @@ def morphic_fixed_point(m: Morphism, seed: Symbol, name: str | None = None) -> S
     when the images have one length, else positions of one flat array), and
     the gathered symbols are the next level's letters. A morphism whose
     images have one length expands by its power whose images fill up to 4
-    bytes (0 -> 0110, 1 -> 1001 for tm), which has the same fixed point. A
-    level of fewer than 64 letters, as at the start and at every level of a
-    morphism with a letter whose images stay bounded (0 -> 01, 1 -> 1 adds
-    one symbol per level), is expanded one symbol at a time: there a gather
-    per level would cost a few numpy calls per symbol. A growth that ends
+    bytes (0 -> 0110, 1 -> 1001 for tm), which has the same fixed point. The
+    tables hold the letters of the fixed point, not every letter the
+    alphabet declares: a row per letter up to the largest one, or, for a few
+    letters spread over a large alphabet, a row per letter by rank. A level
+    of fewer than 128 letters, as at the start and at every level of a
+    morphism whose levels stay short (0 -> 01, 1 -> 1 adds one symbol per
+    level, 0 -> 0 1^64, 1 -> 1 adds 64), is expanded one symbol at a time:
+    there the dozen numpy calls of a gather cost more than the Python steps
+    they save. A growth that ends
     inside an image takes that image up again from the buffer, which is the
     fixed point's prefix, so the handle keeps no other state.
     """
     return _fixed_point(m, seed, f"morphic(seed={seed})" if name is None else name)
 
 
-# Sources below which a level is expanded one symbol at a time: a gather
-# costs a few numpy calls whatever its length, and a morphism with a
-# bounded letter can add as few as one symbol per level.
-_GATHER_MIN = 64
+# Sources below which a level is expanded one symbol at a time. A gather
+# costs about a dozen numpy calls whatever its length (15 us on a 2-vCPU
+# Xeon), a per-symbol step about 0.16 us per letter expanded, so they
+# break even near 100 letters; a morphism with a bounded letter can add as
+# few as one symbol per level, and one with linear growth a fixed number.
+_GATHER_MIN = 128
 
 
 class _ImageTable:
     """A morphism's images, mapped through a coding, as gather tables."""
 
-    def __init__(self, images: list, dtype):
-        # letters outside the fixed point get an image that is never read
-        filler = next(image for image in images if image is not None)
-        images = [filler if image is None else image for image in images]
-        widths = {len(image) for image in images}
+    def __init__(self, images: Mapping[Symbol, tuple[Symbol, ...]], dtype):
+        letters = sorted(images)
+        widths = {len(image) for image in images.values()}
         self.width = widths.pop() if len(widths) == 1 else None
-        if self.width is not None:
-            self.rows = np.array(images, dtype=dtype)
+        if letters[-1] < 2 * len(letters) + 256:
+            # rows indexed by the letters themselves; a letter outside the
+            # fixed point gets a row that is never read
+            self.letters = None
+            unused = () if self.width is None else images[letters[0]]
+            rows = [images.get(c, unused) for c in range(letters[-1] + 1)]
         else:
-            self.lens = np.array([len(image) for image in images], dtype=np.int64)
+            # a few letters spread over a large alphabet: rows by rank among
+            # the letters, so the tables stay the size of the images
+            self.letters = np.array(letters, dtype=dtype)
+            rows = [images[c] for c in letters]
+        if self.width is not None:
+            self.rows = np.array(rows, dtype=dtype)
+        else:
+            self.lens = np.array([len(image) for image in rows], dtype=np.int64)
             self.offsets = np.cumsum(self.lens) - self.lens
-            self.flat = np.array([s for image in images for s in image], dtype=dtype)
+            self.flat = np.array([s for image in rows for s in image], dtype=dtype)
+
+    def rows_of(self, src: np.ndarray) -> np.ndarray:
+        """The rows of the tables that hold the images of the letters ``src``."""
+        return src if self.letters is None else np.searchsorted(self.letters, src)
 
     def level(self, src: np.ndarray, start: int, lo: int, target: int) -> tuple[np.ndarray, int]:
         """Positions ``lo`` up to ``min(end, target)`` of the image of ``src``,
@@ -310,10 +329,12 @@ class _ImageTable:
             end = start + k * len(src)
             hi = min(end, target)
             first = (lo - start) // k
-            rows = self.rows.take(src[first : -(-(hi - start) // k)], axis=0).ravel()
+            at = self.rows_of(src[first : -(-(hi - start) // k)])
+            rows = self.rows.take(at, axis=0).ravel()
             skip = lo - start - first * k
             return rows[skip : skip + hi - lo], end
-        lens = self.lens.take(src)
+        at = self.rows_of(src)
+        lens = self.lens.take(at)
         ends = np.cumsum(lens)
         ends += start
         end = int(ends[-1])
@@ -323,7 +344,7 @@ class _ImageTable:
         a = int(np.searchsorted(ends, lo, side="right"))
         b = int(np.searchsorted(ends, hi)) + 1
         lens, begins = lens[a:b], ends[a:b] - lens[a:b]
-        index = np.repeat(self.offsets.take(src[a:b]) - begins, lens)
+        index = np.repeat(self.offsets.take(at[a:b]) - begins, lens)
         index += np.arange(begins[0], ends[b - 1])
         return self.flat.take(index[lo - begins[0] : hi - begins[0]]), end
 
@@ -334,9 +355,11 @@ class _FixedPointExtender:
 
     def __init__(self, m: Morphism, seed: Symbol, reachable: set, coding, alphabet_size: int):
         dtype = _uint_dtype(max(1, (m.alphabet_size - 1).bit_length()))
-        base = [m.images[c] if c in reachable else None for c in range(m.alphabet_size)]
+        base = {c: m.images[c] for c in reachable}
         self.images = base
-        widths = {len(image) for image in base if image is not None}
+        widths = {len(image) for image in base.values()}
+        if coding is not None and len(widths) != 1:
+            raise ConfigurationError("a coding needs a morphism whose images have one length")
         if len(widths) == 1:
             # numpy's take costs about the same per row for rows of a few
             # bytes, so a uniform morphism expands by its power with the
@@ -345,15 +368,14 @@ class _FixedPointExtender:
             # then dominate
             k = widths.pop()
             while len(self.images[seed]) * k * np.dtype(dtype).itemsize <= 4:
-                self.images = [
-                    None if image is None else tuple(s for t in image for s in self.images[t])
-                    for image in base
-                ]
+                self.images = {
+                    c: tuple(s for t in image for s in self.images[t]) for c, image in base.items()
+                }
         self.seed_image = np.array(self.images[seed], dtype=dtype)
         self.table = _ImageTable(self.images, dtype)
         self.coded = None
         if coding is not None:
-            coded = [None if image is None else tuple(coding[s] for s in image) for image in self.images]
+            coded = {c: tuple(coding[s] for s in image) for c, image in self.images.items()}
             self.coded = _ImageTable(coded, _uint_dtype(max(1, (alphabet_size - 1).bit_length())))
             # the fixed point's prefix whose image reaches the coded prefix
             self.source = np.empty(0, dtype=dtype)
@@ -362,11 +384,8 @@ class _FixedPointExtender:
         if self.coded is None:
             return self._grow(buf, target)
         k = self.table.width
-        if k is not None and len(self.source) * k < target:
+        if len(self.source) * k < target:
             self.source = np.concatenate((self.source, self._grow(self.source, -(-target // k))))
-        # x <- sigma(x) until the image of the source reaches the target
-        while k is None and (reach := int(self.table.lens.take(self.source).sum())) < target:
-            self.source = np.concatenate((self.source, self._grow(self.source, max(reach, 2))))
         return self.coded.level(self.source, 0, len(buf), target)[0]
 
     def _grow(self, known: np.ndarray, target: int) -> np.ndarray:
@@ -386,7 +405,7 @@ class _FixedPointExtender:
             c = p // table.width
             start = c * table.width
         else:
-            ends = np.cumsum(table.lens.take(known))
+            ends = np.cumsum(table.lens.take(table.rows_of(known)))
             c = int(np.searchsorted(ends, p, side="right"))
             start = int(ends[c - 1])
         src = known[c:]
@@ -422,7 +441,8 @@ def _fixed_point(
 ) -> SequenceHandle:
     """Handle for the fixed point of ``m`` at ``seed``, mapped letter by
     letter through ``coding`` onto ``alphabet_size`` letters when given, that
-    carries its source for the window scans."""
+    carries its source for the window scans. A coding needs images of one
+    length, as pf's source has."""
     if not m.is_prolongable_at(seed):
         raise ConfigurationError(
             f"morphism is not prolongable at seed {seed}: its image must "

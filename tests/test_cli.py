@@ -527,15 +527,24 @@ class TestSpecFileIntegration:
     @pytest.mark.parametrize("kind", ["abelian", "abred"])
     def test_declared_alphabet_larger_than_used(self, capsys, tmp_path, kind):
         # the symbol-count rows cover the symbols that occur, not all 10**9
-        # declared ones, so the counts equal those under the 2 letters used
-        csv = []
-        for alphabet_size in (2, 1000000000):
-            path = tmp_path / f"pf{alphabet_size}.spec"
-            path.write_text(f"kind = toeplitz\nalphabet_size = {alphabet_size}\nperiod = 01\n")
-            code, out, err = run(capsys, "complexity", str(path), kind, "--n-max", "40")
+        # declared ones, and a morphic spec's image tables the letters of its
+        # fixed point, so the counts equal those under the 2 letters used
+        bodies = {
+            "pf": "kind = toeplitz\nperiod = 01\n",
+            "tm": "kind = morphic\nseed = 0\nimage.0 = 01\nimage.1 = 10\n",
+        }
+        for sequence, body in bodies.items():
+            csv = []
+            for alphabet_size in (2, 1000000000):
+                path = tmp_path / f"{sequence}{alphabet_size}.spec"
+                path.write_text(f"{body}alphabet_size = {alphabet_size}\n")
+                code, out, err = run(capsys, "complexity", str(path), kind, "--n-max", "40")
+                assert (code, err) == (0, "")
+                csv.append(out)
+            assert csv[0] == csv[1], sequence
+            code, out, err = run(capsys, "gen", str(path), "--count", "4096", "--format", "csv")
             assert (code, err) == (0, "")
-            csv.append(out)
-        assert csv[0] == csv[1]
+            assert out == run(capsys, "gen", sequence, "--count", "4096", "--format", "csv")[1]
 
     def test_bad_spec_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.conf"

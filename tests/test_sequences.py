@@ -76,8 +76,8 @@ def iterated_fixed_point(m: rw.Morphism, seed: int) -> rw.SequenceHandle:
 def prolongable_morphisms(draw):
     """(morphism, coding): a random morphism prolongable at 0, on up to five
     letters of an alphabet of 2 to 300, with images of one length or of
-    lengths 1 to 4 (so letters may stay bounded), and a random binary
-    coding of its letters or None."""
+    lengths 1 to 4 (so letters may stay bounded), and, when the images
+    have one length, a random binary coding of its letters or None."""
     sigma = draw(st.sampled_from([2, 3, 5, 300]))
     letters = [0] + draw(st.lists(st.integers(1, sigma - 1), min_size=1, max_size=4, unique=True))
     width = draw(st.none() | st.integers(2, 4))
@@ -87,7 +87,7 @@ def prolongable_morphisms(draw):
         images[c] = tuple(draw(st.lists(st.sampled_from(letters), min_size=size, max_size=size)))
     images[0] = (0, *images[0][1:])
     coding = None
-    if draw(st.booleans()):
+    if width and draw(st.booleans()):
         coding = [0] * sigma
         for c in letters:
             coding[c] = draw(st.integers(0, 1))
@@ -214,6 +214,22 @@ class TestMorphic:
     def test_rejects_out_of_alphabet_image(self):
         with pytest.raises(ConfigurationError):
             rw.Morphism({0: (0, 2)}, 2)
+
+    def test_coding_needs_images_of_one_length(self):
+        m = rw.Morphism({0: (0, 1), 1: (1,)}, 2)
+        with pytest.raises(ConfigurationError, match="one length"):
+            _fixed_point(m, 0, "coded", (1, 0), 2)
+
+    @pytest.mark.parametrize("big", [2, 299, 10**9 - 1])
+    def test_tables_hold_the_letters_of_the_fixed_point(self, big):
+        # letters 0 and big of an alphabet of 10**9: a table per declared
+        # letter would not fit in memory; 299 and 10**9 - 1 take rows by rank
+        length = 5000
+        for images in ({0: (0, 1), 1: (1, 0)}, {0: (0, 1, 1), 1: (0,)}):
+            expected = iterated_fixed_point(rw.Morphism(images, 2), 0).prefix_symbols(length)
+            renamed = {big * c: tuple(big * s for s in image) for c, image in images.items()}
+            handle = rw.morphic_fixed_point(rw.Morphism(renamed, 10**9), 0)
+            assert np.array_equal(handle.prefix_symbols(length), big * expected.astype(np.int64))
 
 
 class TestToeplitz:
