@@ -307,7 +307,7 @@ class _ImageTable:
         else:
             # a few letters spread over a large alphabet: rows by rank among
             # the letters, so the tables stay the size of the images
-            self.letters = np.array(letters, dtype=dtype)
+            self.letters = np.array(letters)
             rows = [images[c] for c in letters]
         if self.width is not None:
             self.rows = np.array(rows, dtype=dtype)
@@ -358,8 +358,6 @@ class _FixedPointExtender:
         base = {c: m.images[c] for c in reachable}
         self.images = base
         widths = {len(image) for image in base.values()}
-        if coding is not None and len(widths) != 1:
-            raise ConfigurationError("a coding needs a morphism whose images have one length")
         if len(widths) == 1:
             # numpy's take costs about the same per row for rows of a few
             # bytes, so a uniform morphism expands by its power with the
@@ -461,10 +459,21 @@ def _fixed_point(
                 frontier.append(s)
     if coding is None:
         alphabet_size = m.alphabet_size
-    else:
+    elif len({len(m.images[c]) for c in reachable}) == 1:
         coding = tuple(coding)
-    extender = _FixedPointExtender(m, seed, reachable, coding, alphabet_size)
-    handle = SequenceHandle(name, alphabet_size, extender)
+    else:
+        raise ConfigurationError("a coding needs a morphism whose images have one length")
+    extender = None
+
+    def extend(buf: np.ndarray, target: int) -> np.ndarray:
+        # the tables are built at the first growth, so that a handle whose
+        # profiles take only its source (tm and pf at n = 2048) builds none
+        nonlocal extender
+        if extender is None:
+            extender = _FixedPointExtender(m, seed, reachable, coding, alphabet_size)
+        return extender(buf, target)
+
+    handle = SequenceHandle(name, alphabet_size, extend)
     handle._source = (m, seed, coding)
     return handle
 

@@ -231,6 +231,15 @@ class TestMorphic:
             handle = rw.morphic_fixed_point(rw.Morphism(renamed, 10**9), 0)
             assert np.array_equal(handle.prefix_symbols(length), big * expected.astype(np.int64))
 
+    @pytest.mark.parametrize("big", [2, 299])
+    def test_coded_tables_hold_the_letters_of_the_fixed_point(self, big):
+        # tm as the coding big -> 1 of the fixed point of 0 -> 0 big, big -> big 0
+        m = rw.Morphism({0: (0, big), big: (big, 0)}, 300)
+        coding = [0] * 300
+        coding[big] = 1
+        handle = _fixed_point(m, 0, "coded", coding, 2)
+        assert np.array_equal(handle.prefix_symbols(5000), rw.thue_morse().prefix_symbols(5000))
+
 
 class TestToeplitz:
     def test_values_independent_of_buffer_length(self):
