@@ -276,9 +276,9 @@ def morphic_fixed_point(m: Morphism, seed: Symbol, name: str | None = None) -> S
     morphism whose levels stay short (0 -> 01, 1 -> 1 adds one symbol per
     level, 0 -> 0 1^64, 1 -> 1 adds 64), is expanded one symbol at a time:
     there the dozen numpy calls of a gather cost more than the Python steps
-    they save. A growth that ends
-    inside an image takes that image up again from the buffer, which is the
-    fixed point's prefix, so the handle keeps no other state.
+    they save. A growth that ends inside an image takes that image up again
+    from the buffer, which is the fixed point's prefix, so the handle keeps
+    no other state.
     """
     return _fixed_point(m, seed, f"morphic(seed={seed})" if name is None else name)
 
