@@ -3,9 +3,12 @@
 The library computes, for an infinite sequence given by a deterministic
 rule, how many distinct length-n windows it has up to four equivalences:
 equality, anagram equivalence, equal run-length reductions, and anagram
-equivalence of the reductions. Exact brute-force engines certify counts by
-window doubling; closed forms for the Thue-Morse and paperfolding sequences
-are checked against those engines through a table of claims.
+equivalence of the reductions. Exact window engines count them on a prefix
+that the sequence's morphism proves holds every factor, or from the
+morphism's recursion, and elsewhere certify them by window doubling. Closed
+forms for the Thue-Morse and paperfolding sequences are checked against
+those counts through a table of claims, which take the proven counts by the
+same path as the profiles.
 """
 
 from .complexity import (

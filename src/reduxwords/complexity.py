@@ -54,13 +54,14 @@ point of a morphism, or a coding of one (tm, pf and morphic spec files),
 the morphism proves a prefix P that holds every factor of length up to
 n_max (:func:`_proof_window`): 7 * 2^k symbols for tm and 13 * 2^k for
 pf, with 2^k >= n_max - 1. When P is at most the initial window W, and
-2W fits the handle's cap, the counts are taken on one index of P, and
-``certified_window`` records W, as doubling would, since W and 2W hold
-the same factors. :func:`proven_counts` counts several kinds on one such
-index, each at only the lengths asked for.
+2W fits the handle's cap, the counts are proven, and ``certified_window``
+records W, as doubling would, since W and 2W hold the same factors.
+:func:`proven_counts` is the one path that decides this and counts them,
+for a profile (one kind) and for the claims' tables (each kind to the
+longest length the claims read of it) alike.
 
-On that same path, a binary word that is the coding of the fixed point of
-a k-uniform morphism passing the check of :func:`_recursive_codes` (tm, pf,
+On that path, a binary word that is the coding of the fixed point of a
+k-uniform morphism passing the check of :func:`_recursive_codes` (tm, pf,
 a binary uniform spec; not period-doubling or Rudin-Shapiro) builds no
 index for ``reduced_factor``, ``reduced_abelian`` and the extremes. A
 window's reduction is fixed by its first symbol and alternation count, and
@@ -69,8 +70,8 @@ of length about n / k (the closure of k-regular sequences under such
 recursions: Allouche and Shallit, "The ring of k-regular sequences", TCS
 98, 1992). So a profile to N takes O(log N) levels of numpy passes, where
 the index evaluates about 1.5 N^2 keys, and ``certified_window`` is still
-W. The claims' tables (:func:`proven_counts`) take these kinds from the
-same recursion, and count only the others on an index.
+W. Every other kind is counted on one index of the prefix proven for the
+longest length of those kinds.
 
 Everywhere else (Toeplitz specs, a letter with bounded images, a window
 shorter than P, 2W past the cap) the counts are certified empirically:
@@ -94,7 +95,7 @@ Window starts are 0-based internally; the public profile maps window length
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -498,9 +499,8 @@ class AlternationPrefix:
         self._cut = np.searchsorted(self.lpf, np.arange(n_max + 1))
         self._least_room = np.minimum.accumulate(self.room)
 
-    def new_start_blocks(self, budget: int, lengths: Sequence[int] | None = None):
-        """Yield ``(ns, cut, fresh)`` for consecutive blocks of ``lengths``,
-        increasing lengths in 1..n_max (by default all of them).
+    def new_start_blocks(self, budget: int):
+        """Yield ``(ns, cut, fresh)`` for consecutive blocks of the lengths 1..n_max.
 
         The first ``cut`` of ``starts`` hold the first occurrences for every
         n in the block, start 0 (one at every n) first. ``fresh[i, j]``, or
@@ -511,20 +511,19 @@ class AlternationPrefix:
         key taken there adds no class and moves neither extreme. A block has
         about ``budget`` entries, or one n when ``budget`` is 0.
         """
-        lengths = np.arange(1, self.n_max + 1) if lengths is None else np.asarray(lengths, dtype=np.int64)
-        at = 0
-        while at < len(lengths):
-            size = max(1, budget // self._cut[lengths[at]])
-            while size > 1 and size * self._cut[lengths[min(len(lengths), at + size) - 1]] > budget:
+        first = 1
+        while first <= self.n_max:
+            size = max(1, budget // self._cut[first])
+            while size > 1 and size * self._cut[min(self.n_max, first + size - 1)] > budget:
                 size //= 2
-            ns = lengths[at : at + size]
-            last = int(ns[-1])
+            last = min(self.n_max, first + size - 1)
+            ns = np.arange(first, last + 1)
             cut = self._cut[last]
             fresh = None
             if self._least_room[cut - 1] < last:
                 fresh = self.room[:cut] >= ns[:, None]
             yield ns, cut, fresh
-            at += size
+            first = last + 1
 
     def block_ends(self, padded: np.ndarray, ns: np.ndarray, cut: int) -> np.ndarray:
         """``padded`` at the last position of the windows at the first ``cut``
@@ -543,19 +542,17 @@ class AlternationPrefix:
 
 # -- distinct-window counting --------------------------------------------------
 #
-# Every count reads the first occurrences of the distinct length-n windows.
+# Every count reads the first occurrences of the distinct length-n windows,
+# at every length 1..n_max of its index.
 
-# Every count function takes the lengths to count at, increasing lengths in
-# 1..n_max, and counts every length 1..n_max when they are None.
-
-def factor_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+def factor_counts(index: AlternationPrefix) -> Counts:
     """Distinct windows of each length.
 
     Each start adds a new length-n window exactly for lpf < n <= its room,
     so the counts are the cumulative count of those intervals.
     """
     counts = _interval_counts(index.lpf, index.room, index.n_max)
-    return {n: int(counts[n]) for n in (range(1, index.n_max + 1) if lengths is None else lengths)}
+    return dict(enumerate(counts[1 : index.n_max + 1].tolist(), 1))
 
 
 _BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
@@ -581,18 +578,14 @@ def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
 
 
 def _key_table(
-    index: AlternationPrefix,
-    key: Callable,
-    lengths: Sequence[int] | None,
-    summary: Callable = _distinct_per_row,
-    words: int = 1,
+    index: AlternationPrefix, key: Callable, summary: Callable = _distinct_per_row, words: int = 1
 ) -> dict:
-    """One value per n of ``lengths``: ``summary`` of the rows of each block's
+    """One value per n in 1..n_max: ``summary`` of the rows of each block's
     key words, ``key(ns, cut)``: ``words`` matrices over the first ``cut``
     starts of a block of :meth:`AlternationPrefix.new_start_blocks`, a row
     per n, which share the block's budget of entries."""
     values: dict = {}
-    for ns, cut, fresh in index.new_start_blocks(_BLOCK // words, lengths):
+    for ns, cut, fresh in index.new_start_blocks(_BLOCK // words):
         keys = key(ns, cut)
         if fresh is not None:
             # a window past the prefix end takes the key of start 0, whose
@@ -635,7 +628,7 @@ def _factor_names(symbols: np.ndarray, alphabet_size: int, cap: int) -> np.ndarr
     return names
 
 
-def abelian_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+def abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the windows of each length."""
     # a window's count of symbol 0 is n minus the others, so it adds nothing
     # to the key; the padding 0s give windows past the end a key too
@@ -646,10 +639,10 @@ def abelian_counts(index: AlternationPrefix, lengths: Sequence[int] | None = Non
         starts = index.starts[:cut]
         return sums[:, starts + ns[:, None]] - sums[:, None, starts]
 
-    return _key_table(index, key, lengths, words=len(sums))
+    return _key_table(index, key, words=len(sums))
 
 
-def reduced_factor_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+def reduced_factor_counts(index: AlternationPrefix) -> Counts:
     """Distinct window reductions of each length."""
     if index.alphabet_size == 2:
         # a binary reduction alternates, so its first symbol and its
@@ -658,7 +651,7 @@ def reduced_factor_counts(index: AlternationPrefix, lengths: Sequence[int] | Non
         first = index.arr[index.starts].astype(index._start_alt.dtype)
         offset = index._start_alt - first * index.n_max
         alt = index._padded_alt
-        return _key_table(index, lambda ns, cut: [index.block_ends(alt, ns, cut) - offset[:cut]], lengths)
+        return _key_table(index, lambda ns, cut: [index.block_ends(alt, ns, cut) - offset[:cut]])
     # the reduction of m = a + 1 runs is the length-m factor of the run
     # symbols at run r = alt[s]; with 2^k <= m < 2^(k+1), its first and its
     # last 2^k run symbols cover it, so m and their names name it
@@ -683,10 +676,10 @@ def reduced_factor_counts(index: AlternationPrefix, lengths: Sequence[int] | Non
         key |= tail
         return [key]
 
-    return _key_table(index, key, lengths, words=1 if one_word else 2)
+    return _key_table(index, key, words=1 if one_word else 2)
 
 
-def reduced_abelian_counts(index: AlternationPrefix, lengths: Sequence[int] | None = None) -> Counts:
+def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the window reductions of each length."""
     if index.alphabet_size == 2:
         # a binary reduction of a + 1 runs alternates, so a and its count of
@@ -702,7 +695,7 @@ def reduced_abelian_counts(index: AlternationPrefix, lengths: Sequence[int] | No
         sign = 2 * int(index.arr[0]) - 1
         ends = 3 * alt + sign * (1 - (alt & 1))
         offset = ends[index.starts] - (2 * index.arr[index.starts].astype(dtype) - 1)
-        return _key_table(index, lambda ns, cut: [index.block_ends(ends, ns, cut) - offset[:cut]], lengths)
+        return _key_table(index, lambda ns, cut: [index.block_ends(ends, ns, cut) - offset[:cut]])
     # the reduction of a window holds runs alt[s] through alt[s+n-1]; its
     # length varies, so its count of symbol 0 is part of the key
     sums = _packed_counts(_runs(index), 0, index.n_max.bit_length())
@@ -711,18 +704,33 @@ def reduced_abelian_counts(index: AlternationPrefix, lengths: Sequence[int] | No
         r = index._start_alt[:cut]
         return sums[:, r + index.block_alternations(ns, cut) + 1] - sums[:, None, r]
 
-    return _key_table(index, key, lengths, words=len(sums))
+    return _key_table(index, key, words=len(sums))
 
 
-def extremes_counts(
-    index: AlternationPrefix, lengths: Sequence[int] | None = None
-) -> dict[int, tuple[int, int]]:
+def extremes_counts(index: AlternationPrefix) -> dict[int, tuple[int, int]]:
     """(least, greatest) alternation count of the windows of each length."""
 
     def summary(words) -> list[tuple[int, int]]:
         return list(zip(words[0].min(axis=1).tolist(), words[0].max(axis=1).tolist()))
 
-    return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], lengths, summary)
+    return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], summary)
+
+
+class _Kind(NamedTuple):
+    """A profile kind: the ``kind`` its profiles carry, and its count function."""
+
+    profile: str
+    counts: Callable
+
+
+# the kinds by the names the command line and the claims read them by
+_KINDS = {
+    "factor": _Kind("factor", factor_counts),
+    "abelian": _Kind("abelian", abelian_counts),
+    "red": _Kind("reduced_factor", reduced_factor_counts),
+    "abred": _Kind("reduced_abelian", reduced_abelian_counts),
+    "extremes": _Kind("alternation_extremes", extremes_counts),
+}
 
 
 # -- proof windows ---------------------------------------------------------------
@@ -802,10 +810,11 @@ def _proof_window(handle: SequenceHandle, n_max: int, window: int) -> int | None
 
 
 def _proven_prefix(handle: SequenceHandle, n_max: int, policy: WindowPolicy) -> int | None:
-    """The prefix P whose one index gives the profiles at ``n_max`` under
-    ``policy`` (:func:`_scan_until_stable`), or None when they double or
-    read a fixed window: P is the handle's proof window, when there is one
-    within the initial window W and twice W fits the handle's cap."""
+    """The prefix P whose counts are the profiles at ``n_max`` under
+    ``policy`` (:func:`proven_counts`), or None when they double or read a
+    fixed window: P is the handle's proof window, when there is one within
+    the initial window W and twice W fits the handle's cap, so that
+    capacity errors stay those of doubling."""
     if policy.fixed_length is not None:
         return None
     window = policy.initial_window(n_max)
@@ -814,45 +823,41 @@ def _proven_prefix(handle: SequenceHandle, n_max: int, policy: WindowPolicy) -> 
 
 
 def proven_counts(
-    handle: SequenceHandle, policy: WindowPolicy, lengths: Mapping[str, Sequence[int]]
+    handle: SequenceHandle, policy: WindowPolicy, longest: Mapping[str, int]
 ) -> dict[str, dict] | None:
-    """Per kind (``factor``, ``red``, ``abred`` or ``extremes``),
-    its values at its ``lengths``, increasing lengths; or None.
+    """Per kind of ``longest`` (a key of ``_KINDS``), its values at every n
+    up to its longest length; or None.
 
     None when the profiles at the longest length N under ``policy`` are not
     counted on a prefix that the handle's morphism proves holds every factor
     up to N (:func:`_proven_prefix`). Otherwise the values are those of the
-    infinite sequence at every n <= N. A binary word whose morphism passes
-    the check of :func:`_recursive_codes` takes ``red``, ``abred`` and
-    ``extremes`` from one run of that recursion, to the longest of their
-    lengths. The other kinds, or all of them when the check fails, are
-    counted on one index of the prefix proven for the longest of their own
-    lengths, which fits within the initial window at N.
+    infinite sequence. A binary word whose morphism passes the check of
+    :func:`_recursive_codes` takes ``red``, ``abred`` and ``extremes`` from
+    one run of that recursion, to the longest of their lengths. The other
+    kinds, or all of them when the check fails, are counted on one index of
+    the prefix proven for the longest of their own lengths, which fits
+    within the initial window at N.
     """
-    n_max = max(ns[-1] for ns in lengths.values())
-    if _proven_prefix(handle, n_max, policy) is None:
+    n_max = max(longest.values())
+    proof = _proven_prefix(handle, n_max, policy)
+    if proof is None:
         return None
     values = {}
-    recursive = [kind for kind in ("red", "abred", "extremes") if kind in lengths]
+    recursive = {kind: n for kind, n in longest.items() if kind in ("red", "abred", "extremes")}
     if recursive:
-        found = _recursive_codes(handle, max(lengths[kind][-1] for kind in recursive))
+        found = _recursive_codes(handle, max(recursive.values()))
         if found is not None:
-            for kind in recursive:
-                at = _code_values(*found, kind, lengths[kind][-1])
-                values[kind] = {n: at[n - 1] for n in lengths[kind]}
-    rest = {kind: ns for kind, ns in lengths.items() if kind not in values}
+            for kind, n in recursive.items():
+                values[kind] = dict(zip(range(1, n + 1), _code_values(*found, kind, n)))
+    rest = {kind: n for kind, n in longest.items() if kind not in values}
     if rest:
-        n_rest = max(ns[-1] for ns in rest.values())
-        proof = _proof_window(handle, n_rest, policy.initial_window(n_max))
+        n_rest = max(rest.values())
+        if n_rest < n_max:
+            proof = _proof_window(handle, n_rest, policy.initial_window(n_max))
         index = AlternationPrefix(handle.prefix_symbols(proof), handle.alphabet_size, n_rest)
-        # looked up per call, so a replaced count function in this module is the one that runs
-        counts = {
-            "factor": factor_counts,
-            "red": reduced_factor_counts,
-            "abred": reduced_abelian_counts,
-            "extremes": extremes_counts,
-        }
-        values.update({kind: counts[kind](index, ns) for kind, ns in rest.items()})
+        for kind, n in rest.items():
+            counts = _KINDS[kind].counts(index)
+            values[kind] = {m: counts[m] for m in range(1, n + 1)}
     return values
 
 
@@ -1012,30 +1017,13 @@ def _code_values(n: np.ndarray, c: np.ndarray, kind: str, n_max: int) -> list:
     return np.bincount(n, minlength=n_max + 1)[1 : n_max + 1].tolist()
 
 
-def _recursive_values(handle: SequenceHandle, n_max: int, policy: WindowPolicy, kind: str) -> dict | None:
-    """The ``reduced_factor``, ``reduced_abelian`` or ``alternation_extremes``
-    profile values from :func:`_recursive_codes`, where the profile would be
-    counted on a proven prefix (:func:`_proven_prefix`); otherwise None."""
-    read = {"reduced_factor": "red", "reduced_abelian": "abred", "alternation_extremes": "extremes"}.get(kind)
-    if read is None or _proven_prefix(handle, n_max, policy) is None:
-        return None
-    found = _recursive_codes(handle, n_max)
-    return None if found is None else dict(zip(range(1, n_max + 1), _code_values(*found, read, n_max)))
-
-
 # -- certification driver ------------------------------------------------------
 
 def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy, table: Callable):
     """Double the window until the values on it equal those on twice it.
 
-    ``table(index)`` returns the values on the whole indexed prefix. When
-    the handle's source morphism proves that a prefix P <= W holds every
-    factor of length up to ``n_max`` (:func:`_proof_window`), the window W
-    and twice it hold the same factors, so doubling would return the values
-    on P and W at its first step: those are counted on one index of P.
-    That holds while twice the window fits the handle's cap, so that
-    capacity errors stay those of doubling. Otherwise each step indexes
-    twice the window. The first step takes the values on the
+    ``table(index)`` returns the values on the whole indexed prefix. Each
+    step indexes twice the window. The first step takes the values on the
     window from that index when every first occurrence in it ends within
     the window, and otherwise counts them on an index of the window itself;
     each later step compares with the step before. Returns ``(values,
@@ -1051,9 +1039,6 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     window = policy.initial_window(n_max)
     if policy.fixed_length is not None:
         return table(index(window)), window
-    proof = _proven_prefix(handle, n_max, policy)
-    if proof is not None:
-        return table(index(proof)), window
     # a view; asked for first so that a capacity error names the same prefix
     # length as a scan of the window itself would
     handle.prefix_symbols(window)
@@ -1081,48 +1066,52 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     )
 
 
-def _profile(handle, n_max, policy, kind, table) -> ComplexityProfile:
+def _profile(handle, n_max, policy, kind) -> ComplexityProfile:
+    """The ``kind`` profile (a key of ``_KINDS``) to ``n_max``: proven
+    (:func:`proven_counts`) where the handle's morphism allows, else
+    certified by doubling or read on the policy's fixed window."""
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     policy = policy or WindowPolicy()
-    values = _recursive_values(handle, n_max, policy, kind)
-    if values is None:
-        values, window = _scan_until_stable(handle, n_max, policy, table)
+    name, counts = _KINDS[kind]
+    proven = proven_counts(handle, policy, {kind: n_max})
+    if proven is None:
+        values, window = _scan_until_stable(handle, n_max, policy, counts)
     else:
-        window = policy.initial_window(n_max)
-    return ComplexityProfile(kind=kind, sequence=handle.name, values=values, certified_window=window)
+        values, window = proven[kind], policy.initial_window(n_max)
+    return ComplexityProfile(kind=name, sequence=handle.name, values=values, certified_window=window)
 
 
 def factor_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct windows of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "factor", factor_counts)
+    return _profile(handle, n_max, policy, "factor")
 
 
 def abelian_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct window symbol-count vectors of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "abelian", abelian_counts)
+    return _profile(handle, n_max, policy, "abelian")
 
 
 def reduced_factor_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct window reductions of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "reduced_factor", reduced_factor_counts)
+    return _profile(handle, n_max, policy, "red")
 
 
 def reduced_abelian_complexity(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """Distinct reduction symbol-count vectors of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "reduced_abelian", reduced_abelian_counts)
+    return _profile(handle, n_max, policy, "abred")
 
 
 def alternation_extremes(
     handle: SequenceHandle, n_max: int, policy: WindowPolicy | None = None
 ) -> ComplexityProfile:
     """(least, greatest) alternation count over windows of each length 1..n_max."""
-    return _profile(handle, n_max, policy, "alternation_extremes", extremes_counts)
+    return _profile(handle, n_max, policy, "extremes")

@@ -16,9 +16,10 @@ Every row but the last two declares what it reads (:meth:`Claim.reads`):
 per profile, the lengths it looks at. :func:`verify` runs one row on a
 :class:`ProfileStore` that lasts one run: planned with the reads of the
 run's claims (:func:`plan_claims`), it takes each kind of a sequence once,
-at the lengths the claims read, where its morphism proves the counts:
-tm's and pf's binary kinds from the morphism's recursion and the rest on
-at most one index; any other profile it computes once by its engine. Every
+to the longest length the claims read of it, where its morphism proves the
+counts (:func:`reduxwords.complexity.proven_counts`, the path the profiles
+take too): tm's and pf's binary kinds from the morphism's recursion and the
+rest on at most one index; any other profile it computes once. Every
 claim that compares predicted with observed values per length collects
 its counterexamples by one rule, :func:`_mismatches`. Conjectures are
 only ever scanned, and their reports are evidence, never assertions.
@@ -39,15 +40,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .complexity import (
+    _KINDS,
     ComplexityProfile,
     WindowPolicy,
+    _profile,
     _proven_prefix,
-    alternation_extremes,
-    factor_complexity,
     proven_counts,
-    reduced_abelian_complexity,
     reduced_complexity_from_extremes,
-    reduced_factor_complexity,
 )
 from .errors import ConfigurationError, SmallCaseException
 from .sequences import (
@@ -202,43 +201,34 @@ class Read(NamedTuple):
     lengths: list[int]
 
 
-# the kind a profile of each read kind names itself by
-_PROFILE_KINDS = {
-    "factor": "factor",
-    "red": "reduced_factor",
-    "abred": "reduced_abelian",
-    "extremes": "alternation_extremes",
-}
-
-
 class ProfileStore:
     """The profiles that one run of claims reads.
 
     A claim asks for a :class:`Read` under a policy. The store computes each
-    (sequence, kind, n, policy) profile once, by its engine, and keeps it in
-    ``profiles``.
+    (sequence, kind, n, policy) profile once, as the profile functions of
+    :mod:`reduxwords.complexity` do, and keeps it in ``profiles``.
 
-    A planned store (:func:`plan_claims`) also holds in ``planned`` every
-    length the run's claims read, per (sequence, kind). A read of planned
-    lengths is served without the engine when the profile at n under the
-    read's policy would be counted on a prefix that the sequence's morphism
-    proves holds every factor; ``proofs`` keeps that prefix per (sequence,
-    n, policy). The first such read of a sequence takes each of its planned
-    kinds once, at only the planned lengths, up to the longest planned
-    length N (:func:`proven_counts`): tm's and pf's ``red``, ``abred`` and
-    ``extremes`` from their morphism's recursion, and every other kind on
-    one index of a proven prefix. It keeps the values in ``tables`` (None
-    where the profiles at N would not be counted so). Those values are the
-    sequence's own at every n <= N (Allouche and Shallit, Automatic
-    Sequences, 2003, ch. 7 and 10), so they are the profile's, and the read
-    reports the ``certified_window`` that profile reports, the policy's
-    initial window at n. Every other read runs the engine, so its values,
-    capacity errors and certification failures are those of the profile at
-    n.
+    A planned store (:func:`plan_claims`) also holds in ``planned`` the
+    longest length the run's claims read, per (sequence, kind). A read at n
+    up to that length is served from one table when the profile at n under
+    the read's policy would be proven, that is, counted on a prefix that
+    the sequence's morphism proves holds every factor; ``proofs`` keeps
+    that prefix per (sequence, n, policy). The first such read of a
+    sequence takes each of its planned kinds once, to its longest length,
+    by the path the profiles take (:func:`proven_counts`): tm's and pf's
+    ``red``, ``abred`` and ``extremes`` from their morphism's recursion, and
+    every other kind on one index of a proven prefix. It keeps the values in
+    ``tables`` (None where the profiles at the longest length N of all
+    would not be counted so). Those values are the sequence's own at every
+    n <= N (Allouche and Shallit, Automatic Sequences, 2003, ch. 7 and 10),
+    so they are the profile's, and the read reports the
+    ``certified_window`` that profile reports, the policy's initial window
+    at n. Every other read computes its profile, so its values, capacity
+    errors and certification failures are those of the profile at n.
     """
 
     def __init__(self):
-        self.planned: dict[tuple[str, str], set[int]] = {}
+        self.planned: dict[tuple[str, str], int] = {}
         self.tables: dict[str, dict | None] = {}
         self.proofs: dict[tuple, int | None] = {}
         self.profiles: dict = {}
@@ -251,19 +241,12 @@ class ProfileStore:
         served = self._served(read, policy)
         if served is not None:
             return served
-        # looked up per call, so a replaced engine name in this module is the one that runs
-        engine = {
-            "factor": factor_complexity,
-            "red": reduced_factor_complexity,
-            "abred": reduced_abelian_complexity,
-            "extremes": alternation_extremes,
-        }[read.kind]
-        self.profiles[key] = engine(BUILTIN_SEQUENCES[read.sequence](), read.n, policy)
+        self.profiles[key] = _profile(BUILTIN_SEQUENCES[read.sequence](), read.n, policy, read.kind)
         return self.profiles[key]
 
     def _served(self, read: Read, policy: WindowPolicy) -> ComplexityProfile | None:
-        planned = self.planned.get((read.sequence, read.kind))
-        if read.n < 1 or planned is None or not planned.issuperset(read.lengths):
+        longest = self.planned.get((read.sequence, read.kind))
+        if read.n < 1 or longest is None or read.n > longest:
             return None
         handle = BUILTIN_SEQUENCES[read.sequence]()
         proof = (read.sequence, read.n, policy)
@@ -272,14 +255,14 @@ class ProfileStore:
         if self.proofs[proof] is None:
             return None
         if read.sequence not in self.tables:
-            lengths = {kind: sorted(ns) for (seq, kind), ns in self.planned.items() if seq == read.sequence}
-            self.tables[read.sequence] = proven_counts(handle, policy, lengths)
+            planned = {kind: n for (seq, kind), n in self.planned.items() if seq == read.sequence}
+            self.tables[read.sequence] = proven_counts(handle, policy, planned)
         table = self.tables[read.sequence]
         if table is None:
             return None
         values = table[read.kind]
         return ComplexityProfile(
-            kind=_PROFILE_KINDS[read.kind],
+            kind=_KINDS[read.kind].profile,
             sequence=handle.name,
             values={n: values[n] for n in read.lengths},
             certified_window=policy.initial_window(read.n),
@@ -287,8 +270,9 @@ class ProfileStore:
 
 
 def plan_claims(claim_ids: Iterable[str], n_max: int | None = None) -> ProfileStore:
-    """A store planned with every length that the claims ``claim_ids`` read
-    at ``n_max`` (each claim's default when None). An unknown id reads
+    """A store planned with the longest length that the claims ``claim_ids``
+    read of each (sequence, kind) at ``n_max`` (each claim's default when
+    None). An unknown id reads nothing, and a read of no lengths plans
     nothing."""
     store = ProfileStore()
     for claim_id in claim_ids:
@@ -297,7 +281,8 @@ def plan_claims(claim_ids: Iterable[str], n_max: int | None = None) -> ProfileSt
             continue
         for read in claim.reads(claim.default_n_max if n_max is None else n_max):
             if read.lengths:
-                store.planned.setdefault((read.sequence, read.kind), set()).update(read.lengths)
+                key = (read.sequence, read.kind)
+                store.planned[key] = max(store.planned.get(key, 0), read.n)
     return store
 
 
@@ -840,8 +825,8 @@ def verify(
 
     Pass the same ``profiles`` store, planned with the run's claims
     (:func:`plan_claims`), to every call of a run: where a sequence's
-    morphism proves the counts, each of its kinds is then taken once at the
-    lengths the claims read, and every other profile is computed once.
+    morphism proves the counts, each of its kinds is then taken once to the
+    longest length the claims read, and every other profile is computed once.
     Without one, the call plans a store for this claim alone. The
     reports are those of a computation of each profile at the length the
     claim reads it. A configuration error raised by the claim carries its

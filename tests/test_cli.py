@@ -350,16 +350,22 @@ class TestVerify:
         codes = complexity._recursive_codes
 
         def counting(handle, n_max):
-            calls.append(handle.prefix_symbols(16).tolist())
+            calls.append((handle.name, n_max))
             return codes(handle, n_max)
 
         monkeypatch.setattr(complexity, "_recursive_codes", counting)
-        code, _, _ = run(capsys, "verify", "all", "--n-max", "48")
-        assert code == 0
-        # tm_red and the tm extremes identities read one tm recursion; pf_red,
-        # abred_f, f_2n and the four f_*mod8 claims read one pf recursion
-        assert len(calls) == 2
-        assert calls.count(rw.paperfolding().prefix_symbols(16).tolist()) == 1
+        # tm_red and the tm extremes identities read one tm recursion, to the
+        # longest extremes length 4n + 2; pf_red, abred_f, f_2n and the four
+        # f_*mod8 claims read one pf recursion; the conjectures read one tm
+        # recursion, to the longest abred length 4n + 2
+        for argv, runs in (
+            (["verify", "all", "--n-max", "48"], [("pf", 48), ("tm", 194)]),
+            (["verify", "all", "--n-max", "512"], [("pf", 512), ("tm", 2050)]),
+            (["conjecture", "all", "--n-max", "256"], [("tm", 1026)]),
+        ):
+            calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert sorted(calls) == runs, argv
 
     def test_one_index_per_sequence(self, capsys, monkeypatch):
         # at the benchmark's sizes: tm's and pf's factor counts up to 512

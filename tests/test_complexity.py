@@ -514,23 +514,15 @@ class TestKeyTables:
         n_max = min(n_max, len(symbols))
         index = AlternationPrefix(symbols, sigma, n_max)
         ns = range(1, n_max + 1)
-        for kind, engine in INDEX_ENGINES.items():
-            assert engine(index) == oracle_counts(symbols, kind, ns), kind
-        assert extremes_counts(index) == oracle_extremes(symbols, ns)
-
-    @settings(max_examples=60, deadline=None)
-    @given(lpf_words(), st.data())
-    def test_counts_at_some_lengths_are_those_at_every_length(self, case, data):
-        symbols, sigma, n_max = case
-        index = AlternationPrefix(symbols, sigma, n_max)
-        lengths = sorted(data.draw(st.sets(st.integers(1, n_max), min_size=1)))
+        want = {kind: oracle_counts(symbols, kind, ns) for kind in INDEX_ENGINES}
+        extremes = oracle_extremes(symbols, ns)
         # a budget of 0 gives a block per length, the default blocks of several
         for budget in (0, complexity._BLOCK):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(complexity, "_BLOCK", budget)
-                for engine in (*INDEX_ENGINES.values(), extremes_counts):
-                    every = engine(index)
-                    assert engine(index, lengths) == {n: every[n] for n in lengths}, engine
+                for kind, engine in INDEX_ENGINES.items():
+                    assert engine(index) == want[kind], (kind, budget)
+                assert extremes_counts(index) == extremes, budget
 
     def test_packed_counts_that_wrap_and_span_several_words(self):
         # 3 bits per symbol at n_max = 7 and 23 symbols past 0 take two
@@ -773,6 +765,22 @@ class TestWindowPolicy:
         pf_toeplitz = rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec"))
         assert complexity._proof_window(pf_toeplitz, 8, 256) is None
 
+    @pytest.mark.parametrize("kind", sorted(PROFILE_ENGINES))
+    def test_a_profile_computes_its_proof_once(self, monkeypatch, kind):
+        # the tribonacci spec is proven at 128, and fails the recursion's
+        # check, so every kind is counted on the index of its proven prefix
+        tribonacci = rw.load_sequence_spec(str(DATA.parent.parent / "perfbench" / "data" / "tribonacci.spec"))
+        proof_window, calls = complexity._proof_window, []
+
+        def counting(handle, n_max, window):
+            calls.append(n_max)
+            return proof_window(handle, n_max, window)
+
+        monkeypatch.setattr(complexity, "_proof_window", counting)
+        profile = PROFILE_ENGINES[kind](tribonacci, 128)
+        assert profile.certified_window == 32 * 128
+        assert calls == [128]
+
     def test_a_bounded_letter_keeps_doubling(self, monkeypatch):
         # 0 -> 01, 1 -> 1: the images of 1 never grow, so no k exists
         handle = rw.morphic_fixed_point(rw.Morphism({0: (0, 1), 1: (1,)}, 2), 0)
@@ -820,23 +828,22 @@ class TestWindowPolicy:
     @settings(max_examples=40, deadline=None)
     @given(prolongable_morphisms(), st.integers(2, 24), st.data())
     def test_proven_counts_are_the_profiles_at_each_length(self, source, n_max, data):
-        # one index at the longest length gives each kind, at each n that the
-        # morphism also proves, what the profile at n gives
+        # one index at the longest length gives each kind, up to its own
+        # longest length, what the profile at the longest length gives
         morphism, seed = source
         handle = rw.morphic_fixed_point(morphism, seed)
         policy = WindowPolicy()
         kinds = {"factor": "factor", "red": "reduced_factor", "abred": "reduced_abelian", "extremes": "extremes"}
-        lengths = {
-            kind: sorted(data.draw(st.sets(st.integers(1, n_max), min_size=1)) | {n_max})
-            for kind in data.draw(st.sets(st.sampled_from(sorted(kinds)), min_size=1))
-        }
-        counts = complexity.proven_counts(handle, policy, lengths)
-        assert counts == index_counts(handle, policy, lengths)
+        drawn = sorted(data.draw(st.sets(st.sampled_from(sorted(kinds)), min_size=1)))
+        longest = {kind: data.draw(st.integers(1, n_max)) for kind in drawn[1:]}
+        longest[drawn[0]] = n_max
+        counts = complexity.proven_counts(handle, policy, longest)
+        assert counts == index_counts(handle, policy, longest)
         if counts is None:
             return
-        for kind, ns in lengths.items():
+        for kind, n in longest.items():
             profile = PROFILE_ENGINES[kinds[kind]](handle, n_max, policy)
-            assert counts[kind] == {n: profile.values[n] for n in ns}, kind
+            assert counts[kind] == {m: profile.values[m] for m in range(1, n + 1)}, kind
 
     def test_capacity_error_names_the_same_prefix(self, monkeypatch):
         # the first scan asks for the window and certification for twice it;
@@ -869,12 +876,13 @@ class TestWindowPolicy:
 RECURSIVE_KINDS = {"red": "reduced_factor", "abred": "reduced_abelian", "extremes": "extremes"}
 
 
-def index_counts(handle, policy, lengths):
+def index_counts(handle, policy, longest):
     """Per kind (``factor``, ``red``, ``abred`` or ``extremes``), its counts at
-    its lengths on one window index of the prefix that the morphism proves
-    holds every factor up to the longest length; None where no such prefix
-    is counted. The reference that the morphism's recursion is held to."""
-    n_max = max(ns[-1] for ns in lengths.values())
+    every n up to its ``longest`` length on one window index of the prefix
+    that the morphism proves holds every factor up to the longest length of
+    all; None where no such prefix is counted. The reference that the
+    morphism's recursion is held to."""
+    n_max = max(longest.values())
     proof = complexity._proven_prefix(handle, n_max, policy)
     if proof is None:
         return None
@@ -885,7 +893,7 @@ def index_counts(handle, policy, lengths):
         "abred": reduced_abelian_counts,
         "extremes": extremes_counts,
     }
-    return {kind: counts[kind](index, ns) for kind, ns in lengths.items()}
+    return {kind: dict(list(counts[kind](index).items())[:n]) for kind, n in longest.items()}
 
 
 def coded_fixed_point(morphism, coding, name="coded"):
@@ -925,7 +933,7 @@ class TestMorphicRecursion:
     def test_builtins_equal_the_index_at_every_length(self, monkeypatch, make):
         # 1, 2 and 3 fall in the base cases and 5 = 2k + 1 is the last of them
         policy = WindowPolicy()
-        index = index_counts(make(), policy, dict.fromkeys(RECURSIVE_KINDS, range(1, 4097)))
+        index = index_counts(make(), policy, dict.fromkeys(RECURSIVE_KINDS, 4096))
         built = self.count_indexes(monkeypatch)
         for n_max in (1, 2, 3, 5, 6, 4096):
             for kind, name in RECURSIVE_KINDS.items():
@@ -935,19 +943,19 @@ class TestMorphicRecursion:
         assert built == []
 
     def test_planned_claim_tables_equal_the_index(self):
-        # every length that `verify all --n-max 2048` and `conjecture all
-        # --n-max 1024` read; tm's extremes reach 4 * 2048 + 2
+        # to the longest length that `verify all --n-max 2048` and
+        # `conjecture all --n-max 1024` read; tm's extremes reach 4 * 2048 + 2
         policy = WindowPolicy()
         read = set()
         for conjectures, n_max in ((False, 2048), (True, 1024)):
             ids = [cid for cid, claim in rw.CLAIMS.items() if (claim.kind == "conjecture") == conjectures]
             store = rw.plan_claims(ids, n_max)
             for name, make in (("tm", rw.thue_morse), ("pf", rw.paperfolding)):
-                lengths = {kind: sorted(ns) for (seq, kind), ns in store.planned.items() if seq == name}
-                if lengths:
-                    read.update((name, kind) for kind in lengths)
-                    counts = complexity.proven_counts(make(), policy, lengths)
-                    assert counts == index_counts(make(), policy, lengths), (name, n_max)
+                longest = {kind: n for (seq, kind), n in store.planned.items() if seq == name}
+                if longest:
+                    read.update((name, kind) for kind in longest)
+                    counts = complexity.proven_counts(make(), policy, longest)
+                    assert counts == index_counts(make(), policy, longest), (name, n_max)
         assert {kind for _, kind in read} == {"factor", "red", "abred", "extremes"}
 
     @settings(max_examples=100, deadline=None)
@@ -974,10 +982,10 @@ class TestMorphicRecursion:
         assert complexity._recursive_codes(rudin_shapiro, 64) is None
         policy = WindowPolicy()
         for handle in (period_doubling, rudin_shapiro, tribonacci):
-            lengths = dict.fromkeys(RECURSIVE_KINDS, range(1, 65))
-            index = index_counts(handle, policy, lengths)
+            longest = dict.fromkeys(RECURSIVE_KINDS, 64)
+            index = index_counts(handle, policy, longest)
             built = self.count_indexes(monkeypatch)
-            assert complexity.proven_counts(handle, policy, lengths) == index
+            assert complexity.proven_counts(handle, policy, longest) == index
             # the check fails, so all three kinds take one index
             assert len(built) == 1
             built.clear()
