@@ -822,11 +822,22 @@ def _proven_prefix(handle: SequenceHandle, n_max: int, policy: WindowPolicy) -> 
     return proof if proof is not None and 2 * window <= handle._cap else None
 
 
+def _indexed(values: Mapping[int, int | tuple[int, int]]) -> np.ndarray:
+    """Values by length n as an int64 array indexed by n, slot 0 unused,
+    with a column each for the least and the greatest of a pair."""
+    rows = np.array(list(values.values()), dtype=np.int64)
+    table = np.zeros((max(values) + 1, *rows.shape[1:]), dtype=np.int64)
+    table[np.fromiter(values, dtype=np.int64, count=len(values))] = rows
+    return table
+
+
 def proven_counts(
     handle: SequenceHandle, policy: WindowPolicy, longest: Mapping[str, int]
-) -> dict[str, dict] | None:
+) -> dict[str, np.ndarray] | None:
     """Per kind of ``longest`` (a key of ``_KINDS``), its values at every n
-    up to its longest length; or None.
+    up to its longest length, as an int64 array indexed by n (slot 0
+    unused; ``extremes`` has a column each for the least and the greatest);
+    or None.
 
     None when the profiles at the longest length N under ``policy`` are not
     counted on a prefix that the handle's morphism proves holds every factor
@@ -848,7 +859,7 @@ def proven_counts(
         found = _recursive_codes(handle, max(recursive.values()))
         if found is not None:
             for kind, n in recursive.items():
-                values[kind] = dict(zip(range(1, n + 1), _code_values(*found, kind, n)))
+                values[kind] = _code_values(*found, kind, n)
     rest = {kind: n for kind, n in longest.items() if kind not in values}
     if rest:
         n_rest = max(rest.values())
@@ -856,8 +867,7 @@ def proven_counts(
             proof = _proof_window(handle, n_rest, policy.initial_window(n_max))
         index = AlternationPrefix(handle.prefix_symbols(proof), handle.alphabet_size, n_rest)
         for kind, n in rest.items():
-            counts = _KINDS[kind].counts(index)
-            values[kind] = {m: counts[m] for m in range(1, n + 1)}
+            values[kind] = _indexed(_KINDS[kind].counts(index))[: n + 1]
     return values
 
 
@@ -998,23 +1008,26 @@ def _recursive_codes(handle: SequenceHandle, n_max: int):
     return codes >> cb, codes & ((1 << cb) - 1)
 
 
-def _code_values(n: np.ndarray, c: np.ndarray, kind: str, n_max: int) -> list:
-    """The ``red``, ``abred`` or ``extremes`` values at n = 1..n_max, in
-    order, from the codes ``(n, c)`` of :func:`_recursive_codes`.
+def _code_values(n: np.ndarray, c: np.ndarray, kind: str, n_max: int) -> np.ndarray:
+    """The ``red``, ``abred`` or ``extremes`` values at n = 1..n_max, as
+    :func:`proven_counts` returns them, from the codes ``(n, c)`` of
+    :func:`_recursive_codes`.
 
     A binary reduction alternates, so (t, a) names it. Its count vector is
     named by a alone when a is odd, and by (t, a) when a is even.
     """
     if kind == "extremes":
         lengths = np.arange(1, n_max + 1)
-        least, greatest = np.searchsorted(n, lengths), np.searchsorted(n, lengths, side="right") - 1
-        return list(zip((c[least] >> 1).tolist(), (c[greatest] >> 1).tolist()))
+        values = np.zeros((n_max + 1, 2), dtype=np.int64)
+        values[1:, 0] = c[np.searchsorted(n, lengths)] >> 1
+        values[1:, 1] = c[np.searchsorted(n, lengths, side="right") - 1] >> 1
+        return values
     if kind == "abred":
         # t = 1 at an odd a, where t = 0 comes just before it
         twin = np.zeros(len(c), dtype=bool)
         twin[1:] = (c[1:] & 3 == 3) & (c[:-1] == c[1:] - 1) & (n[:-1] == n[1:])
         n = n[~twin]
-    return np.bincount(n, minlength=n_max + 1)[1 : n_max + 1].tolist()
+    return np.bincount(n, minlength=n_max + 1)[: n_max + 1].astype(np.int64, copy=False)
 
 
 # -- certification driver ------------------------------------------------------
@@ -1078,7 +1091,9 @@ def _profile(handle, n_max, policy, kind) -> ComplexityProfile:
     if proven is None:
         values, window = _scan_until_stable(handle, n_max, policy, counts)
     else:
-        values, window = proven[kind], policy.initial_window(n_max)
+        rows = proven[kind][1:].tolist()
+        values = dict(enumerate(map(tuple, rows) if kind == "extremes" else rows, 1))
+        window = policy.initial_window(n_max)
     return ComplexityProfile(kind=name, sequence=handle.name, values=values, certified_window=window)
 
 

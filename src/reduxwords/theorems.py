@@ -19,10 +19,14 @@ run's claims (:func:`plan_claims`), it takes each kind of a sequence once,
 to the longest length the claims read of it, where its morphism proves the
 counts (:func:`reduxwords.complexity.proven_counts`, the path the profiles
 take too): tm's and pf's binary kinds from the morphism's recursion and the
-rest on at most one index; any other profile it computes once. Every
-claim that compares predicted with observed values per length collects
-its counterexamples by one rule, :func:`_mismatches`. Conjectures are
-only ever scanned, and their reports are evidence, never assertions.
+rest on at most one index; any other profile it computes once. A claim
+reads a profile as an int64 array indexed by n, and compares predicted
+with observed values at all its lengths at once: a closed-form row calls
+its closed form once per length into an array, an identity row evaluates
+each identity over an array of n, and every such claim collects its
+counterexamples by one rule, :func:`_mismatches`, one ``np.flatnonzero``
+of the differences. Conjectures are only ever scanned, and their reports
+are evidence, never assertions.
 
 Closed forms are memoized pure functions with explicit base-case tables.
 Declared small-case exceptions are raised as :class:`SmallCaseException`
@@ -40,19 +44,18 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .complexity import (
-    _KINDS,
     ComplexityProfile,
     WindowPolicy,
+    _indexed,
     _profile,
     _proven_prefix,
     proven_counts,
-    reduced_complexity_from_extremes,
 )
 from .errors import ConfigurationError, SmallCaseException
 from .sequences import (
     BUILTIN_SEQUENCES,
     paperfolding,
-    thue_morse_at,
+    thue_morse,
     thue_morse_morphism,
 )
 from .words import Word, alternations
@@ -88,17 +91,19 @@ def _status(counterexamples, declared_exceptions=None) -> str:
     return "exception-at-small-n" if declared_exceptions else "pass"
 
 
-def _mismatches(rows) -> list:
-    """Counterexamples of the rows ``(n, name, expected, actual)`` whose values differ.
-
-    Each is ``(n, expected, actual)``, or ``(n, (name, expected), (name,
+def _mismatches(ns: np.ndarray, expected: np.ndarray, actual: np.ndarray, names=(None,)) -> list:
+    """Counterexamples where ``expected`` and ``actual``, a row per n of ``ns``
+    and a column per name of ``names``, differ, in order of n and then of
+    name: ``(n, expected, actual)``, or ``(n, (name, expected), (name,
     actual))`` when the row names one of several identities checked at n.
-    """
-    return [
-        (n, expected, actual) if name is None else (n, (name, expected), (name, actual))
-        for n, name, expected, actual in rows
-        if expected != actual
-    ]
+    Every number in them is a Python int."""
+    bad = np.flatnonzero(expected != actual)  # row-major: by n, then by name
+    n = ns[bad // len(names)].tolist()
+    expected, actual = expected.ravel()[bad].tolist(), actual.ravel()[bad].tolist()
+    if names == (None,):
+        return list(zip(n, expected, actual))
+    named = [names[i] for i in (bad % len(names)).tolist()]
+    return [(m, (name, e), (name, a)) for m, name, e, a in zip(n, named, expected, actual)]
 
 
 def _report(claim_id, n_lo, n_hi, counterexamples, declared_exceptions=None, details=None):
@@ -193,20 +198,24 @@ def pf_reduced_abelian_count(n: int) -> int:
 
 class Read(NamedTuple):
     """A claim's read: the ``kind`` profile of a builtin ``sequence`` at n,
-    read at ``lengths`` (increasing, all at most n)."""
+    read at ``lengths`` (an increasing int64 array, all at most n)."""
 
     sequence: str
     kind: str
     n: int
-    lengths: list[int]
+    lengths: np.ndarray
 
 
 class ProfileStore:
     """The profiles that one run of claims reads.
 
-    A claim asks for a :class:`Read` under a policy. The store computes each
-    (sequence, kind, n, policy) profile once, as the profile functions of
-    :mod:`reduxwords.complexity` do, and keeps it in ``profiles``.
+    A claim asks for a :class:`Read` under a policy, and gets the profile's
+    values as an int64 array indexed by n (slot 0 unused; an extremes
+    profile has a column each for the least and the greatest), with its
+    ``certified_window``. The store computes each (sequence, kind, n,
+    policy) profile once, as the profile functions of
+    :mod:`reduxwords.complexity` do, and keeps it in ``profiles``; it turns
+    such a profile's values into that array when it is read.
 
     A planned store (:func:`plan_claims`) also holds in ``planned`` the
     longest length the run's claims read, per (sequence, kind). A read at n
@@ -217,56 +226,52 @@ class ProfileStore:
     sequence takes each of its planned kinds once, to its longest length,
     by the path the profiles take (:func:`proven_counts`): tm's and pf's
     ``red``, ``abred`` and ``extremes`` from their morphism's recursion, and
-    every other kind on one index of a proven prefix. It keeps the values in
-    ``tables`` (None where the profiles at the longest length N of all
-    would not be counted so). Those values are the sequence's own at every
-    n <= N (Allouche and Shallit, Automatic Sequences, 2003, ch. 7 and 10),
-    so they are the profile's, and the read reports the
-    ``certified_window`` that profile reports, the policy's initial window
-    at n. Every other read computes its profile, so its values, capacity
-    errors and certification failures are those of the profile at n.
+    every other kind on one index of a proven prefix. It keeps those arrays
+    in ``tables`` (None where the profiles at the longest length N of all
+    would not be counted so), and a served read hands its claim the kind's
+    array itself. Those values are the sequence's own at every n <= N
+    (Allouche and Shallit, Automatic Sequences, 2003, ch. 7 and 10), so
+    they are the profile's, and the read reports the ``certified_window``
+    that profile reports, the policy's initial window at n. Every other
+    read computes its profile, so its values, capacity errors and
+    certification failures are those of the profile at n.
     """
 
     def __init__(self):
         self.planned: dict[tuple[str, str], int] = {}
-        self.tables: dict[str, dict | None] = {}
+        self.tables: dict[str, dict[str, np.ndarray] | None] = {}
         self.proofs: dict[tuple, int | None] = {}
         self.profiles: dict = {}
 
-    def profile(self, read: Read, policy: WindowPolicy | None) -> ComplexityProfile:
+    def values(self, read: Read, policy: WindowPolicy | None) -> tuple[np.ndarray, int]:
+        """The values of the read's profile, indexed by n, and its ``certified_window``."""
         policy = policy or WindowPolicy()
         key = (read.sequence, read.kind, read.n, policy)
-        if key in self.profiles:
-            return self.profiles[key]
-        served = self._served(read, policy)
-        if served is not None:
-            return served
-        self.profiles[key] = _profile(BUILTIN_SEQUENCES[read.sequence](), read.n, policy, read.kind)
-        return self.profiles[key]
+        if key not in self.profiles:
+            served = self._served(read, policy)
+            if served is not None:
+                return served
+            self.profiles[key] = _profile(BUILTIN_SEQUENCES[read.sequence](), read.n, policy, read.kind)
+        profile = self.profiles[key]
+        return _indexed(profile.values), profile.certified_window
 
-    def _served(self, read: Read, policy: WindowPolicy) -> ComplexityProfile | None:
+    def _served(self, read: Read, policy: WindowPolicy) -> tuple[np.ndarray, int] | None:
         longest = self.planned.get((read.sequence, read.kind))
         if read.n < 1 or longest is None or read.n > longest:
             return None
-        handle = BUILTIN_SEQUENCES[read.sequence]()
+        make = BUILTIN_SEQUENCES[read.sequence]
         proof = (read.sequence, read.n, policy)
         if proof not in self.proofs:
-            self.proofs[proof] = _proven_prefix(handle, read.n, policy)
+            self.proofs[proof] = _proven_prefix(make(), read.n, policy)
         if self.proofs[proof] is None:
             return None
         if read.sequence not in self.tables:
             planned = {kind: n for (seq, kind), n in self.planned.items() if seq == read.sequence}
-            self.tables[read.sequence] = proven_counts(handle, policy, planned)
+            self.tables[read.sequence] = proven_counts(make(), policy, planned)
         table = self.tables[read.sequence]
         if table is None:
             return None
-        values = table[read.kind]
-        return ComplexityProfile(
-            kind=_KINDS[read.kind].profile,
-            sequence=handle.name,
-            values={n: values[n] for n in read.lengths},
-            certified_window=policy.initial_window(read.n),
-        )
+        return table[read.kind], policy.initial_window(read.n)
 
 
 def plan_claims(claim_ids: Iterable[str], n_max: int | None = None) -> ProfileStore:
@@ -280,37 +285,43 @@ def plan_claims(claim_ids: Iterable[str], n_max: int | None = None) -> ProfileSt
         if claim is None:
             continue
         for read in claim.reads(claim.default_n_max if n_max is None else n_max):
-            if read.lengths:
+            if len(read.lengths):
                 key = (read.sequence, read.kind)
                 store.planned[key] = max(store.planned.get(key, 0), read.n)
     return store
 
 
+def _predicted(closed_form: Callable[[int], int], ns: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+    """The closed form at each n of ``ns``, and the declared exceptions among
+    them, whose predicted values are their carried true values."""
+    predicted, exceptions = [], {}
+    for n in ns.tolist():
+        try:
+            predicted.append(closed_form(n))
+        except SmallCaseException as exc:
+            exceptions[exc.n] = exc.known_value
+            predicted.append(exc.known_value)
+    return np.array(predicted, dtype=np.int64), exceptions
+
+
 def _check_closed_form(claim: Claim, n_max: int, policy, profiles: ProfileStore) -> VerificationReport:
     """Compare a closed-form row with its stored profile at the lengths its residues keep."""
     read, *bridge = claim.reads(n_max)
-    profile = profiles.profile(read, policy)
-    exceptions: dict[int, int] = {}
-
-    def expected(n: int) -> int:
-        try:
-            return claim.closed_form(n)
-        except SmallCaseException as exc:
-            exceptions[exc.n] = exc.known_value
-            return exc.known_value
-
-    counterexamples = _mismatches((n, None, expected(n), profile.values[n]) for n in read.lengths)
-    details = {"checked": len(read.lengths), "certified_window": profile.certified_window}
+    values, window = profiles.values(read, policy)
+    expected, exceptions = _predicted(claim.closed_form, read.lengths)
+    counterexamples = _mismatches(read.lengths, expected, values[read.lengths])
+    details = {"checked": len(read.lengths), "certified_window": window}
     if bridge:
-        table = profiles.profile(bridge[0], policy)
-        bridged = _mismatches(
-            (n, None, reduced_complexity_from_extremes(table, n), profile.values[n])
-            for n in range(1, n_max + 1)
-        )
+        extremes, extremes_window = profiles.values(bridge[0], policy)
+        every = bridge[0].lengths
+        # each alternation count between the least and the greatest, with
+        # either first symbol
+        least, greatest = extremes[every].T
+        bridged = _mismatches(every, 2 * (greatest - least + 1), values[every])
         details.update(
             recursion_status=_status(counterexamples, exceptions),
             bridge_status=_status(bridged),
-            extremes_certified_window=table.certified_window,
+            extremes_certified_window=extremes_window,
         )
         counterexamples += bridged
     return _report(claim.claim_id, 1, n_max, counterexamples, exceptions, details)
@@ -442,10 +453,11 @@ class Identities:
 
     ``kind`` is the profile read (``extremes`` or ``abred``), at the lengths
     a n + b for each pair (a, b) of ``at`` and each n, so up to the largest
-    a n_max + b. ``check(*columns, n)`` yields (name, lhs, rhs) triples, the
-    name ``None`` for a claim of one identity; an extremes table gives the
-    columns (minima, maxima), any other profile its values.
-    ``details(*columns, n_max)`` adds to the report's details.
+    a n_max + b. ``check(*columns, ns)`` gives (name, lhs, rhs) triples, an
+    array of lhs and one of rhs over the int64 array ``ns``, the name
+    ``None`` for a claim of one identity; the columns are arrays indexed by
+    n, the minima and the maxima of an extremes table, or the values of any
+    other profile. ``details(*columns, n_max)`` adds to the report's details.
     """
 
     kind: str
@@ -455,34 +467,36 @@ class Identities:
     details: Callable | None = None
 
     def read(self, n_max: int) -> Read:
-        lengths = {a * n + b for n in range(self.n_lo, n_max + 1) for a, b in self.at}
-        return Read("tm", self.kind, max(a * n_max + b for a, b in self.at), sorted(lengths))
+        longest = max(a * n_max + b for a, b in self.at)
+        n = np.arange(self.n_lo, n_max + 1)
+        wanted = np.zeros(max(longest, 0) + 1, dtype=bool)
+        for a, b in self.at:
+            wanted[a * n + b] = True
+        return Read("tm", self.kind, longest, np.flatnonzero(wanted).astype(np.int64))
 
 
 def _check_identities(
     claim: Claim, n_max: int, policy, profiles: ProfileStore | None, table=None
 ) -> VerificationReport:
-    """Check the identities of ``claim`` per n on its tm profile: ``table``,
-    or else the one in ``profiles``."""
+    """Check the identities of ``claim`` at every n on its tm profile:
+    ``table``, or else the one in ``profiles``."""
     identities = claim.identities
     least = max(identities.n_lo, 1)  # the range n_lo..n_max holds some n >= 1
     if n_max < least:
         raise ConfigurationError(f"n_max must be >= {least}")
     read = identities.read(n_max)
     if table is None:
-        table = (profiles if profiles is not None else ProfileStore()).profile(read, policy)
+        values, window = (profiles if profiles is not None else ProfileStore()).values(read, policy)
     elif max(table.values) < read.n:
         raise ConfigurationError(f"supplied {read.kind} table stops at {max(table.values)}, need {read.n}")
-    if read.kind == "extremes":
-        columns = tuple({n: pair[i] for n, pair in table.values.items()} for i in (0, 1))
     else:
-        columns = (table.values,)
-    counterexamples = _mismatches(
-        (n, name, rhs, lhs)
-        for n in range(identities.n_lo, n_max + 1)
-        for name, lhs, rhs in identities.check(*columns, n)
-    )
-    details = {"certified_window": table.certified_window}
+        values, window = _indexed(table.values), table.certified_window
+    columns = tuple(values.T) if read.kind == "extremes" else (values,)
+    ns = np.arange(identities.n_lo, n_max + 1, dtype=np.int64)
+    names, lhs, rhs = zip(*identities.check(*columns, ns))
+    # a row per n, a column per identity
+    counterexamples = _mismatches(ns, np.transpose(rhs), np.transpose(lhs), names)
+    details = {"certified_window": window}
     if identities.details:
         details.update(identities.details(*columns, n_max))
     return _report(claim.claim_id, identities.n_lo, n_max, counterexamples, details=details)
@@ -540,21 +554,19 @@ def scan_mod4_gap(
     return _check_identities(CLAIMS["conj_mod4_gap"], n_max, policy, profiles)
 
 
-def _gap_law(v, n: int):
-    gap = abs(v[4 * n + 2] - v[4 * n])
-    return ((None, gap, int(thue_morse_at(n + 1) != thue_morse_at(3 * n + 1))),)
+def _gap_law(v, ns):
+    tm = thue_morse().prefix_symbols(3 * int(ns[-1]) + 1)  # tm[k] is tm(k + 1)
+    return ((None, np.abs(v[4 * ns + 2] - v[4 * ns]), (tm[ns] != tm[3 * ns]).astype(np.int64)),)
 
 
 def _gap_signs(v, n_max: int) -> dict:
-    pattern = "".join(
-        "0" if gap == 0 else ("+" if gap > 0 else "-")
-        for gap in (v[4 * n + 2] - v[4 * n] for n in range(1, n_max + 1))
-    )
+    ns = np.arange(1, n_max + 1)
+    signs = np.sign(v[4 * ns + 2] - v[4 * ns])
     return {
-        "sign_pattern": pattern,
-        "zero": pattern.count("0"),
-        "positive": pattern.count("+"),
-        "negative": pattern.count("-"),
+        "sign_pattern": np.array([b"-", b"0", b"+"])[signs + 1].tobytes().decode(),
+        "zero": int(np.count_nonzero(signs == 0)),
+        "positive": int(np.count_nonzero(signs > 0)),
+        "negative": int(np.count_nonzero(signs < 0)),
     }
 
 
@@ -670,8 +682,10 @@ class Claim:
     each value, and optionally the residues mod 8 it is checked at; with
     ``bridge`` set, each value is also predicted from the sequence's
     alternation extremes. An identity row carries its ``identities`` on one
-    tm profile. One runner serves each of these shapes. Any other row
-    carries its own ``runner(n_max, policy, profiles)``.
+    tm profile. One runner serves each of these shapes, and compares the
+    values of every length it reads at once, on the profile's array
+    (:class:`ProfileStore`). Any other row carries its own
+    ``runner(n_max, policy, profiles)``.
     """
 
     claim_id: str
@@ -692,8 +706,12 @@ class Claim:
             return [self.identities.read(n_max)]
         if self.closed_form is None:
             return []
-        every = list(range(1, n_max + 1))
-        ns = every if self.residues_mod8 is None else [n for n in every if n % 8 in self.residues_mod8]
+        every = np.arange(1, n_max + 1, dtype=np.int64)
+        ns = every
+        if self.residues_mod8 is not None:
+            kept = np.zeros(8, dtype=bool)
+            kept[list(self.residues_mod8)] = True
+            ns = every[kept[every % 8]]
         reads = [Read(self.sequence, self.profile_kind, n_max, ns)]
         if self.bridge:
             reads.append(Read(self.sequence, "extremes", n_max, every))

@@ -38,6 +38,7 @@ from conftest import (
     RHO_RED_T_23,
     RHO_T_15,
     profile_values,
+    table_values,
 )
 from window_oracle import (
     longest_previous_factor_stack,
@@ -837,7 +838,7 @@ class TestWindowPolicy:
         drawn = sorted(data.draw(st.sets(st.sampled_from(sorted(kinds)), min_size=1)))
         longest = {kind: data.draw(st.integers(1, n_max)) for kind in drawn[1:]}
         longest[drawn[0]] = n_max
-        counts = complexity.proven_counts(handle, policy, longest)
+        counts = proven_values(handle, policy, longest)
         assert counts == index_counts(handle, policy, longest)
         if counts is None:
             return
@@ -894,6 +895,18 @@ def index_counts(handle, policy, longest):
         "extremes": extremes_counts,
     }
     return {kind: dict(list(counts[kind](index).items())[:n]) for kind, n in longest.items()}
+
+
+def proven_values(handle, policy, longest):
+    """:func:`complexity.proven_counts` as profile values per kind: its
+    tables, int64 arrays of n + 1 rows for a kind's longest n, as dicts."""
+    tables = complexity.proven_counts(handle, policy, longest)
+    if tables is None:
+        return None
+    for kind, table in tables.items():
+        shape = (longest[kind] + 1, 2) if kind == "extremes" else (longest[kind] + 1,)
+        assert (table.dtype, table.shape) == (np.int64, shape), kind
+    return {kind: table_values(table) for kind, table in tables.items()}
 
 
 def coded_fixed_point(morphism, coding, name="coded"):
@@ -954,7 +967,7 @@ class TestMorphicRecursion:
                 longest = {kind: n for (seq, kind), n in store.planned.items() if seq == name}
                 if longest:
                     read.update((name, kind) for kind in longest)
-                    counts = complexity.proven_counts(make(), policy, longest)
+                    counts = proven_values(make(), policy, longest)
                     assert counts == index_counts(make(), policy, longest), (name, n_max)
         assert {kind for _, kind in read} == {"factor", "red", "abred", "extremes"}
 
@@ -985,7 +998,7 @@ class TestMorphicRecursion:
             longest = dict.fromkeys(RECURSIVE_KINDS, 64)
             index = index_counts(handle, policy, longest)
             built = self.count_indexes(monkeypatch)
-            assert complexity.proven_counts(handle, policy, longest) == index
+            assert proven_values(handle, policy, longest) == index
             # the check fails, so all three kinds take one index
             assert len(built) == 1
             built.clear()

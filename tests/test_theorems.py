@@ -2,10 +2,13 @@
 failures, scanners, and the exact kernel-rank estimator."""
 
 import dataclasses
+import functools
+import json
 import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reduxwords as rw
@@ -22,6 +25,7 @@ from conftest import (
     RHO_RED_F_23,
     RHO_RED_T_23,
     RHO_T_15,
+    table_values,
 )
 
 
@@ -271,6 +275,7 @@ class TestPlannedRuns:
         store = rw.plan_claims(["tm_red"], 64)
         assert rw.verify("tm_red", 64, profiles=store).status == "pass"
         extremes = store.tables["tm"]["extremes"]
+        assert (extremes.dtype, extremes.shape) == (np.int64, (65, 2))
         least, greatest = extremes[20]
         extremes[20] = (least, greatest + 1)
         report = rw.verify("tm_red", 64, profiles=store)
@@ -279,19 +284,19 @@ class TestPlannedRuns:
         assert report.counterexamples == ((20, actual + 2, actual),)
 
     def test_reads_are_the_lengths_the_identities_index(self):
-        reads = {cid: claim.reads(8) for cid, claim in rw.CLAIMS.items()}
-        assert reads["tm_max_min"] == [theorems.Read("tm", "extremes", 17, list(range(2, 18)))]
-        assert reads["tm_mod4"] == [
-            theorems.Read("tm", "extremes", 34, [*range(2, 10), *range(10, 35, 2)])
-        ]
-        assert reads["conj_odd_halving"] == [
-            theorems.Read("tm", "abred", 17, [*range(1, 10), *range(11, 18, 2)])
-        ]
-        assert reads["conj_mod4_gap"] == [theorems.Read("tm", "abred", 34, list(range(4, 35, 2)))]
-        assert reads["f_3mod8"] == [theorems.Read("pf", "red", 8, [3])]
+        reads = {
+            cid: [(r.sequence, r.kind, r.n, r.lengths.tolist()) for r in claim.reads(8)]
+            for cid, claim in rw.CLAIMS.items()
+        }
+        assert all(r.lengths.dtype == np.int64 for claim in rw.CLAIMS.values() for r in claim.reads(8))
+        assert reads["tm_max_min"] == [("tm", "extremes", 17, list(range(2, 18)))]
+        assert reads["tm_mod4"] == [("tm", "extremes", 34, [*range(2, 10), *range(10, 35, 2)])]
+        assert reads["conj_odd_halving"] == [("tm", "abred", 17, [*range(1, 10), *range(11, 18, 2)])]
+        assert reads["conj_mod4_gap"] == [("tm", "abred", 34, list(range(4, 35, 2)))]
+        assert reads["f_3mod8"] == [("pf", "red", 8, [3])]
         assert reads["tm_red"] == [
-            theorems.Read("tm", "red", 8, list(range(1, 9))),
-            theorems.Read("tm", "extremes", 8, list(range(1, 9))),
+            ("tm", "red", 8, list(range(1, 9))),
+            ("tm", "extremes", 8, list(range(1, 9))),
         ]
         assert reads["mu_alternation"] == reads["odd_len"] == []
 
@@ -472,16 +477,152 @@ def mod4_identities(m, big, n):
     )
 
 
+def odd_halving_identities(v, n):
+    return ((None, v[2 * n + 1], v[n + 1]),)
+
+
+def gap_law_identities(v, n):
+    return ((None, abs(v[4 * n + 2] - v[4 * n]), int(rw.thue_morse_at(n + 1) != rw.thue_morse_at(3 * n + 1))),)
+
+
+def gap_signs(v, n_max):
+    signs = "".join(
+        "0" if gap == 0 else ("+" if gap > 0 else "-")
+        for gap in (v[4 * n + 2] - v[4 * n] for n in range(1, n_max + 1))
+    )
+    return {"sign_pattern": signs, "zero": signs.count("0"), "positive": signs.count("+"), "negative": signs.count("-")}
+
+
+# per identity row: its identities at one n, and what it adds to the details
+REFERENCE_IDENTITIES = {
+    "tm_max_min": (halving_identities, None),
+    "tm_mod4": (mod4_identities, None),
+    "conj_odd_halving": (odd_halving_identities, lambda v, n_max: {"scanned": n_max + 1}),
+    "conj_mod4_gap": (gap_law_identities, gap_signs),
+}
+
+
+def mismatches(rows):
+    """The counterexamples of the rows ``(n, name, expected, actual)`` whose
+    values differ: ``(n, expected, actual)``, or ``(n, (name, expected),
+    (name, actual))`` when the row names one of several identities."""
+    return [
+        (n, expected, actual) if name is None else (n, (name, expected), (name, actual))
+        for n, name, expected, actual in rows
+        if expected != actual
+    ]
+
+
+def identity_columns(table):
+    """The columns identities read of a profile: the minima and the maxima
+    of an extremes table, or the values of any other profile."""
+    if table.kind != "alternation_extremes":
+        return (table.values,)
+    return tuple({n: pair[i] for n, pair in table.values.items()} for i in (0, 1))
+
+
 def identity_counterexamples(table, ns, identities):
-    """(n, (name, rhs), (name, lhs)) for each identity lhs = rhs that fails, by n then name."""
-    out = []
-    m = {n: least for n, (least, _) in table.values.items()}
-    big = {n: greatest for n, (_, greatest) in table.values.items()}
-    for n in ns:
-        for name, lhs, rhs in identities(m, big, n):
-            if lhs != rhs:
-                out.append((n, (name, rhs), (name, lhs)))
-    return out
+    """(n, (name, rhs), (name, lhs)) for each identity lhs = rhs that fails,
+    by n then name, or (n, rhs, lhs) for one without a name."""
+    columns = identity_columns(table)
+    return mismatches((n, name, rhs, lhs) for n in ns for name, lhs, rhs in identities(*columns, n))
+
+
+def reference_status(counterexamples, declared_exceptions=None):
+    if counterexamples:
+        return "fail"
+    return "exception-at-small-n" if declared_exceptions else "pass"
+
+
+def reference_closed_form(claim, n_max, profile):
+    """The report of a closed-form row, compared one length at a time."""
+    ns = [n for n in range(1, n_max + 1) if claim.residues_mod8 is None or n % 8 in claim.residues_mod8]
+    table = profile(claim.sequence, claim.profile_kind, n_max)
+    exceptions = {}
+
+    def expected(n):
+        try:
+            return claim.closed_form(n)
+        except SmallCaseException as exc:
+            exceptions[exc.n] = exc.known_value
+            return exc.known_value
+
+    counterexamples = mismatches((n, None, expected(n), table.values[n]) for n in ns)
+    details = {"checked": len(ns), "certified_window": table.certified_window}
+    if claim.bridge:
+        extremes = profile(claim.sequence, "extremes", n_max)
+        bridged = mismatches(
+            (n, None, rw.reduced_complexity_from_extremes(extremes, n), table.values[n])
+            for n in range(1, n_max + 1)
+        )
+        details.update(
+            recursion_status=reference_status(counterexamples, exceptions),
+            bridge_status=reference_status(bridged),
+            extremes_certified_window=extremes.certified_window,
+        )
+        counterexamples += bridged
+    status = reference_status(counterexamples, exceptions)
+    return theorems.VerificationReport(
+        claim.claim_id, 1, n_max, status, tuple(counterexamples), exceptions, details
+    )
+
+
+def reference_identities(claim, n_max, profile):
+    """The report of an identity row, checked one n and one identity at a time."""
+    identities, extra = REFERENCE_IDENTITIES[claim.claim_id]
+    n_lo, at = claim.identities.n_lo, claim.identities.at
+    least = max(n_lo, 1)
+    if n_max < least:
+        raise ConfigurationError(f"n_max must be >= {least}")
+    table = profile("tm", claim.identities.kind, max(a * n_max + b for a, b in at))
+    counterexamples = identity_counterexamples(table, range(n_lo, n_max + 1), identities)
+    details = {"certified_window": table.certified_window}
+    if extra:
+        details.update(extra(*identity_columns(table), n_max))
+    status = reference_status(counterexamples)
+    return theorems.VerificationReport(claim.claim_id, n_lo, n_max, status, tuple(counterexamples), {}, details)
+
+
+def reference_report(claim_id, n_max, profile):
+    """What ``verify`` reports for a row that compares profiles, one length
+    at a time on the profiles ``profile(sequence, kind, n)``."""
+    claim = rw.CLAIMS[claim_id]
+    check = reference_closed_form if claim.identities is None else reference_identities
+    try:
+        return check(claim, n_max, profile)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{claim_id}: {exc}") from exc
+
+
+SEQUENCES = {"tm": rw.thue_morse, "pf": rw.paperfolding}
+PROFILE_FUNCTIONS = {
+    "factor": rw.factor_complexity,
+    "red": rw.reduced_factor_complexity,
+    "abred": rw.reduced_abelian_complexity,
+    "extremes": rw.alternation_extremes,
+}
+
+
+def public_profiles(policy):
+    """``profile(sequence, kind, n)`` by the public profile functions, each computed once."""
+
+    @functools.lru_cache(maxsize=None)
+    def profile(sequence, kind, n):
+        return PROFILE_FUNCTIONS[kind](SEQUENCES[sequence](), n, policy)
+
+    return profile
+
+
+def served_profiles(store, policy=None):
+    """``profile(sequence, kind, n)``: the public profile function's, with the
+    values of the store's table up to n in place of its own."""
+    public = public_profiles(policy)
+
+    def profile(sequence, kind, n):
+        values = table_values(store.tables[sequence][kind][: n + 1])
+        return dataclasses.replace(public(sequence, kind, n), values=values)
+
+    return profile
 
 
 def tm_abred_with(n_hi, changes):
@@ -566,6 +707,82 @@ class TestCounterexampleShapes:
             "negative": signs.count("-"),
         }
         assert report.details["sign_pattern"] != rw.scan_mod4_gap(16).details["sign_pattern"]
+
+
+def numbers(field):
+    """The numbers in a report field, through its tuples and dict keys and values."""
+    if isinstance(field, dict):
+        for key, value in field.items():
+            yield from numbers(key)
+            yield from numbers(value)
+    elif isinstance(field, tuple):
+        for value in field:
+            yield from numbers(value)
+    elif not isinstance(field, str):
+        yield field
+
+
+# wrong values, by length, for the rows below: a count, or (least, greatest)
+WRONG_PF_RED = {11: 2, 19: -2, 20: 1}
+WRONG_EXTREMES = {9: (-1, 0), 13: (0, 1), 20: (1, 0), 33: (-1, 0), 41: (0, 2), 66: (0, -1), 98: (2, 0)}
+
+
+class TestClaimsAgainstReference:
+    """Every row that compares profiles reports what it reports when it
+    compares them one length at a time, on the profiles of the public
+    profile functions. ``mu_alternation`` and ``odd_len`` are held to their
+    per-word and per-window loops in TestStructuralLemmas."""
+
+    @pytest.mark.parametrize("n_max", [1, 64, 512])
+    @pytest.mark.parametrize("policy", list(POLICIES.values()), ids=list(POLICIES))
+    def test_every_row_equals_the_reference(self, n_max, policy):
+        profile = public_profiles(policy)
+        # as `verify all` and `conjecture all` run them, the conjectures to 256
+        for conjectures, bound in ((False, n_max), (True, min(n_max, 256))):
+            ids = [cid for cid, claim in rw.CLAIMS.items() if (claim.kind == "conjecture") == conjectures]
+            store = rw.plan_claims(ids, bound)
+            for cid in ids:
+                if rw.CLAIMS[cid].runner is None:
+                    reference = outcome(lambda: reference_report(cid, bound, profile))
+                    assert outcome(lambda: rw.verify(cid, bound, policy, store)) == reference, cid
+
+    @pytest.mark.parametrize(
+        "claim_id, sequence, kind, wrong",
+        [
+            ("f_3mod8", "pf", "red", WRONG_PF_RED),
+            ("tm_red", "tm", "extremes", WRONG_EXTREMES),
+            ("tm_max_min", "tm", "extremes", WRONG_EXTREMES),
+            ("tm_mod4", "tm", "extremes", WRONG_EXTREMES),
+        ],
+    )
+    def test_wrong_served_values(self, claim_id, sequence, kind, wrong):
+        store = rw.plan_claims([claim_id], 64)
+        assert rw.verify(claim_id, 64, profiles=store).ok
+        table = store.tables[sequence][kind]
+        for n, delta in wrong.items():
+            if n < len(table):
+                table[n] += delta
+        report = rw.verify(claim_id, 64, profiles=store)
+        assert report.status == "fail"
+        assert report == reference_report(claim_id, 64, served_profiles(store))
+        if claim_id == "tm_red":
+            assert (report.details["recursion_status"], report.details["bridge_status"]) == ("pass", "fail")
+
+    def test_reports_hold_python_ints(self):
+        # every row that reads a table fails on these, and numpy scalars
+        # would show in the text line and stop json
+        store = rw.plan_claims(list(rw.CLAIMS), 64)
+        for cid in rw.CLAIMS:
+            rw.verify(cid, 64, profiles=store)
+        for tables in store.tables.values():
+            for table in tables.values():
+                table.reshape(len(table), -1)[5::7, -1] += 1
+        for cid, claim in rw.CLAIMS.items():
+            report = rw.verify(cid, 64, profiles=store)
+            assert report.ok == (claim.runner is not None), cid
+            fields = (report.counterexamples, report.declared_exceptions, report.details)
+            assert all(type(x) is int for x in numbers(fields)), cid
+            json.dumps(dataclasses.asdict(report))
 
 
 class TestKernelRank:
