@@ -291,25 +291,18 @@ def plan_claims(claim_ids: Iterable[str], n_max: int | None = None) -> ProfileSt
     return store
 
 
-def _predicted(closed_form: Callable[[int], int], ns: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
-    """The closed form at each n of ``ns``, and the declared exceptions among
-    them, whose predicted values are their carried true values."""
-    predicted, exceptions = [], {}
-    for n in ns.tolist():
-        try:
-            predicted.append(closed_form(n))
-        except SmallCaseException as exc:
-            exceptions[exc.n] = exc.known_value
-            predicted.append(exc.known_value)
-    return np.array(predicted, dtype=np.int64), exceptions
-
-
 def _check_closed_form(claim: Claim, n_max: int, policy, profiles: ProfileStore) -> VerificationReport:
     """Compare a closed-form row with its stored profile at the lengths its residues keep."""
     read, *bridge = claim.reads(n_max)
     values, window = profiles.values(read, policy)
-    expected, exceptions = _predicted(claim.closed_form, read.lengths)
-    counterexamples = _mismatches(read.lengths, expected, values[read.lengths])
+    expected, exceptions = [], {}
+    for n in read.lengths.tolist():
+        try:
+            expected.append(claim.closed_form(n))
+        except SmallCaseException as exc:
+            exceptions[exc.n] = exc.known_value
+            expected.append(exc.known_value)
+    counterexamples = _mismatches(read.lengths, np.array(expected, dtype=np.int64), values[read.lengths])
     details = {"checked": len(read.lengths), "certified_window": window}
     if bridge:
         extremes, extremes_window = profiles.values(bridge[0], policy)
@@ -470,8 +463,7 @@ class Identities:
         longest = max(a * n_max + b for a, b in self.at)
         n = np.arange(self.n_lo, n_max + 1)
         wanted = np.zeros(max(longest, 0) + 1, dtype=bool)
-        for a, b in self.at:
-            wanted[a * n + b] = True
+        wanted[np.concatenate([a * n + b for a, b in self.at])] = True
         return Read("tm", self.kind, longest, np.flatnonzero(wanted).astype(np.int64))
 
 
@@ -706,12 +698,9 @@ class Claim:
             return [self.identities.read(n_max)]
         if self.closed_form is None:
             return []
-        every = np.arange(1, n_max + 1, dtype=np.int64)
-        ns = every
+        every = ns = np.arange(1, n_max + 1, dtype=np.int64)
         if self.residues_mod8 is not None:
-            kept = np.zeros(8, dtype=bool)
-            kept[list(self.residues_mod8)] = True
-            ns = every[kept[every % 8]]
+            ns = every[np.any(every[:, None] % 8 == self.residues_mod8, axis=1)]
         reads = [Read(self.sequence, self.profile_kind, n_max, ns)]
         if self.bridge:
             reads.append(Read(self.sequence, "extremes", n_max, every))
