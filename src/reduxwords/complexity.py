@@ -44,10 +44,13 @@ evaluate one key matrix per block of lengths over a prefix of those rows,
 each key a few gathers from prefix sums, alternation counts or factor
 names. A start with lpf >= n repeats, at n, a window that starts earlier
 among the same rows, so its key is there already; only windows that run
-past the prefix end are dropped. The index takes log N packing passes and
-as many sorts over the L starts, and the counts evaluate sum_n rho(n) keys
-(rho the factor complexity, about 1.5 N^2 for tm and pf) instead of
-N(L - N) for every start at every length.
+past the prefix end are dropped. Every window that fits ends by the
+index's reach, the largest start + room over those rows, so ``alt[i]``
+and the other per-position arrays are defined for i < reach only, padded
+past it for the dropped windows; only the naming reads all L starts. The
+index takes log N packing passes and as many sorts over the L starts, and
+the counts evaluate sum_n rho(n) keys (rho the factor complexity, about
+1.5 N^2 for tm and pf) instead of N(L - N) for every start at every length.
 
 A finite scan can only undercount the infinite sequence. For a fixed
 point of a morphism, or a coding of one (tm, pf and morphic spec files),
@@ -414,8 +417,10 @@ class AlternationPrefix:
     window starting at ``s`` of length ``n`` has ``alt[s+n-1] - alt[s]``
     alternations, and ``alt[s]`` is the index of the run containing position
     ``s``, so the window's reduction is the symbols of runs ``alt[s]``
-    through ``alt[s+n-1]``. ``alt`` is int32 while twice the prefix length
-    fits, so keys built from it stay in range.
+    through ``alt[s+n-1]``. ``alt[i]`` is defined for i < ``reach``, the
+    largest ``s + room`` over ``starts``: every window that fits ends by it.
+    ``alt`` is int32 while twice the reach fits, so keys built from it stay
+    in range.
 
     The index also holds ``starts``, the starts whose length-n window is a
     first occurrence for some n, with each one's ``room`` (window length,
@@ -455,14 +460,16 @@ class AlternationPrefix:
             # the sort keys pack each start into 32 bits
             raise ConfigurationError(f"cannot index a prefix of {self.length} symbols, 2**32 or more")
         self._index_windows(n_max)
-        # past the end, alt repeats its last value, so that keys of windows
-        # that would run past the end can be computed and then discarded
-        dtype = np.int32 if 2 * self.length < 2**31 else np.int64
-        padded = np.empty(self.length + n_max, dtype=dtype)
+        # every window that fits ends by the reach, so alt stops there; past
+        # it, alt repeats its last value, so that keys of windows that would
+        # run past the prefix end can be computed and then discarded
+        reach = self.reach
+        dtype = np.int32 if 2 * reach < 2**31 else np.int64
+        padded = np.empty(reach + n_max, dtype=dtype)
         padded[0] = 0
-        np.cumsum(self.arr[1:] != self.arr[:-1], dtype=padded.dtype, out=padded[1 : self.length])
-        padded[self.length :] = padded[self.length - 1]
-        self.alt = padded[: self.length]
+        np.cumsum(self.arr[1:reach] != self.arr[: reach - 1], dtype=padded.dtype, out=padded[1:reach])
+        padded[reach:] = padded[reach - 1]
+        self.alt = padded[:reach]
         self._padded_alt = padded
         self._start_alt = self.alt[self.starts]
 
@@ -498,6 +505,7 @@ class AlternationPrefix:
         self.room = np.minimum(n_max, self.length - self.starts)
         self._cut = np.searchsorted(self.lpf, np.arange(n_max + 1))
         self._least_room = np.minimum.accumulate(self.room)
+        self.reach = int((self.starts + self.room).max())
 
     def new_start_blocks(self, budget: int):
         """Yield ``(ns, cut, fresh)`` for consecutive blocks of the lengths 1..n_max.
@@ -596,7 +604,8 @@ def _key_table(
 
 
 def _runs(index: AlternationPrefix) -> np.ndarray:
-    """One symbol per run of the prefix: run ``alt[s]`` holds position s."""
+    """One symbol per run of the prefix up to the index's reach: run
+    ``alt[s]`` holds position s."""
     return index.arr[np.flatnonzero(np.diff(index.alt, prepend=-1))]
 
 
@@ -631,8 +640,9 @@ def _factor_names(symbols: np.ndarray, alphabet_size: int, cap: int) -> np.ndarr
 def abelian_counts(index: AlternationPrefix) -> Counts:
     """Distinct symbol-count vectors of the windows of each length."""
     # a window's count of symbol 0 is n minus the others, so it adds nothing
-    # to the key; the padding 0s give windows past the end a key too
-    padded = np.concatenate((index.arr, np.zeros(index.n_max, dtype=index.arr.dtype)))
+    # to the key; every window that fits ends by the reach, and the padding
+    # 0s give windows past the prefix end a key too
+    padded = np.concatenate((index.arr[: index.reach], np.zeros(index.n_max, dtype=index.arr.dtype)))
     sums = _packed_counts(padded, 1, index.n_max.bit_length())
 
     def key(ns, cut):
@@ -690,7 +700,7 @@ def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
         # the sign of the prefix's first symbol where alt is even and 0
         # where it is odd. So the key is G = 3 alt + R at the window's end,
         # less a per-start offset. Cast first: 3 alt may not fit alt's dtype.
-        dtype = np.int32 if 4 * index.length < 2**31 else np.int64
+        dtype = np.int32 if 4 * index.reach < 2**31 else np.int64
         alt = index._padded_alt.astype(dtype, copy=False)
         sign = 2 * int(index.arr[0]) - 1
         ends = 3 * alt + sign * (1 - (alt & 1))
@@ -1059,9 +1069,9 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     values = table(twice)
     # the windows of the first W symbols are those whose first occurrence
     # ends within W; if every one does, both prefixes hold the same windows
-    last_end = (twice.starts + twice.room).max()
+    reach = twice.reach
     del twice
-    inside = values if last_end <= window else table(index(window))
+    inside = values if reach <= window else table(index(window))
     for _ in range(policy.max_doublings - 1):
         if inside == values:
             break

@@ -84,18 +84,39 @@ class TestGoldenProfiles:
         assert profile_values(p, 16) == RHO_AB_T_16
 
 
+def whole_alternations(symbols) -> np.ndarray:
+    """``alt[i]``: the adjacent unequal pairs among positions 0..i of the whole prefix."""
+    symbols = np.asarray(symbols)
+    return np.concatenate(([0], np.cumsum(symbols[1:] != symbols[:-1])))
+
+
+def reached_alternations(idx, symbols) -> np.ndarray:
+    """The whole prefix's alternation sums, having checked that ``idx.alt``
+    holds their first ``idx.reach`` entries and no more."""
+    alt = whole_alternations(symbols)
+    assert len(idx.alt) == idx.reach
+    assert idx.alt.tolist() == alt[: idx.reach].tolist()
+    return alt
+
+
 class TestAlternationPrefix:
     def test_alt_array_on_known_word(self):
-        idx = AlternationPrefix([0, 0, 1, 0, 0, 0, 1], 2, 3)
-        assert idx.alt.tolist() == [0, 0, 1, 2, 2, 2, 3]
+        symbols = [0, 0, 1, 0, 0, 0, 1]
+        idx = AlternationPrefix(symbols, 2, 3)
+        assert whole_alternations(symbols).tolist() == [0, 0, 1, 2, 2, 2, 3]
+        # 000 at 3 is the last first occurrence; the windows at 4, 5 and 6
+        # occur earlier, so alt stops before the last symbol
+        assert idx.reach == 6
+        reached_alternations(idx, symbols)
         assert idx.alt.dtype == np.int32
-        assert complexity._runs(idx).tolist() == [0, 1, 0, 1]
+        assert complexity._runs(idx).tolist() == [0, 1, 0]
 
     def test_window_alternations_match_brute_force(self, tm_handle):
         symbols = tm_handle.prefix_symbols(300)
         idx = AlternationPrefix(symbols, 2, 16)
+        alt = reached_alternations(idx, symbols)
         for n in (1, 2, 3, 7, 16):
-            d = idx.alt[n - 1 :] - idx.alt[: 300 - n + 1]
+            d = alt[n - 1 :] - alt[: 300 - n + 1]
             for s in range(0, 300 - n + 1, 17):
                 w = Word(tuple(symbols[s : s + n]))
                 assert d[s] == rw.alternations(w)
@@ -103,12 +124,15 @@ class TestAlternationPrefix:
     def test_reduction_bytes_match_reduce(self, pf_handle):
         symbols = pf_handle.prefix_symbols(200)
         idx = AlternationPrefix(symbols, 2, 20)
-        runs = complexity._runs(idx).tolist()
+        alt = reached_alternations(idx, symbols)
+        runs = symbols[np.flatnonzero(np.diff(alt, prepend=-1))].tolist()
+        # the index holds the runs up to the one at its reach
+        assert complexity._runs(idx).tolist() == runs[: alt[idx.reach - 1] + 1]
         for n in (1, 3, 8, 20):
             for s in range(0, 200 - n + 1, 13):
                 w = Word(tuple(symbols[s : s + n]))
                 # the reduction is the run symbols from run alt[s] to run alt[s+n-1]
-                reduction = runs[idx.alt[s] : idx.alt[s + n - 1] + 1]
+                reduction = runs[alt[s] : alt[s + n - 1] + 1]
                 assert tuple(reduction) == rw.reduce(w).symbols
 
     def test_rejects_empty(self):
@@ -612,9 +636,10 @@ class TestProfileInvariants:
         # sliding a window one step changes its alternation count by at most
         # one, so every value between min and max is realized
         for handle in (tm_handle, pf_handle):
-            idx = AlternationPrefix(handle.prefix_symbols(4096), 2, 64)
+            symbols = handle.prefix_symbols(4096)
+            alt = reached_alternations(AlternationPrefix(symbols, 2, 64), symbols)
             for n in (2, 3, 5, 9, 17, 33, 64):
-                d = idx.alt[n - 1 :] - idx.alt[: 4096 - n + 1]
+                d = alt[n - 1 :] - alt[: 4096 - n + 1]
                 present = set(np.unique(d).tolist())
                 assert present == set(range(min(present), max(present) + 1))
 
@@ -642,6 +667,63 @@ PROFILE_ENGINES = {
     "reduced_abelian": rw.reduced_abelian_complexity,
     "extremes": rw.alternation_extremes,
 }
+
+
+def brute_force_reach(symbols, n_max) -> int:
+    """The largest end of the first occurrence of any window of length n <= n_max."""
+    reach = 0
+    for n in range(1, n_max + 1):
+        seen = set()
+        for s in range(len(symbols) - n + 1):
+            window = tuple(symbols[s : s + n])
+            if window not in seen:
+                seen.add(window)
+                reach = max(reach, s + n)
+    return reach
+
+
+@st.composite
+def reach_words(draw):
+    """(symbols, alphabet size, n_max): a random word over 1-5 letters."""
+    sigma = draw(st.integers(1, 5))
+    symbols = draw(st.lists(st.integers(0, sigma - 1), min_size=1, max_size=120))
+    return symbols, sigma, draw(st.integers(1, len(symbols)))
+
+
+TRIBONACCI = DATA.parent.parent / "perfbench" / "data" / "tribonacci.spec"
+
+
+class TestReach:
+    """After naming, the index's per-position arrays stop at its reach."""
+
+    @settings(max_examples=100, deadline=None)
+    @example(([0] * 40 + [1], 2, 3))
+    @example(([1] + [0] * 40 + [1], 2, 3))
+    @example(([1] + [0] * 40 + [1], 2, 41))
+    @given(reach_words())
+    def test_reach_is_the_last_end_of_a_first_occurrence(self, case):
+        symbols, sigma, n_max = case
+        index = AlternationPrefix(symbols, sigma, n_max)
+        assert index.reach == brute_force_reach(symbols, n_max)
+        reached_alternations(index, symbols)
+
+    def test_a_new_last_symbol_reaches_the_end(self):
+        for k in (1, 5, 300):
+            symbols = [0] * k + [1]
+            for n_max in (1, 2, k + 1):
+                assert AlternationPrefix(symbols, 2, n_max).reach == k + 1
+
+    @pytest.mark.parametrize("n_max", [1, 2, 8, 16])
+    @pytest.mark.parametrize("name", ["tm", "pf", "tribonacci"])
+    def test_a_long_fixed_window_counts_the_proven_profiles(self, name, n_max):
+        handle = rw.load_sequence_spec(str(TRIBONACCI)) if name == "tribonacci" else BUILTINS[name]()
+        fixed = WindowPolicy(fixed_length=1 << 16)
+        index = AlternationPrefix(handle.prefix_symbols(1 << 16), handle.alphabet_size, n_max)
+        # every first occurrence ends within the first 128 symbols
+        assert index.reach <= 128
+        assert complexity._proven_prefix(handle, n_max, WindowPolicy()) is not None
+        for kind, engine in PROFILE_ENGINES.items():
+            assert engine(handle, n_max, fixed).values == engine(handle, n_max).values, kind
 
 
 class TestWindowPolicy:
