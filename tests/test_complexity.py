@@ -690,9 +690,6 @@ def reach_words(draw):
     return symbols, sigma, draw(st.integers(1, len(symbols)))
 
 
-TRIBONACCI = DATA.parent.parent / "perfbench" / "data" / "tribonacci.spec"
-
-
 class TestReach:
     """After naming, the index's per-position arrays stop at its reach."""
 
@@ -716,7 +713,8 @@ class TestReach:
     @pytest.mark.parametrize("n_max", [1, 2, 8, 16])
     @pytest.mark.parametrize("name", ["tm", "pf", "tribonacci"])
     def test_a_long_fixed_window_counts_the_proven_profiles(self, name, n_max):
-        handle = rw.load_sequence_spec(str(TRIBONACCI)) if name == "tribonacci" else BUILTINS[name]()
+        tribonacci = DATA.parent.parent / "perfbench" / "data" / "tribonacci.spec"
+        handle = rw.load_sequence_spec(str(tribonacci)) if name == "tribonacci" else BUILTINS[name]()
         fixed = WindowPolicy(fixed_length=1 << 16)
         index = AlternationPrefix(handle.prefix_symbols(1 << 16), handle.alphabet_size, n_max)
         # every first occurrence ends within the first 128 symbols
