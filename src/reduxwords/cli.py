@@ -102,18 +102,17 @@ _SLICE_ROWS = 1 << 14
 
 
 def _digit_column(column) -> tuple[np.ndarray, int, int]:
-    """``column`` (an increasing range, an array or a sequence of nonnegative
-    ints) as an array for the digit passes, with the decimal widths of its
-    least and greatest values. The array is uint32 when every value has at
-    most 9 digits, whose passes run several times faster than int64's."""
+    """``column`` (an increasing range or an integer array, nonnegative) as an
+    array for the digit passes, with the decimal widths of its least and
+    greatest values. The array is uint32 when every value has at most 9
+    digits, whose passes run several times faster than int64's."""
     if isinstance(column, range):
         least, top = column[0], column[-1]
         dtype = np.uint32 if top < 10**9 else np.int64
         values = np.arange(column.start, column.stop, column.step, dtype=dtype)
     else:
-        values = column if isinstance(column, np.ndarray) else np.asarray(column, dtype=np.int64)
-        least, top = int(values.min()), int(values.max())
-        values = values.astype(np.uint32 if top < 10**9 else np.int64, copy=False)
+        least, top = int(column.min()), int(column.max())
+        values = column.astype(np.uint32 if top < 10**9 else np.int64, copy=False)
     return values, len(str(least)), len(str(top))
 
 
@@ -159,7 +158,7 @@ def _fill_rows(pieces: list[bytes], columns: list) -> np.ndarray:
 
 
 def _emit_rows(columns, header: str, fmt: str, metadata: dict) -> None:
-    """Write the rows of equal-length integer ``columns`` as json, csv or bfile (``fmt``).
+    """Write the rows of equal-length ``columns`` (ranges or integer arrays) as json, csv or bfile (``fmt``).
 
     Rows are formatted and written one slice at a time, each column converted
     to an array only for its slice, so memory stays bounded by the slice, not
@@ -227,7 +226,9 @@ def _cmd_profile(args: argparse.Namespace, engine, header: str) -> int:
         "kind": profile.kind,
         "certified_window": profile.certified_window,
     }
-    _emit_rows(list(zip(*profile.as_rows())), header, args.format, metadata)
+    # n, then the values, or the least and the greatest, from n = 1
+    columns = (range(1, len(profile.values)), *np.atleast_2d(profile.values.T)[:, 1:])
+    _emit_rows(columns, header, args.format, metadata)
     return EXIT_OK
 
 
@@ -397,7 +398,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "message": str(exc),
             "window": exc.window,
             "first_unstable_n": exc.first_unstable_n,
-            "partial_values": exc.partial_values,
+            # the one place an array of values indexed by n becomes {n: value}
+            "partial_values": dict(enumerate(exc.partial_values[1:].tolist(), 1)),
         }
         sys.stderr.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_CERTIFICATION

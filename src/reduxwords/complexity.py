@@ -91,8 +91,9 @@ with those of the step before. This is the verdict that scanning W and
 2W separately gives; it is evidence, not proof, and the paper's closed
 forms live in :mod:`reduxwords.theorems`.
 
-Window starts are 0-based internally; the public profile maps window length
-``n`` (>= 1) to its count.
+Window starts are 0-based internally. Every count function and profile
+gives its values as one int64 array indexed by window length ``n`` (slot 0
+unused and 0), of shape ``(n_max + 1, 2)`` for the (least, greatest) extremes.
 """
 
 from __future__ import annotations
@@ -104,9 +105,6 @@ import numpy as np
 
 from .errors import ConfigurationError, StabilizationError
 from .sequences import SequenceHandle, _uint_dtype
-
-Counts = dict[int, int]
-
 
 @dataclass(frozen=True)
 class WindowPolicy:
@@ -140,20 +138,22 @@ class WindowPolicy:
 
 @dataclass(frozen=True)
 class ComplexityProfile:
-    """Values per window length, with the window that certified them: counts,
-    or for ``alternation_extremes`` the (least, greatest) alternation counts."""
+    """Values per window length, with the window that certified them: an
+    int64 array indexed by n, slot 0 unused and 0, of shape ``(n_max + 1,)``
+    for counts and ``(n_max + 1, 2)`` for the (least, greatest) alternation
+    counts of ``alternation_extremes``."""
 
     kind: str
     sequence: str
-    values: dict
+    values: np.ndarray
     certified_window: int
 
     def value(self, n: int):
-        return self.values[n]
-
-    def as_rows(self) -> list[tuple[int, ...]]:
-        """``(n, value)``, or ``(n, min, max)`` for a pair, in order of n."""
-        return [(n, *v) if isinstance(v, tuple) else (n, v) for n, v in sorted(self.values.items())]
+        """The count at n as an ``int``, or the extremes as a ``(least, greatest)`` tuple."""
+        if not 0 < n < len(self.values):
+            raise IndexError(f"no value at n={n}; the profile runs from 1 to {len(self.values) - 1}")
+        value = self.values[n].tolist()
+        return tuple(value) if isinstance(value, list) else value
 
 
 def reduced_complexity_from_extremes(table: ComplexityProfile, n: int) -> int:
@@ -162,7 +162,7 @@ def reduced_complexity_from_extremes(table: ComplexityProfile, n: int) -> int:
     Valid for sequences whose length-n windows realize every alternation
     count between the minimum and the maximum, with both starting symbols.
     """
-    least, greatest = table.values[n]
+    least, greatest = table.value(n)
     return 2 * (greatest - least + 1)
 
 
@@ -553,26 +553,25 @@ class AlternationPrefix:
 # Every count reads the first occurrences of the distinct length-n windows,
 # at every length 1..n_max of its index.
 
-def factor_counts(index: AlternationPrefix) -> Counts:
+def factor_counts(index: AlternationPrefix) -> np.ndarray:
     """Distinct windows of each length.
 
     Each start adds a new length-n window exactly for lpf < n <= its room,
-    so the counts are the cumulative count of those intervals.
+    so the counts are the cumulative count of those intervals, none at n = 0.
     """
-    counts = _interval_counts(index.lpf, index.room, index.n_max)
-    return dict(enumerate(counts[1 : index.n_max + 1].tolist(), 1))
+    return _interval_counts(index.lpf, index.room, index.n_max)[: index.n_max + 1]
 
 
 _BLOCK = 1 << 16  # key entries evaluated at once for a block of lengths
 
 
-def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
+def _distinct_per_row(words: Sequence[np.ndarray]) -> np.ndarray:
     """Distinct keys per row of nonnegative integer matrices, a key being one
     entry of every word: by a sort of each row for one word, else by one
     lexsort."""
     if len(words) == 1:
         keys = np.sort(words[0], axis=1)
-        return (1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)).tolist()
+        return 1 + np.count_nonzero(keys[:, 1:] != keys[:, :-1], axis=1)
     rows, cut = words[0].shape
     row = np.repeat(np.arange(rows), cut)
     order = np.lexsort([word.ravel() for word in words] + [row])
@@ -582,24 +581,24 @@ def _distinct_per_row(words: Sequence[np.ndarray]) -> list[int]:
     for word in words:
         word = word.ravel()[order]
         new[1:] |= word[1:] != word[:-1]
-    return np.bincount(row[new], minlength=rows).tolist()
+    return np.bincount(row[new], minlength=rows)
 
 
 def _key_table(
-    index: AlternationPrefix, key: Callable, summary: Callable = _distinct_per_row, words: int = 1
-) -> dict:
-    """One value per n in 1..n_max: ``summary`` of the rows of each block's
-    key words, ``key(ns, cut)``: ``words`` matrices over the first ``cut``
-    starts of a block of :meth:`AlternationPrefix.new_start_blocks`, a row
-    per n, which share the block's budget of entries."""
-    values: dict = {}
+    index: AlternationPrefix, key: Callable, summary: Callable = _distinct_per_row, words: int = 1, shape=()
+) -> np.ndarray:
+    """An int64 array indexed by n, ``shape`` per n: ``summary`` of the rows of
+    each block's key words, ``key(ns, cut)``: ``words`` matrices over the
+    first ``cut`` starts of a block of :meth:`AlternationPrefix.new_start_blocks`,
+    a row per n, which share the block's budget of entries."""
+    values = np.zeros((index.n_max + 1, *shape), dtype=np.int64)
     for ns, cut, fresh in index.new_start_blocks(_BLOCK // words):
         keys = key(ns, cut)
         if fresh is not None:
             # a window past the prefix end takes the key of start 0, whose
             # window fits at every n, so it adds no class
             keys = [np.where(fresh, word, word[:, :1]) for word in keys]
-        values.update(zip(ns.tolist(), summary(keys)))
+        values[ns] = summary(keys)
     return values
 
 
@@ -637,7 +636,7 @@ def _factor_names(symbols: np.ndarray, alphabet_size: int, cap: int) -> np.ndarr
     return names
 
 
-def abelian_counts(index: AlternationPrefix) -> Counts:
+def abelian_counts(index: AlternationPrefix) -> np.ndarray:
     """Distinct symbol-count vectors of the windows of each length."""
     # a window's count of symbol 0 is n minus the others, so it adds nothing
     # to the key; every window that fits ends by the reach, and the padding
@@ -652,7 +651,7 @@ def abelian_counts(index: AlternationPrefix) -> Counts:
     return _key_table(index, key, words=len(sums))
 
 
-def reduced_factor_counts(index: AlternationPrefix) -> Counts:
+def reduced_factor_counts(index: AlternationPrefix) -> np.ndarray:
     """Distinct window reductions of each length."""
     if index.alphabet_size == 2:
         # a binary reduction alternates, so its first symbol and its
@@ -689,7 +688,7 @@ def reduced_factor_counts(index: AlternationPrefix) -> Counts:
     return _key_table(index, key, words=1 if one_word else 2)
 
 
-def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
+def reduced_abelian_counts(index: AlternationPrefix) -> np.ndarray:
     """Distinct symbol-count vectors of the window reductions of each length."""
     if index.alphabet_size == 2:
         # a binary reduction of a + 1 runs alternates, so a and its count of
@@ -717,13 +716,13 @@ def reduced_abelian_counts(index: AlternationPrefix) -> Counts:
     return _key_table(index, key, words=len(sums))
 
 
-def extremes_counts(index: AlternationPrefix) -> dict[int, tuple[int, int]]:
+def extremes_counts(index: AlternationPrefix) -> np.ndarray:
     """(least, greatest) alternation count of the windows of each length."""
 
-    def summary(words) -> list[tuple[int, int]]:
-        return list(zip(words[0].min(axis=1).tolist(), words[0].max(axis=1).tolist()))
+    def summary(words) -> np.ndarray:
+        return np.stack((words[0].min(axis=1), words[0].max(axis=1)), axis=1)
 
-    return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], summary)
+    return _key_table(index, lambda ns, cut: [index.block_alternations(ns, cut)], summary, shape=(2,))
 
 
 class _Kind(NamedTuple):
@@ -832,15 +831,6 @@ def _proven_prefix(handle: SequenceHandle, n_max: int, policy: WindowPolicy) -> 
     return proof if proof is not None and 2 * window <= handle._cap else None
 
 
-def _indexed(values: Mapping[int, int | tuple[int, int]]) -> np.ndarray:
-    """Values by length n as an int64 array indexed by n, slot 0 unused,
-    with a column each for the least and the greatest of a pair."""
-    rows = np.array(list(values.values()), dtype=np.int64)
-    table = np.zeros((max(values) + 1, *rows.shape[1:]), dtype=np.int64)
-    table[np.fromiter(values, dtype=np.int64, count=len(values))] = rows
-    return table
-
-
 def proven_counts(
     handle: SequenceHandle, policy: WindowPolicy, longest: Mapping[str, int]
 ) -> dict[str, np.ndarray] | None:
@@ -877,7 +867,7 @@ def proven_counts(
             proof = _proof_window(handle, n_rest, policy.initial_window(n_max))
         index = AlternationPrefix(handle.prefix_symbols(proof), handle.alphabet_size, n_rest)
         for kind, n in rest.items():
-            values[kind] = _indexed(_KINDS[kind].counts(index))[: n + 1]
+            values[kind] = _KINDS[kind].counts(index)[: n + 1]
     return values
 
 
@@ -1045,15 +1035,15 @@ def _code_values(n: np.ndarray, c: np.ndarray, kind: str, n_max: int) -> np.ndar
 def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy, table: Callable):
     """Double the window until the values on it equal those on twice it.
 
-    ``table(index)`` returns the values on the whole indexed prefix. Each
-    step indexes twice the window. The first step takes the values on the
-    window from that index when every first occurrence in it ends within
-    the window, and otherwise counts them on an index of the window itself;
-    each later step compares with the step before. Returns ``(values,
-    certified_window)``. Raises StabilizationError after ``max_doublings``
-    unsuccessful doublings, carrying the values at the last window and the
-    least n that differed. A policy with ``fixed_length`` set gets the values
-    on that one window, unchecked.
+    ``table(index)`` returns the values on the whole indexed prefix, an array
+    indexed by n. Each step indexes twice the window. The first step takes
+    the values on the window from that index when every first occurrence in
+    it ends within the window, and otherwise counts them on an index of the
+    window itself; each later step compares with the step before. Returns
+    ``(values, certified_window)``. Raises StabilizationError after
+    ``max_doublings`` unsuccessful doublings, carrying the values at the
+    last window and the least n that differed. A policy with
+    ``fixed_length`` set gets the values on that one window, unchecked.
     """
 
     def index(length: int) -> AlternationPrefix:
@@ -1073,11 +1063,11 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
     del twice
     inside = values if reach <= window else table(index(window))
     for _ in range(policy.max_doublings - 1):
-        if inside == values:
+        if np.array_equal(inside, values):
             break
         window *= 2
         inside, values = values, table(index(2 * window))
-    if inside == values:
+    if np.array_equal(inside, values):
         return values, window
     window *= 2
     raise StabilizationError(
@@ -1085,7 +1075,8 @@ def _scan_until_stable(handle: SequenceHandle, n_max: int, policy: WindowPolicy,
         f"(n_max={n_max}, {policy.max_doublings} doublings)",
         partial_values=values,
         window=window,
-        first_unstable_n=min(n for n in values if values[n] != inside[n]),
+        # the first entry that differs, in row order, over the entries per n
+        first_unstable_n=int(np.flatnonzero(values != inside)[0]) // values[0].size,
     )
 
 
@@ -1101,9 +1092,7 @@ def _profile(handle, n_max, policy, kind) -> ComplexityProfile:
     if proven is None:
         values, window = _scan_until_stable(handle, n_max, policy, counts)
     else:
-        rows = proven[kind][1:].tolist()
-        values = dict(enumerate(map(tuple, rows) if kind == "extremes" else rows, 1))
-        window = policy.initial_window(n_max)
+        values, window = proven[kind], policy.initial_window(n_max)
     return ComplexityProfile(kind=name, sequence=handle.name, values=values, certified_window=window)
 
 

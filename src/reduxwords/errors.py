@@ -22,10 +22,11 @@ class CapacityError(ReduxwordsError, RuntimeError):
 
 
 class StabilizationError(ReduxwordsError, RuntimeError):
-    """Counts failed to stabilize within the allowed window doublings.
+    """Profile values failed to stabilize within the allowed window doublings.
 
-    Carries the last (uncertified) profile values, keyed by window length,
-    so callers can surface partial results instead of silently truncating,
+    Carries the last (uncertified) profile values as ``partial_values``, an
+    int64 array indexed by window length as a profile's ``values`` is, so
+    callers can surface partial results instead of silently truncating,
     and ``first_unstable_n``, the least window length whose values differed
     between the last two windows.
     """

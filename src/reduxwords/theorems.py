@@ -44,9 +44,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .complexity import (
+    _KINDS,
     ComplexityProfile,
     WindowPolicy,
-    _indexed,
     _profile,
     _proven_prefix,
     proven_counts,
@@ -214,8 +214,8 @@ class ProfileStore:
     profile has a column each for the least and the greatest), with its
     ``certified_window``. The store computes each (sequence, kind, n,
     policy) profile once, as the profile functions of
-    :mod:`reduxwords.complexity` do, and keeps it in ``profiles``; it turns
-    such a profile's values into that array when it is read.
+    :mod:`reduxwords.complexity` do, and keeps it in ``profiles``; such a
+    profile's ``values`` are that array already, and a read hands them on.
 
     A planned store (:func:`plan_claims`) also holds in ``planned`` the
     longest length the run's claims read, per (sequence, kind). A read at n
@@ -253,7 +253,7 @@ class ProfileStore:
                 return served
             self.profiles[key] = _profile(BUILTIN_SEQUENCES[read.sequence](), read.n, policy, read.kind)
         profile = self.profiles[key]
-        return _indexed(profile.values), profile.certified_window
+        return profile.values, profile.certified_window
 
     def _served(self, read: Read, policy: WindowPolicy) -> tuple[np.ndarray, int] | None:
         longest = self.planned.get((read.sequence, read.kind))
@@ -477,12 +477,15 @@ def _check_identities(
     if n_max < least:
         raise ConfigurationError(f"n_max must be >= {least}")
     read = identities.read(n_max)
+    kind = _KINDS[read.kind].profile
     if table is None:
         values, window = (profiles if profiles is not None else ProfileStore()).values(read, policy)
-    elif max(table.values) < read.n:
-        raise ConfigurationError(f"supplied {read.kind} table stops at {max(table.values)}, need {read.n}")
+    elif table.kind != kind:
+        raise ConfigurationError(f"supplied table is a {table.kind} profile, need {kind}")
+    elif len(table.values) <= read.n:
+        raise ConfigurationError(f"supplied {read.kind} table stops at {len(table.values) - 1}, need {read.n}")
     else:
-        values, window = _indexed(table.values), table.certified_window
+        values, window = table.values, table.certified_window
     columns = tuple(values.T) if read.kind == "extremes" else (values,)
     ns = np.arange(identities.n_lo, n_max + 1, dtype=np.int64)
     names, lhs, rhs = zip(*identities.check(*columns, ns))
@@ -657,10 +660,8 @@ def profile_kernel_rank(
     depth: int = 4,
     terms: int = 64,
 ) -> KernelEstimate:
-    """Kernel rank of a profile's value sequence, read off in index order."""
-    n_hi = max(profile.values)
-    values = [profile.values[n] for n in range(1, n_hi + 1)]
-    return kernel_rank(values, base=base, depth=depth, terms=terms)
+    """Kernel rank of a profile's value sequence, read off in index order from n = 1."""
+    return kernel_rank(profile.values[1:], base=base, depth=depth, terms=terms)
 
 
 # -- claim table -------------------------------------------------------------------

@@ -37,12 +37,6 @@ def profile_values(profile, n_hi):
     return [profile.values[n] for n in range(1, n_hi + 1)]
 
 
-def table_values(table):
-    """A table of values indexed by n (an array, slot 0 unused) as a
-    profile's values: {n: value} for every n >= 1, a row of two as a pair."""
-    return {n: tuple(v) if isinstance(v, list) else v for n, v in enumerate(table.tolist()) if n}
-
-
 DATA = Path(__file__).resolve().parent / "data"
 
 

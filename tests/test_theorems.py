@@ -25,7 +25,6 @@ from conftest import (
     RHO_RED_F_23,
     RHO_RED_T_23,
     RHO_T_15,
-    table_values,
 )
 
 
@@ -139,7 +138,7 @@ def store_with(sequence, kind, n, profile):
 
 class TestHarnessFailurePaths:
     def test_wrong_engine_values_fail(self):
-        values = {n: rw.tm_factor_count(n) for n in range(1, 33)}
+        values = np.array([0] + [rw.tm_factor_count(n) for n in range(1, 33)])
         values[20] += 2
         profiles = store_with("tm", "factor", 32, fake_profile("factor", values))
         report = rw.verify("rho_t_A005942", 32, profiles=profiles)
@@ -149,7 +148,7 @@ class TestHarnessFailurePaths:
 
     def test_exception_value_is_still_checked(self):
         # the declared n=1 value must match the engine or the claim fails
-        values = {n: (2 if n == 1 else rw.pf_reduced_factor_count(n)) for n in range(1, 33)}
+        values = np.array([0, 2] + [rw.pf_reduced_factor_count(n) for n in range(2, 33)])
         profile = fake_profile("reduced_factor", values)
         good = rw.verify("pf_red", 32, profiles=store_with("pf", "red", 32, profile))
         assert good.status == "exception-at-small-n"
@@ -207,11 +206,12 @@ class TestProfileStore:
 
 
 def outcome(run):
-    """What running a claim gives: its report, or the fields of the error it raised."""
+    """What running a claim gives: its report, or the fields of the error it
+    raised, the partial values as the nested list of their array."""
     try:
         return run()
     except rw.StabilizationError as exc:
-        return ("stabilization", str(exc), exc.window, exc.first_unstable_n, exc.partial_values)
+        return ("stabilization", str(exc), exc.window, exc.first_unstable_n, exc.partial_values.tolist())
     except rw.ReduxwordsError as exc:
         return (type(exc).__name__, str(exc))
 
@@ -354,6 +354,14 @@ class TestStructuralLemmas:
         with pytest.raises(ConfigurationError, match="^supplied extremes table stops at 16, need 129$"):
             rw.check_extremes_halving(64, table=table)
 
+    @pytest.mark.parametrize("check", [rw.check_extremes_halving, rw.check_extremes_mod4])
+    def test_table_of_another_kind_rejected(self, tm_handle, check):
+        # a count profile long enough for the lengths read is still no extremes table
+        table = rw.reduced_factor_complexity(tm_handle, 200)
+        message = "^supplied table is a reduced_factor profile, need alternation_extremes$"
+        with pytest.raises(ConfigurationError, match=message):
+            check(20, table=table)
+
     @pytest.mark.parametrize(
         "check, claim_id, least",
         [
@@ -376,9 +384,8 @@ class TestStructuralLemmas:
         assert rw.verify("tm_red", 64).details["bridge_status"] == "pass"
         # a wrong extremes table fails the bridge and leaves the recursion passing
         table = rw.alternation_extremes(tm_handle, 64)
-        values = dict(table.values)
-        least, greatest = values[20]
-        values[20] = (least, greatest + 1)
+        values = table.values.copy()
+        values[20, 1] += 1
         wrong = dataclasses.replace(table, values=values)
         report = rw.verify("tm_red", 64, profiles=store_with("tm", "extremes", 64, wrong))
         assert report.status == "fail"
@@ -451,7 +458,7 @@ class TestConjectureScanners:
         assert rw.thue_morse_at(2) != rw.thue_morse_at(4)
 
     def test_scanner_reports_fabricated_counterexample(self):
-        values = {n: rw.reduced_abelian_complexity(rw.thue_morse(), 21).values[n] for n in range(1, 22)}
+        values = rw.reduced_abelian_complexity(rw.thue_morse(), 21).values.copy()
         values[21] += 1  # 21 = 2*10+1 now disagrees with values[11]
         profiles = store_with("tm", "abred", 21, fake_profile("reduced_abelian", values))
         report = rw.verify("conj_odd_halving", 10, profiles=profiles)
@@ -514,11 +521,12 @@ def mismatches(rows):
 
 
 def identity_columns(table):
-    """The columns identities read of a profile: the minima and the maxima
-    of an extremes table, or the values of any other profile."""
+    """The columns identities read of a profile, as lists of Python ints
+    indexed by n: the minima and the maxima of an extremes table, or the
+    values of any other profile."""
     if table.kind != "alternation_extremes":
-        return (table.values,)
-    return tuple({n: pair[i] for n, pair in table.values.items()} for i in (0, 1))
+        return (table.values.tolist(),)
+    return tuple(table.values.T.tolist())
 
 
 def identity_counterexamples(table, ns, identities):
@@ -547,12 +555,12 @@ def reference_closed_form(claim, n_max, profile):
             exceptions[exc.n] = exc.known_value
             return exc.known_value
 
-    counterexamples = mismatches((n, None, expected(n), table.values[n]) for n in ns)
+    counterexamples = mismatches((n, None, expected(n), table.value(n)) for n in ns)
     details = {"checked": len(ns), "certified_window": table.certified_window}
     if claim.bridge:
         extremes = profile(claim.sequence, "extremes", n_max)
         bridged = mismatches(
-            (n, None, rw.reduced_complexity_from_extremes(extremes, n), table.values[n])
+            (n, None, rw.reduced_complexity_from_extremes(extremes, n), table.value(n))
             for n in range(1, n_max + 1)
         )
         details.update(
@@ -619,14 +627,14 @@ def served_profiles(store, policy=None):
     public = public_profiles(policy)
 
     def profile(sequence, kind, n):
-        values = table_values(store.tables[sequence][kind][: n + 1])
+        values = store.tables[sequence][kind][: n + 1]
         return dataclasses.replace(public(sequence, kind, n), values=values)
 
     return profile
 
 
 def tm_abred_with(n_hi, changes):
-    values = dict(rw.reduced_abelian_complexity(rw.thue_morse(), n_hi).values)
+    values = rw.reduced_abelian_complexity(rw.thue_morse(), n_hi).values.copy()
     for n, delta in changes.items():
         values[n] += delta
     return fake_profile("reduced_abelian", values)
@@ -639,14 +647,12 @@ class TestCounterexampleShapes:
     @pytest.fixture(scope="class")
     def wrong_table(self):
         table = rw.alternation_extremes(rw.thue_morse(), 4 * 24 + 2)
-        values = dict(table.values)
+        values = table.values.copy()
         # 9 and 13 sit on the right-hand sides, 20, 33, 41, 66 and 98 on the left
         for n, delta in ((9, -1), (20, 1), (33, -1), (98, 2)):
-            least, greatest = values[n]
-            values[n] = (least + delta, greatest)
+            values[n, 0] += delta
         for n, delta in ((13, 1), (41, 2), (66, -1)):
-            least, greatest = values[n]
-            values[n] = (least, greatest + delta)
+            values[n, 1] += delta
         return dataclasses.replace(table, values=values)
 
     def test_halving_with_a_wrong_table(self, wrong_table):

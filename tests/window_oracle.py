@@ -5,11 +5,14 @@ of a finite word and classifies them with plain Python: the window itself,
 its sorted symbols (an anagram class is fixed by its symbol counts), its
 run-length reduction, and the sorted symbols of the reduction. Alternation
 extremes are the least and greatest count of adjacent unequal pairs over
-the windows. Nothing here uses the package, so it checks the engines
+the windows. Values come as the engines give them, an int64 array indexed
+by n. Nothing here uses the package, so it checks the engines
 independently.
 """
 
 from itertools import groupby
+
+import numpy as np
 
 KINDS = ("factor", "abelian", "reduced_factor", "reduced_abelian")
 
@@ -32,14 +35,20 @@ def windows(symbols, n):
 
 
 def oracle_counts(symbols, kind, n_values):
-    """Distinct classes of the length-n windows under ``kind``, per n."""
+    """Distinct classes of the length-n windows under ``kind``, at each n of
+    ``n_values``, in an int64 array indexed by n, 0 at every other index."""
     key = KEYS[kind]
-    return {n: len({key(w) for w in windows(symbols, n)}) for n in n_values}
+    counts = np.zeros(max(n_values) + 1, dtype=np.int64)
+    for n in n_values:
+        counts[n] = len({key(w) for w in windows(symbols, n)})
+    return counts
 
 
 def oracle_extremes(symbols, n_values):
-    """{n: (min, max)}: least and greatest alternation count of the length-n windows."""
-    extremes = {}
+    """``[n] = (min, max)``: least and greatest alternation count of the
+    length-n windows at each n of ``n_values``, in an int64 array indexed by
+    n, 0s at every other index."""
+    extremes = np.zeros((max(n_values) + 1, 2), dtype=np.int64)
     for n in n_values:
         counts = [sum(a != b for a, b in zip(w, w[1:])) for w in windows(symbols, n)]
         extremes[n] = (min(counts), max(counts))
@@ -70,9 +79,9 @@ def two_scan_reference(handle, kind, n_max, policy):
     prev = scan(window)
     for _ in range(policy.max_doublings):
         nxt = scan(2 * window)
-        if nxt == prev:
+        if np.array_equal(nxt, prev):
             return True, prev, window, None
-        differ = min(n for n in ns if prev[n] != nxt[n])
+        differ = min(n for n in ns if prev[n].tolist() != nxt[n].tolist())
         prev, window = nxt, 2 * window
     return False, prev, window, differ
 
