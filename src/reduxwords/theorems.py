@@ -661,7 +661,7 @@ def profile_kernel_rank(
     terms: int = 64,
 ) -> KernelEstimate:
     """Kernel rank of a profile's value sequence, read off in index order from n = 1."""
-    return kernel_rank(profile.values[1:], base=base, depth=depth, terms=terms)
+    return kernel_rank(profile.values[1:].tolist(), base=base, depth=depth, terms=terms)
 
 
 # -- claim table -------------------------------------------------------------------
