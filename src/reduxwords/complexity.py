@@ -106,6 +106,7 @@ import numpy as np
 from .errors import ConfigurationError, StabilizationError
 from .sequences import SequenceHandle, _uint_dtype
 
+
 @dataclass(frozen=True)
 class WindowPolicy:
     """How long a prefix to scan and how to certify the counts.
