@@ -53,8 +53,8 @@ the counts evaluate sum_n rho(n) keys (rho the factor complexity, about
 1.5 N^2 for tm and pf) instead of N(L - N) for every start at every length.
 
 A finite scan can only undercount the infinite sequence. For a fixed
-point of a morphism, or a coding of one (tm, pf and morphic spec files),
-the morphism proves a prefix P that holds every factor of length up to
+point of a morphism, or a coding of one (tm, pf, morphic and Toeplitz
+spec files), the morphism proves a prefix P that holds every factor of length up to
 n_max (:func:`_proof_window`): 7 * 2^k symbols for tm and 13 * 2^k for
 pf, with 2^k >= n_max - 1. When P is at most the initial window W, and
 2W fits the handle's cap, the counts are proven, and ``certified_window``
@@ -76,18 +76,18 @@ the index evaluates about 1.5 N^2 keys, and ``certified_window`` is still
 W. Every other kind is counted on one index of the prefix proven for the
 longest length of those kinds.
 
-Everywhere else (Toeplitz specs, a letter with bounded images, a window
-shorter than P, 2W past the cap) the counts are certified empirically:
-the window W doubles until the counts on the first W symbols equal those
-on the first 2W, and ``certified_window`` records W. Every count function
-takes one index and returns its counts, and each step counts on an index
-at 2W. The length-n windows of the first W symbols are those whose first
-occurrence ends within W, so when every first occurrence in that index
-does, the counts on W equal those on 2W for every kind, with no second
-index. For pf's Toeplitz spec at the default W = 32n every first
-occurrence ends within the first 22% of W. Otherwise the kind is counted
-again on an index of W itself. Each further doubling compares its counts
-with those of the step before. This is the verdict that scanning W and
+Everywhere else (a handle without a morphism, a letter with bounded
+images, a window shorter than P, 2W past the cap) the counts are certified
+empirically: the window W doubles until the counts on the first W symbols
+equal those on the first 2W, and ``certified_window`` records W. Every
+count function takes one index and returns its counts, and each step
+counts on an index at 2W. The length-n windows of the first W symbols are
+those whose first occurrence ends within W, so when every first occurrence
+in that index does, the counts on W equal those on 2W for every kind, with
+no second index. For pf, were it doubled, at the default W = 32n every
+first occurrence ends within the first 22% of W. Otherwise the kind is
+counted again on an index of W itself. Each further doubling compares its
+counts with those of the step before. This is the verdict that scanning W and
 2W separately gives; it is evidence, not proof, and the paper's closed
 forms live in :mod:`reduxwords.theorems`.
 

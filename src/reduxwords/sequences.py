@@ -12,31 +12,27 @@ the block against the alphabet, and replaces the buffer with a fresh
 read-only array, so the views that :meth:`SequenceHandle.prefix_symbols`
 hands out are never copied and never change.
 
-Two constructions are provided:
+Every sequence built here is built one way: as the fixed point of a
+prolongable morphism, optionally mapped letter by letter through a coding,
+grown a level at a time by numpy gathers through a table of the images.
+``tm`` is the fixed point of 0 -> 01, 1 -> 10. A Toeplitz word (iterated gap-filling
+with an eventually periodic filler: each pass writes the filler, restarted
+from its beginning, into every other remaining gap) is the coding of the
+fixed point of a 2-uniform morphism on pairs (filler state, symbol)
+(Cassaigne and Karhumaki, "Toeplitz words, generalized periodicity and
+periodically iterated morphisms", European J. Combin. 18, 1997); ``pf`` is
+the Toeplitz word with filler 01, which :func:`paperfolding` builds so.
+Each handle carries its morphism and coding, from which the window scans
+bound the prefix that holds every factor.
 
-* fixed points of prolongable morphisms, optionally mapped letter by letter
-  through a coding, grown a level at a time by numpy gathers through a
-  table of the images. They generate the two builtin sequences: ``tm`` is
-  the fixed point of 0 -> 01, 1 -> 10, and ``pf`` the coding a, b -> 0 and
-  c, d -> 1 of the fixed point of a -> ab, b -> cb, c -> ad, d -> cd, which
-  the table of its last level applies;
-* iterated gap-filling with an eventually periodic filler (the Toeplitz
-  construction; each pass writes the filler, restarted from its beginning,
-  into every other remaining gap). Pass k fills the indices n of 2-adic
-  valuation k, so symbol n is the filler's entry n >> (k + 1), and the
-  handle evaluates that rule on blocks of indices.
-
-Each builtin sequence has a second, independent construction written as a
-spec file (``tests/data/tm_morphic.spec``: the fixed point of 0->01,
-1->10; ``tests/data/pf_toeplitz.spec``: the Toeplitz word with filler 01),
-and the tests cross-check the two, and hold the builtins to the arithmetic
-rules :func:`thue_morse_at` and :func:`paperfolding_at`. Arbitrary
-eventually periodic Toeplitz fillers are supported as an extension beyond
-the alternating 0/1 filler the paperfolding sequence needs.
-
-The builtins and every morphic fixed point also carry the morphism they
-are a fixed point of, and the coding, from which the window scans bound
-the prefix that holds every factor.
+``tests/data/tm_morphic.spec`` (the fixed point of 0->01, 1->10) and
+``tests/data/pf_toeplitz.spec`` (the Toeplitz word with filler 01) write
+the builtins as spec files, which build the same handles, so the checks
+independent of this construction are the arithmetic rules
+:func:`thue_morse_at` and :func:`paperfolding_at` and the tests'
+gap-filling passes run on a finite buffer. Arbitrary eventually periodic
+Toeplitz fillers are supported as an extension beyond the alternating 0/1
+filler the paperfolding sequence needs.
 """
 
 from __future__ import annotations
@@ -54,8 +50,6 @@ from .words import Symbol, Word
 
 DEFAULT_MAX_PREFIX = 1 << 26
 MAX_PREFIX_ENV_VAR = "REDUXWORDS_MAX_PREFIX"
-# Indices per call of a block rule, so its int64 temporaries stay small.
-_BLOCK_CHUNK = 1 << 16
 
 
 def _default_cap() -> int:
@@ -175,20 +169,6 @@ class SequenceHandle:
         return f"SequenceHandle({self.name!r}, alphabet_size={self.alphabet_size})"
 
 
-def _from_block_rule(
-    rule: Callable[[np.ndarray], np.ndarray], alphabet_size: int, name: str
-) -> SequenceHandle:
-    """Handle for a rule evaluated on an int64 array of 1-based indices."""
-
-    def extend(buf: np.ndarray, target: int) -> np.ndarray:
-        starts = range(len(buf) + 1, target + 1, _BLOCK_CHUNK)
-        return np.concatenate([
-            rule(np.arange(lo, min(lo + _BLOCK_CHUNK, target + 1), dtype=np.int64)) for lo in starts
-        ])
-
-    return SequenceHandle(name, alphabet_size, extend)
-
-
 # -- builtin sequences --------------------------------------------------------
 
 def thue_morse_at(n: int) -> Symbol:
@@ -211,10 +191,7 @@ def thue_morse() -> SequenceHandle:
 
 
 def paperfolding() -> SequenceHandle:
-    # pf is the coding a, b -> 0 and c, d -> 1 of the fixed point of
-    # a -> ab, b -> cb, c -> ad, d -> cd, with a..d as 0..3
-    source = Morphism({0: (0, 1), 1: (2, 1), 2: (0, 3), 3: (2, 3)}, 4)
-    return _fixed_point(source, 0, "pf", coding=(0, 0, 1, 1), alphabet_size=2)
+    return toeplitz(ToeplitzSpec(period=(0, 1)), "pf")
 
 
 # -- morphic fixed points -----------------------------------------------------
@@ -440,7 +417,7 @@ def _fixed_point(
     """Handle for the fixed point of ``m`` at ``seed``, mapped letter by
     letter through ``coding`` onto ``alphabet_size`` letters when given, that
     carries its source for the window scans. A coding needs images of one
-    length, as pf's source has."""
+    length, as a Toeplitz word's source has."""
     if not m.is_prolongable_at(seed):
         raise ConfigurationError(
             f"morphism is not prolongable at seed {seed}: its image must "
@@ -509,19 +486,41 @@ class ToeplitzSpec:
 
 
 def toeplitz(spec: ToeplitzSpec, name: str = "toeplitz") -> SequenceHandle:
-    """Handle for the limit of the iterated gap-filling passes.
+    """Handle for the limit of the iterated gap-filling passes, as the
+    coding of the fixed point of a 2-uniform morphism.
 
     Pass k (from 0) fills the positions n with 2-adic valuation k, and n is
-    the j-th of them for j = n >> (k + 1), so symbol n is ``filler_at(j)``.
+    the j-th of them for j = n >> (k + 1), so the symbol x(n) is F(j), F
+    the filler. The 0-based word b(i) = x(i + 1) then has b(2m) = F(m) and
+    b(2m + 1) = b(m): 2m + 1 is odd, the m-th position of pass 0, and 2m + 2
+    is filled by the pass after the one that fills m + 1, at the same j.
+    With h the preperiod's length and c the period's, F(m) = F[state(m)]
+    for state(m) = m when m < h, else h + (m - h) % c, and state(2m) and
+    state(2m + 1) are functions of state(m). So the letter (state(m), b(m))
+    of position m is sent to those of positions 2m and 2m + 1, (state(2m),
+    F(m)) and (state(2m + 1), b(m)), and b is the second component of the
+    fixed point at the letter (0, F(0)). A letter pairs a state q with the
+    rank i of one of the filler's d symbols, as q * d + i, so symbols the
+    alphabet declares but the filler does not use add no letters.
     """
-    filler = np.array(spec.preperiod + spec.period, dtype=np.int64)
+    filler = spec.preperiod + spec.period
     head, cycle = len(spec.preperiod), len(spec.period)
+    symbols = sorted(set(filler))
+    d = len(symbols)
+    rank = {s: i for i, s in enumerate(symbols)}
 
-    def rule(n: np.ndarray) -> np.ndarray:
-        j = n // (2 * (n & -n))
-        return filler[np.where(j < head, j, head + (j - head) % cycle)]
+    def state(m: int) -> int:
+        return m if m < head else head + (m - head) % cycle
 
-    return _from_block_rule(rule, spec.alphabet_size, name)
+    images = {
+        q * d + i: (state(2 * q) * d + rank[filler[q]], state(2 * q + 1) * d + i)
+        for q in range(len(filler))
+        for i in range(d)
+    }
+    source = Morphism(images, len(filler) * d)
+    return _fixed_point(
+        source, rank[filler[0]], name, coding=symbols * len(filler), alphabet_size=spec.alphabet_size
+    )
 
 
 # -- sequence spec files ------------------------------------------------------

@@ -24,7 +24,7 @@ from reduxwords.complexity import (
     reduced_factor_counts,
 )
 from reduxwords.errors import CapacityError, ConfigurationError, StabilizationError
-from reduxwords.sequences import SequenceHandle, _fixed_point
+from reduxwords.sequences import SequenceHandle, _fixed_point, toeplitz
 from reduxwords.words import Word
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     RHO_T_15,
     profile_values,
 )
+from test_sequences import toeplitz_specs
 from window_oracle import (
     longest_previous_factor_stack,
     oracle_counts,
@@ -733,6 +734,12 @@ class TestReach:
             assert np.array_equal(engine(handle, n_max, fixed).values, engine(handle, n_max).values), kind
 
 
+def sourceless_pf():
+    """pf's symbols from a handle that carries no morphism, so its profiles double."""
+    pf = rw.paperfolding()
+    return SequenceHandle("pf", 2, lambda buf, target: pf.prefix_symbols(target)[len(buf) :])
+
+
 def stabilization_partials(make, engine, n_max):
     """A profile whose counts fail to stabilize: only its ``partial_values`` are read."""
 
@@ -750,9 +757,7 @@ VALUE_PATHS = {
     "recursion-red": (rw.thue_morse, rw.reduced_factor_complexity, 64, None, ()),
     "recursion-extremes": (rw.thue_morse, rw.alternation_extremes, 64, None, (2,)),
     "proven-index-factor": (rw.thue_morse, rw.factor_complexity, 64, None, ()),
-    "doubling-abred": (
-        lambda: rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec")), rw.reduced_abelian_complexity, 16, None, ()
-    ),
+    "doubling-abred": (sourceless_pf, rw.reduced_abelian_complexity, 16, None, ()),
     "fixed-window-extremes": (rw.paperfolding, rw.alternation_extremes, 16, WindowPolicy(fixed_length=512), (2,)),
     "partial-values-factor": stabilization_partials(rw.thue_morse, rw.factor_complexity, 64),
     "partial-values-extremes": stabilization_partials(rw.thue_morse, rw.alternation_extremes, 4),
@@ -874,8 +879,15 @@ class TestWindowPolicy:
             # factor of length 8 or less, so that prefix is the one index;
             # the binary kinds take tm's recursion and build none
             (rw.thue_morse(), WindowPolicy(), [56] if kind in ("factor", "abelian") else []),
-            # a Toeplitz spec carries no morphism, and doubles
-            (rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec")), WindowPolicy(), [512]),
+            # a Toeplitz spec is the coding of a fixed point: pf's proves
+            # its first 13 * 8 symbols, and its binary kinds take the recursion
+            (
+                rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec")),
+                WindowPolicy(),
+                [104] if kind in ("factor", "abelian") else [],
+            ),
+            # pf without its morphism doubles
+            (sourceless_pf(), WindowPolicy(), [512]),
             (head, WindowPolicy(initial_multiplier=1), [16, 8]),
             (head, WindowPolicy(initial_multiplier=1, max_doublings=2), [16, 8]),
         ]
@@ -911,10 +923,12 @@ class TestWindowPolicy:
             assert complexity._proof_window(rw.thue_morse(), n_max, window) == tm
             assert complexity._proof_window(rw.paperfolding(), n_max, window) == pf
             assert complexity._proof_window(tribonacci, n_max, window) == trib
-        # no proof past the window, nor for a Toeplitz spec
-        assert complexity._proof_window(rw.thue_morse(), 2048, 14335) is None
+        # pf's Toeplitz spec is pf's construction; no proof past the window,
+        # nor for a handle without a morphism
         pf_toeplitz = rw.load_sequence_spec(str(DATA / "pf_toeplitz.spec"))
-        assert complexity._proof_window(pf_toeplitz, 8, 256) is None
+        assert complexity._proof_window(pf_toeplitz, 8, 256) == 104
+        assert complexity._proof_window(rw.thue_morse(), 2048, 14335) is None
+        assert complexity._proof_window(sourceless_pf(), 8, 256) is None
 
     @pytest.mark.parametrize("kind", sorted(PROFILE_ENGINES))
     def test_a_profile_computes_its_proof_once(self, monkeypatch, kind):
@@ -978,6 +992,23 @@ class TestWindowPolicy:
                     oracle_extremes(symbols, ns) if kind == "extremes" else oracle_counts(symbols, kind, ns)
                 )
                 assert np.array_equal(outcomes[0][0], oracle), kind
+
+    @settings(max_examples=100, deadline=None)
+    @given(toeplitz_specs(), st.integers(1, 12))
+    def test_toeplitz_specs_are_proven_and_match_the_oracle(self, spec, n_max):
+        # every Toeplitz handle carries its 2-uniform source, whose proof
+        # window holds every factor up to n_max; the profiles counted on it
+        # are the oracle's on four times that window
+        handle = toeplitz(spec)
+        assert handle._source is not None
+        proof = complexity._proof_window(handle, n_max, 1 << 20)
+        assert proof is not None
+        policy = WindowPolicy(initial_multiplier=-(-proof // n_max))
+        symbols = handle.prefix_symbols(4 * proof).tolist()
+        ns = range(1, n_max + 1)
+        for kind, engine in PROFILE_ENGINES.items():
+            oracle = oracle_extremes(symbols, ns) if kind == "extremes" else oracle_counts(symbols, kind, ns)
+            assert np.array_equal(engine(handle, n_max, policy).values, oracle), kind
 
     @settings(max_examples=40, deadline=None)
     @given(prolongable_morphisms(), st.integers(2, 24), st.data())

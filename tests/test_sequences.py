@@ -18,7 +18,9 @@ from conftest import DATA, PF_PREFIX_55, TM_PREFIX_54, pointwise_handle
 
 
 def _second_construction(name):
-    """The spec-file construction of a builtin: ``tm_morphic`` or ``pf_toeplitz``."""
+    """The spec file of a builtin: ``tm_morphic`` or ``pf_toeplitz``. Both
+    build the handle the builtin builds, so the rules and the gap-filling
+    reference below are the independent checks."""
     return rw.load_sequence_spec(str(DATA / f"{name}.spec"))
 
 
@@ -137,11 +139,13 @@ class TestCrossConstruction:
         a = rw.paperfolding().prefix_symbols(1 << 14)
         b = _second_construction("pf_toeplitz").prefix_symbols(1 << 14)
         assert a.tolist() == b.tolist()
+        assert a.tolist() == paperfolding_block(np.arange(1, (1 << 14) + 1)).tolist()
 
     @pytest.mark.parametrize("builtin", [rw.thue_morse, rw.paperfolding])
     def test_builtin_is_the_coding_of_its_source_morphism(self, builtin):
-        # pf: a, b -> 0 and c, d -> 1 of the fixed point of a -> ab, b -> cb,
-        # c -> ad, d -> cd; tm: the fixed point of 0 -> 01, 1 -> 10
+        # pf: 0, 2 -> 0 and 1, 3 -> 1 of the fixed point of 0 -> 02, 1 -> 03,
+        # 2 -> 12, 3 -> 13, its Toeplitz source; tm: the fixed point of
+        # 0 -> 01, 1 -> 10
         handle = builtin()
         morphism, seed, coding = handle._source
         source = rw.morphic_fixed_point(morphism, seed).prefix_symbols(1 << 16)
@@ -269,8 +273,8 @@ class TestToeplitz:
     @settings(max_examples=100, deadline=None)
     @given(toeplitz_specs(), st.integers(1, 3000))
     def test_handle_matches_gap_filling(self, spec, length):
-        # the handle evaluates symbol n as filler_at(n >> (v + 1)), v the
-        # 2-adic valuation of n, on blocks of indices
+        # the handle codes the fixed point of a 2-uniform morphism on pairs
+        # (filler state, symbol); the reference runs the passes themselves
         assert toeplitz(spec).prefix_symbols(length).tolist() == _toeplitz_fill(spec, length)
 
 
