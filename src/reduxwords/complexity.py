@@ -52,11 +52,11 @@ index takes log N packing passes and as many sorts over the L starts, and
 the counts evaluate sum_n rho(n) keys (rho the factor complexity, about
 1.5 N^2 for tm and pf) instead of N(L - N) for every start at every length.
 
-A finite scan can only undercount the infinite sequence. For a fixed
-point of a morphism, or a coding of one (tm, pf, morphic and Toeplitz
-spec files), the morphism proves a prefix P that holds every factor of length up to
-n_max (:func:`_proof_window`): 7 * 2^k symbols for tm and 13 * 2^k for
-pf, with 2^k >= n_max - 1. When P is at most the initial window W, and
+A finite scan can only undercount the infinite sequence. For a fixed point
+of a morphism, or a coding of one (tm, pf, morphic and Toeplitz spec
+files), the morphism proves a prefix P that holds every factor of length
+up to n_max (:func:`_proof_window`): 7 * 2^k symbols for tm and 13 * 2^k
+for pf, with 2^k >= n_max - 1. When P is at most the initial window W, and
 2W fits the handle's cap, the counts are proven, and ``certified_window``
 records W, as doubling would, since W and 2W hold the same factors.
 :func:`proven_counts` is the one path that decides this and counts them,
@@ -87,8 +87,8 @@ in that index does, the counts on W equal those on 2W for every kind, with
 no second index. For pf, were it doubled, at the default W = 32n every
 first occurrence ends within the first 22% of W. Otherwise the kind is
 counted again on an index of W itself. Each further doubling compares its
-counts with those of the step before. This is the verdict that scanning W and
-2W separately gives; it is evidence, not proof, and the paper's closed
+counts with those of the step before. This is the verdict that scanning W
+and 2W separately gives; it is evidence, not proof, and the paper's closed
 forms live in :mod:`reduxwords.theorems`.
 
 Window starts are 0-based internally. Every count function and profile

@@ -15,15 +15,15 @@ hands out are never copied and never change.
 Every sequence built here is built one way: as the fixed point of a
 prolongable morphism, optionally mapped letter by letter through a coding,
 grown a level at a time by numpy gathers through a table of the images.
-``tm`` is the fixed point of 0 -> 01, 1 -> 10. A Toeplitz word (iterated gap-filling
-with an eventually periodic filler: each pass writes the filler, restarted
-from its beginning, into every other remaining gap) is the coding of the
-fixed point of a 2-uniform morphism on pairs (filler state, symbol)
-(Cassaigne and Karhumaki, "Toeplitz words, generalized periodicity and
-periodically iterated morphisms", European J. Combin. 18, 1997); ``pf`` is
-the Toeplitz word with filler 01, which :func:`paperfolding` builds so.
-Each handle carries its morphism and coding, from which the window scans
-bound the prefix that holds every factor.
+``tm`` is the fixed point of 0 -> 01, 1 -> 10. A Toeplitz word (iterated
+gap-filling with an eventually periodic filler: each pass writes the
+filler, restarted from its beginning, into every other remaining gap) is
+the coding of the fixed point of a 2-uniform morphism on pairs (filler
+state, symbol) (Cassaigne and Karhumaki, "Toeplitz words, generalized
+periodicity and periodically iterated morphisms", European J. Combin. 18,
+1997), and ``pf`` is the one with filler 01. Each handle carries its
+morphism and coding, from which the window scans bound the prefix that
+holds every factor.
 
 ``tests/data/tm_morphic.spec`` (the fixed point of 0->01, 1->10) and
 ``tests/data/pf_toeplitz.spec`` (the Toeplitz word with filler 01) write
